@@ -73,7 +73,7 @@ impl Cfg {
 
 const BUDGETS: &[usize] = &[1, 2, 4, 8];
 
-/// The same globally-distinct two-seed derivation as bench_pr6/pr8/pr9.
+/// The same globally-distinct two-seed derivation as `bench_pr9`.
 fn distinct_seeds(n: usize, k: u64) -> Vec<VertexId> {
     let id = k.wrapping_mul(1_000_000_007);
     let a = (id.wrapping_mul(2_654_435_761) % n as u64) as usize;

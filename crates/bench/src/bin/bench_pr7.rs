@@ -1,6 +1,6 @@
 //! PR 7 performance trajectory: compressed sample-pool arenas and zero-copy
-//! mmap restores, on the 50 000-vertex WC benchmark graph of
-//! `bench_pr2`…`bench_pr5` plus a million-vertex scale validation.
+//! mmap restores, on the 50 000-vertex WC benchmark graph of the PR 2–5
+//! trajectory plus a million-vertex scale validation.
 //!
 //! The story in four acts:
 //!
@@ -387,9 +387,9 @@ fn main() {
     // Regression canaries. The compression ratio is a property of the
     // encoder, not the hardware — asserted everywhere (with headroom in
     // smoke mode, whose tiny pools amortise directory overhead worse). The
-    // restore speedup is hardware-sensitive, so like bench_pr5 its floor is
-    // set where only a genuine mmap-path regression trips it, and smoke
-    // mode (files small enough that the bulk read is ~free) skips it.
+    // restore speedup is hardware-sensitive, so its floor is set where only
+    // a genuine mmap-path regression trips it, and smoke mode (files small
+    // enough that the bulk read is ~free) skips it.
     let ratio_floor = if smoke { 0.8 } else { 0.5 };
     assert!(
         compressed_ratio <= ratio_floor,

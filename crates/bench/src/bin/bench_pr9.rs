@@ -82,8 +82,8 @@ impl Cfg {
     }
 }
 
-/// The same globally-distinct two-seed derivation as bench_pr6/pr8, so the
-/// quality comparison averages over genuinely different questions.
+/// A globally-distinct two-seed derivation, so the quality comparison
+/// averages over genuinely different questions.
 fn distinct_seeds(n: usize, k: u64) -> Vec<VertexId> {
     let id = k.wrapping_mul(1_000_000_007);
     let a = (id.wrapping_mul(2_654_435_761) % n as u64) as usize;

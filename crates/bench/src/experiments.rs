@@ -66,6 +66,10 @@ pub fn exact_vs_gr(model: ProbabilityModel, settings: &BenchSettings) -> Table {
     let graph = model.apply(&topology).expect("probability model");
     let extracts = extract_many(&graph, 3, 60, settings.seed).expect("extraction");
     let config = settings.algorithm_config();
+    // Scaled from the soft timeout like `time_comparison`'s budget: the
+    // default 120 s keeps the paper-run cap of 500 000 combinations, and a
+    // budget whose search space exceeds it is skipped.
+    let max_combinations = 500_000 * settings.timeout.as_secs().max(1) / 120;
     let mut table = Table::new(&[
         "b",
         "exact_spread",
@@ -99,7 +103,7 @@ pub fn exact_vs_gr(model: ProbabilityModel, settings: &BenchSettings) -> Table {
                 &forbidden,
                 b,
                 &ExactSearchConfig {
-                    max_combinations: 500_000,
+                    max_combinations,
                     evaluator: SpreadEvaluator::MonteCarlo {
                         rounds: settings.mcs_rounds.min(500),
                     },

@@ -1,9 +1,9 @@
 //! Blocking client for the `imin-serve` line protocol — the library behind
 //! the `imin-cli` binary and the protocol round-trip tests.
 
-use crate::engine::QueryAlgorithm;
 use crate::protocol::{parse_reply, payload_field};
 use crate::{EngineError, Result};
+use imin_core::AlgorithmKind;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
@@ -105,7 +105,7 @@ impl Client {
         &mut self,
         seeds: &[u32],
         budget: usize,
-        algorithm: QueryAlgorithm,
+        algorithm: AlgorithmKind,
     ) -> Result<QueryReply> {
         let seeds = seeds
             .iter()

@@ -1,23 +1,13 @@
-//! The resident query engine: one graph, one sample pool, many queries.
+//! What the engine is asked and what it answers: queries, results and the
+//! facts of the resident pools, plus `run_resident`, which answers one
+//! query against those pools.
 
-use crate::cache::LruCache;
 use crate::{EngineError, Result};
-use imin_core::pool::shard_ranges;
-use imin_core::snapshot::{self, SnapshotSummary};
 use imin_core::{
     AlgorithmKind, ArenaKind, ContainmentRequest, Intervention, SamplePool, SketchPool,
 };
 use imin_graph::{DiGraph, VertexId};
-use std::collections::HashSet;
-use std::path::Path;
 use std::time::{Duration, Instant};
-
-/// The algorithm selector of a [`Query`] — the crate-wide
-/// [`imin_core::AlgorithmKind`] registry. Any registered algorithm may be
-/// asked for; algorithms whose solver cannot run against a resident pool
-/// (BaselineGreedy, Exact) answer with a typed
-/// [`imin_core::IminError::BackendUnsupported`] error.
-pub type QueryAlgorithm = AlgorithmKind;
 
 /// One containment question: how should a budget of `budget` interventions
 /// be spent to minimise the spread from `seeds`? The default
@@ -32,7 +22,10 @@ pub struct Query {
     /// Maximum number of blocked vertices, removed edges or prebunked
     /// vertices, depending on `intervention`.
     pub budget: usize,
-    /// Which algorithm to run (from the [`AlgorithmKind`] registry).
+    /// Which algorithm to run. Any registered algorithm may be asked for;
+    /// those whose solver cannot run against a resident pool
+    /// (BaselineGreedy, Exact) answer with a typed
+    /// [`imin_core::IminError::BackendUnsupported`] error.
     pub algorithm: AlgorithmKind,
     /// Which intervention family the budget buys.
     pub intervention: Intervention,
@@ -111,8 +104,7 @@ pub struct QueryResult {
     pub elapsed: Duration,
     /// How this answer was produced (computed / cache hit / coalesced).
     pub disposition: Disposition,
-    /// Per-request trace id assigned by [`crate::SharedEngine`] (0 when
-    /// the result came from the plain [`Engine`], which assigns none).
+    /// Per-request trace id assigned by [`crate::SharedEngine::query`].
     pub trace_id: u64,
     /// Per-phase time breakdown of the computation that produced this
     /// answer, when observability was enabled. Cache hits and coalesced
@@ -183,7 +175,8 @@ impl RestoreMode {
     }
 }
 
-/// What [`Engine::ensure_pool`] actually did to satisfy a `POOL` request.
+/// What [`crate::SharedEngine::ensure_pool`] (or its sketch counterpart)
+/// actually did to satisfy a `POOL` request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PoolAction {
     /// A pool with the exact `(θ, seed)` was already resident — nothing
@@ -338,607 +331,15 @@ impl SketchPoolInfo {
     }
 }
 
-/// Monotonic counters served by `STATS`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EngineStats {
-    /// Queries answered (cache hits included).
-    pub queries: u64,
-    /// Queries answered straight from the LRU cache.
-    pub cache_hits: u64,
-    /// Pools built from scratch since the engine started.
-    pub pool_builds: u64,
-    /// Pools grown in place via `extend_to` since the engine started.
-    pub pool_extends: u64,
-    /// Pools re-encoded into a compressed arena via `COMPRESS`.
-    pub pool_compressions: u64,
-    /// `POOL` requests satisfied by the already-resident pool (no-ops).
-    pub pool_reuses: u64,
-    /// Sketch pools built from scratch since the engine started.
-    pub sketch_builds: u64,
-    /// `POOL … backend=sketch` requests satisfied by the already-resident
-    /// sketch pool (no-ops).
-    pub sketch_reuses: u64,
-    /// Graphs loaded since the engine started.
-    pub graph_loads: u64,
-    /// Snapshots written via `SAVE`.
-    pub snapshot_saves: u64,
-    /// Snapshots restored via `RESTORE`.
-    pub snapshot_restores: u64,
-}
-
-/// A resident containment query engine.
-///
-/// Lifecycle: [`Engine::load_graph`] → [`Engine::build_pool`] → any number
-/// of [`Engine::query`] / [`Engine::run_queries`] calls. Loading a new
-/// graph or rebuilding the pool invalidates the result cache.
-#[derive(Debug)]
-pub struct Engine {
-    graph: Option<DiGraph>,
-    graph_label: String,
-    pool: Option<SamplePool>,
-    pool_info: Option<PoolInfo>,
-    sketch: Option<SketchPool>,
-    sketch_info: Option<SketchPoolInfo>,
-    cache: LruCache<QueryKey, QueryResult>,
-    stats: EngineStats,
-    threads: usize,
-}
-
-impl Default for Engine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Engine {
-    /// Creates an empty engine with the default worker-thread count and a
-    /// 256-entry result cache.
-    pub fn new() -> Self {
-        Engine {
-            graph: None,
-            graph_label: String::new(),
-            pool: None,
-            pool_info: None,
-            sketch: None,
-            sketch_info: None,
-            cache: LruCache::new(256),
-            stats: EngineStats::default(),
-            threads: imin_diffusion::montecarlo::default_threads(),
-        }
-    }
-
-    /// Sets the worker-thread count used by pool builds and queries.
-    /// Thread count never changes results — pools and pooled estimates are
-    /// bit-identical at any parallelism.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the LRU result-cache capacity (`0` disables result caching).
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = LruCache::new(capacity);
-        self
-    }
-
-    /// Worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Installs a graph, dropping any previous pools and cached results.
-    pub fn load_graph(&mut self, graph: DiGraph, label: String) {
-        self.graph = Some(graph);
-        self.graph_label = label;
-        self.pool = None;
-        self.pool_info = None;
-        self.sketch = None;
-        self.sketch_info = None;
-        self.cache.clear();
-        self.stats.graph_loads += 1;
-    }
-
-    /// The loaded graph, if any.
-    pub fn graph(&self) -> Option<&DiGraph> {
-        self.graph.as_ref()
-    }
-
-    /// Label given to the loaded graph (for `STATS`).
-    pub fn graph_label(&self) -> &str {
-        &self.graph_label
-    }
-
-    /// Makes a pool with exactly `(θ, seed)` resident, doing the least work
-    /// that gets there:
-    ///
-    /// * the resident pool already matches → **no-op** (the result cache
-    ///   survives untouched),
-    /// * the resident pool has the same seed and a smaller θ → grown in
-    ///   place with [`SamplePool::extend_to`] (bit-identical to a fresh
-    ///   θ build; the cache is invalidated because answers may change),
-    /// * anything else → sampled from scratch (cache invalidated; the
-    ///   superseded pool is released *before* the new one is sampled so
-    ///   peak memory stays at one pool).
-    ///
-    /// # Errors
-    /// Returns [`EngineError::NoGraph`] before a graph is loaded, or the
-    /// underlying build error (e.g. θ = 0, rejected before anything is
-    /// dropped).
-    pub fn ensure_pool(&mut self, theta: usize, seed: u64) -> Result<(&PoolInfo, PoolAction)> {
-        let graph = self.graph.as_ref().ok_or(EngineError::NoGraph)?;
-        if theta == 0 {
-            return Err(imin_core::IminError::ZeroSamples.into());
-        }
-        if let Some(pool) = self.pool.as_mut() {
-            if pool.pool_seed() == seed && pool.theta() == theta {
-                self.stats.pool_reuses += 1;
-                let info = self.pool_info.as_ref().expect("resident pool has info");
-                return Ok((info, PoolAction::Reused));
-            }
-            // Compressed and mapped arenas cannot grow in place — a growing
-            // request against one falls through to the rebuild path below.
-            if pool.pool_seed() == seed && pool.theta() < theta && pool.is_extendable() {
-                let from_theta = pool.theta();
-                let start = Instant::now();
-                pool.extend_to(graph, theta, self.threads)?;
-                let info = PoolInfo::for_pool(
-                    pool,
-                    self.threads,
-                    start.elapsed(),
-                    PoolProvenance::Extended { from_theta },
-                );
-                self.pool_info = Some(info);
-                self.cache.clear();
-                self.stats.pool_extends += 1;
-                let info = self.pool_info.as_ref().expect("pool info just set");
-                return Ok((info, PoolAction::Extended));
-            }
-        }
-        // Release the superseded pool before sampling the new one: a full
-        // rebuild would otherwise hold both pools alive simultaneously,
-        // doubling peak memory at exactly the moment a production host can
-        // least afford it. The cache is cleared with it — those answers
-        // belonged to the old pool.
-        self.pool = None;
-        self.pool_info = None;
-        self.cache.clear();
-        let start = Instant::now();
-        let pool = SamplePool::build_with_threads(graph, theta, seed, self.threads)?;
-        let info = PoolInfo::for_pool(&pool, self.threads, start.elapsed(), PoolProvenance::Built);
-        self.pool = Some(pool);
-        self.pool_info = Some(info);
-        self.cache.clear();
-        self.stats.pool_builds += 1;
-        let info = self.pool_info.as_ref().expect("pool info just set");
-        Ok((info, PoolAction::Built))
-    }
-
-    /// [`Engine::ensure_pool`] without the action report, kept for callers
-    /// that only care about the resulting pool facts. Despite the name this
-    /// no longer rebuilds unconditionally: matching `(θ, seed)` requests
-    /// are no-ops and growing ones extend in place.
-    ///
-    /// # Errors
-    /// Same conditions as [`Engine::ensure_pool`].
-    pub fn build_pool(&mut self, theta: usize, seed: u64) -> Result<&PoolInfo> {
-        self.ensure_pool(theta, seed).map(|(info, _)| info)
-    }
-
-    /// Makes a reverse-sketch pool with exactly `(θ_r, seed)` resident —
-    /// the `POOL … backend=sketch` counterpart of [`Engine::ensure_pool`].
-    /// A matching resident sketch pool is a **no-op** (the result cache
-    /// survives); anything else rebuilds from scratch (sketch pools never
-    /// extend in place — reverse BFS roots are drawn per sketch, so a
-    /// different θ_r is a different pool). The forward pool, if any, stays
-    /// resident untouched: both backends can serve queries side by side.
-    ///
-    /// # Errors
-    /// Returns [`EngineError::NoGraph`] before a graph is loaded, or the
-    /// underlying build error (θ_r = 0, empty graph).
-    pub fn ensure_sketch_pool(
-        &mut self,
-        theta_r: usize,
-        seed: u64,
-    ) -> Result<(&SketchPoolInfo, PoolAction)> {
-        let graph = self.graph.as_ref().ok_or(EngineError::NoGraph)?;
-        if theta_r == 0 {
-            return Err(imin_core::IminError::ZeroSamples.into());
-        }
-        if let Some(sketch) = self.sketch.as_ref() {
-            if sketch.pool_seed() == seed && sketch.theta_r() == theta_r {
-                self.stats.sketch_reuses += 1;
-                let info = self
-                    .sketch_info
-                    .as_ref()
-                    .expect("resident sketch pool has info");
-                return Ok((info, PoolAction::Reused));
-            }
-        }
-        // Release the superseded sketch pool before building the new one
-        // (same single-resident-peak policy as the forward pool), and drop
-        // cached answers — `ris-greedy` entries belonged to the old pool.
-        self.sketch = None;
-        self.sketch_info = None;
-        self.cache.clear();
-        let start = Instant::now();
-        let sketch = SketchPool::build_with_threads(graph, theta_r, seed, self.threads)?;
-        let info = SketchPoolInfo::for_pool(
-            &sketch,
-            self.threads,
-            start.elapsed(),
-            PoolProvenance::Built,
-        );
-        self.sketch = Some(sketch);
-        self.sketch_info = Some(info);
-        self.stats.sketch_builds += 1;
-        let info = self.sketch_info.as_ref().expect("sketch info just set");
-        Ok((info, PoolAction::Built))
-    }
-
-    /// Re-encodes the resident pool into a compressed arena (delta-varint
-    /// or per-sample bitset, whichever is smaller). Queries against the
-    /// compressed pool are byte-identical to the raw pool, so the result
-    /// cache **survives**; an already-compressed pool is a no-op. The
-    /// compressed pool can no longer [`SamplePool::extend_to`] — a growing
-    /// `POOL` request afterwards rebuilds from scratch.
-    ///
-    /// # Errors
-    /// [`EngineError::NoGraph`] / [`EngineError::NoPool`] before the engine
-    /// is primed, or the encoder's error for a pool/graph mismatch.
-    pub fn compress_pool(&mut self) -> Result<&PoolInfo> {
-        let graph = self.graph.as_ref().ok_or(EngineError::NoGraph)?;
-        let pool = self.pool.as_ref().ok_or(EngineError::NoPool)?;
-        if pool.arena_kind() == ArenaKind::Compressed {
-            return Ok(self.pool_info.as_ref().expect("resident pool has info"));
-        }
-        let start = Instant::now();
-        let compressed = pool.compress(graph, self.threads)?;
-        let provenance = self
-            .pool_info
-            .as_ref()
-            .map(|info| info.provenance.clone())
-            .unwrap_or(PoolProvenance::Built);
-        let info = PoolInfo::for_pool(&compressed, self.threads, start.elapsed(), provenance);
-        self.pool = Some(compressed);
-        self.pool_info = Some(info);
-        self.stats.pool_compressions += 1;
-        Ok(self.pool_info.as_ref().expect("pool info just set"))
-    }
-
-    /// Writes the loaded graph and the resident pool as a snapshot file —
-    /// see [`imin_core::snapshot`] for the format. The engine itself is
-    /// unchanged.
-    ///
-    /// # Errors
-    /// Returns [`EngineError::NoGraph`] / [`EngineError::NoPool`] before the
-    /// engine is primed, [`EngineError::BackendUnsupported`] when only a
-    /// sketch pool is resident (snapshot format v2 describes forward sample
-    /// arenas only), or the snapshot writer's error.
-    pub fn save_snapshot(&mut self, path: impl AsRef<Path>) -> Result<SnapshotSummary> {
-        let graph = self.graph.as_ref().ok_or(EngineError::NoGraph)?;
-        let pool = match self.pool.as_ref() {
-            Some(pool) => pool,
-            None if self.sketch.is_some() => {
-                return Err(EngineError::BackendUnsupported {
-                    operation: "SAVE",
-                    backend: PoolBackend::Sketch.label(),
-                })
-            }
-            None => return Err(EngineError::NoPool),
-        };
-        let summary = snapshot::save_snapshot(path.as_ref(), graph, pool, &self.graph_label)?;
-        self.stats.snapshot_saves += 1;
-        Ok(summary)
-    }
-
-    /// Warm-starts the engine from a snapshot file: installs the stored
-    /// graph (with its saved label) and bulk-loads the pool arenas,
-    /// replacing whatever was resident and invalidating the result cache.
-    /// Restored state answers queries byte-identically to the engine that
-    /// saved it.
-    ///
-    /// # Errors
-    /// Every snapshot defect (missing file, bad magic, version mismatch,
-    /// truncation, checksum or fingerprint mismatch) surfaces as the typed
-    /// [`imin_core::SnapshotError`] inside [`EngineError::Core`]; the
-    /// engine keeps its previous state on failure.
-    pub fn restore_snapshot(&mut self, path: impl AsRef<Path>) -> Result<&PoolInfo> {
-        self.restore_snapshot_with(path, RestoreMode::Copy)
-    }
-
-    /// [`Engine::restore_snapshot`] with an explicit [`RestoreMode`]:
-    /// `Copy` bulk-loads the arenas onto the heap, `Map` memory-maps the
-    /// file and serves the arenas zero-copy (v2 snapshots only — a mapped
-    /// pool is first-query-ready without reading the bulk arrays at all).
-    ///
-    /// # Errors
-    /// Same conditions as [`Engine::restore_snapshot`]; additionally,
-    /// `Map` rejects v1 snapshots and big-endian hosts with a typed
-    /// [`imin_core::SnapshotError::Corrupt`].
-    pub fn restore_snapshot_with(
-        &mut self,
-        path: impl AsRef<Path>,
-        mode: RestoreMode,
-    ) -> Result<&PoolInfo> {
-        let path = path.as_ref();
-        let start = Instant::now();
-        let (restored, provenance) = match mode {
-            RestoreMode::Copy => (
-                snapshot::load_snapshot(path)?,
-                PoolProvenance::Restored {
-                    path: path.display().to_string(),
-                },
-            ),
-            RestoreMode::Map => (
-                snapshot::map_snapshot(path)?,
-                PoolProvenance::Mapped {
-                    path: path.display().to_string(),
-                },
-            ),
-        };
-        let info = PoolInfo::for_pool(&restored.pool, self.threads, start.elapsed(), provenance);
-        self.graph = Some(restored.graph);
-        self.graph_label = if restored.label.is_empty() {
-            format!("snapshot({})", path.display())
-        } else {
-            restored.label
-        };
-        self.pool = Some(restored.pool);
-        self.pool_info = Some(info);
-        self.sketch = None;
-        self.sketch_info = None;
-        self.cache.clear();
-        self.stats.graph_loads += 1;
-        self.stats.snapshot_restores += 1;
-        Ok(self.pool_info.as_ref().expect("pool info just set"))
-    }
-
-    /// The resident pool, if one exists — read-only access for benchmarks
-    /// and parity checks (e.g. [`imin_core::snapshot::pool_digest`]).
-    pub fn pool(&self) -> Option<&SamplePool> {
-        self.pool.as_ref()
-    }
-
-    /// The resident pool's build facts, if a pool exists.
-    pub fn pool_info(&self) -> Option<&PoolInfo> {
-        self.pool_info.as_ref()
-    }
-
-    /// The resident reverse-sketch pool, if one exists.
-    pub fn sketch_pool(&self) -> Option<&SketchPool> {
-        self.sketch.as_ref()
-    }
-
-    /// The resident sketch pool's build facts, if a sketch pool exists.
-    pub fn sketch_pool_info(&self) -> Option<&SketchPoolInfo> {
-        self.sketch_info.as_ref()
-    }
-
-    /// Monotonic counters.
-    pub fn stats(&self) -> EngineStats {
-        self.stats
-    }
-
-    /// Number of entries currently cached.
-    pub fn cache_entries(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Answers one query, consulting the LRU cache first.
-    ///
-    /// # Errors
-    /// Returns [`EngineError::NoGraph`] / [`EngineError::NoPool`] before the
-    /// engine is primed, or the algorithm's validation error (empty seed
-    /// set, zero budget, out-of-range seed).
-    pub fn query(&mut self, query: &Query) -> Result<QueryResult> {
-        let start = Instant::now();
-        self.stats.queries += 1;
-        let key = query.key();
-        if let Some(hit) = self.cache.get(&key) {
-            self.stats.cache_hits += 1;
-            let mut result = hit.clone();
-            result.from_cache = true;
-            result.disposition = Disposition::CacheHit;
-            result.elapsed = start.elapsed();
-            return Ok(result);
-        }
-        let graph = self.graph.as_ref().ok_or(EngineError::NoGraph)?;
-        let result = run_resident(
-            self.pool.as_ref(),
-            self.sketch.as_ref(),
-            graph,
-            query,
-            self.threads,
-            start,
-        )?;
-        self.cache.insert(key, result.clone());
-        Ok(result)
-    }
-
-    /// Answers a batch of queries, fanning cache misses across the worker
-    /// pool. Leftover parallelism is used *inside* queries (misses fewer
-    /// than worker threads each get several threads) — results are
-    /// identical to issuing the queries one by one, because pooled answers
-    /// are thread-count-invariant.
-    ///
-    /// The returned vector is parallel to `queries`.
-    pub fn run_queries(&mut self, queries: &[Query]) -> Vec<Result<QueryResult>> {
-        // Canonicalise every query exactly once; resolve cache hits and
-        // collect unique misses.
-        let keys: Vec<QueryKey> = queries.iter().map(Query::key).collect();
-        let mut outcomes: Vec<Option<Result<QueryResult>>> = Vec::with_capacity(queries.len());
-        let mut seen_misses: HashSet<QueryKey> = HashSet::new();
-        let mut miss_keys: Vec<QueryKey> = Vec::new();
-        let mut miss_queries: Vec<Query> = Vec::new();
-        for (query, key) in queries.iter().zip(&keys) {
-            self.stats.queries += 1;
-            let start = Instant::now();
-            if let Some(hit) = self.cache.get(key) {
-                self.stats.cache_hits += 1;
-                let mut result = hit.clone();
-                result.from_cache = true;
-                result.disposition = Disposition::CacheHit;
-                result.elapsed = start.elapsed();
-                outcomes.push(Some(Ok(result)));
-            } else {
-                if seen_misses.insert(key.clone()) {
-                    miss_keys.push(key.clone());
-                    miss_queries.push(query.clone());
-                }
-                outcomes.push(None);
-            }
-        }
-        if !miss_queries.is_empty() {
-            let computed = match self.graph.as_ref() {
-                Some(graph) => run_resident_batch(
-                    self.pool.as_ref(),
-                    self.sketch.as_ref(),
-                    graph,
-                    &miss_queries,
-                    self.threads,
-                ),
-                None => miss_queries
-                    .iter()
-                    .map(|_| Err(EngineError::NoGraph))
-                    .collect(),
-            };
-            for (key, outcome) in miss_keys.iter().zip(computed) {
-                if let Ok(result) = &outcome {
-                    self.cache.insert(key.clone(), result.clone());
-                }
-                // Fill every input slot that asked this question: clones
-                // into the duplicates, the original (with its typed error
-                // intact) into the first slot.
-                let mut first_slot: Option<usize> = None;
-                for (i, slot_key) in keys.iter().enumerate() {
-                    if outcomes[i].is_some() || slot_key != key {
-                        continue;
-                    }
-                    if first_slot.is_none() {
-                        first_slot = Some(i);
-                    } else {
-                        outcomes[i] = Some(match &outcome {
-                            Ok(result) => Ok(result.clone()),
-                            Err(err) => Err(clone_engine_error(err)),
-                        });
-                    }
-                }
-                let slot = first_slot.expect("every computed key has an unresolved slot");
-                outcomes[slot] = Some(outcome);
-            }
-        }
-        outcomes
-            .into_iter()
-            .map(|o| o.expect("every query slot resolved"))
-            .collect()
-    }
-}
-
-/// The moved-out fields of an [`Engine`], used by
-/// [`crate::SharedEngine::from_engine`] to adopt a single-threaded engine's
-/// resident state and counters without re-deriving them.
-pub(crate) struct EngineParts {
-    pub graph: Option<DiGraph>,
-    pub graph_label: String,
-    pub pool: Option<SamplePool>,
-    pub pool_info: Option<PoolInfo>,
-    pub sketch: Option<SketchPool>,
-    pub sketch_info: Option<SketchPoolInfo>,
-    pub cache_capacity: usize,
-    pub stats: EngineStats,
-    pub threads: usize,
-}
-
-impl Engine {
-    /// Dismantles the engine into its resident state (the LRU cache's
-    /// entries are dropped — only its capacity carries over).
-    pub(crate) fn into_parts(self) -> EngineParts {
-        EngineParts {
-            graph: self.graph,
-            graph_label: self.graph_label,
-            pool: self.pool,
-            pool_info: self.pool_info,
-            sketch: self.sketch,
-            sketch_info: self.sketch_info,
-            cache_capacity: self.cache.capacity(),
-            stats: self.stats,
-            threads: self.threads,
-        }
-    }
-}
-
-/// Reproduces an [`EngineError`] for duplicate batch slots (the error type
-/// is not `Clone`; lifecycle variants survive exactly, everything else is
-/// demoted to its message).
-fn clone_engine_error(err: &EngineError) -> EngineError {
-    match err {
-        EngineError::NoGraph => EngineError::NoGraph,
-        EngineError::NoPool => EngineError::NoPool,
-        EngineError::NoSketchPool => EngineError::NoSketchPool,
-        other => EngineError::Protocol(other.to_string()),
-    }
-}
-
-/// Routes one query to the backend its algorithm runs on: `ris-greedy`
-/// needs the resident sketch pool ([`EngineError::NoSketchPool`] when
-/// absent), every forward algorithm needs the resident sample pool
-/// ([`EngineError::NoPool`]). Both pools may be resident at once.
+/// Answers one query against the backend its algorithm runs on:
+/// `ris-greedy` needs the resident sketch pool ([`EngineError::NoSketchPool`]
+/// when absent), every forward algorithm the resident sample pool
+/// ([`EngineError::NoPool`]). The query becomes a [`ContainmentRequest`]
+/// dispatched through the [`AlgorithmKind`] registry — no per-algorithm
+/// `match` lives in the engine.
 pub(crate) fn run_resident(
     pool: Option<&SamplePool>,
     sketch: Option<&SketchPool>,
-    graph: &DiGraph,
-    query: &Query,
-    threads: usize,
-    start: Instant,
-) -> Result<QueryResult> {
-    if query.algorithm == AlgorithmKind::RisGreedy {
-        let sketch = sketch.ok_or(EngineError::NoSketchPool)?;
-        run_sketch(sketch, graph, query, threads, start)
-    } else {
-        let pool = pool.ok_or(EngineError::NoPool)?;
-        run_pooled(pool, graph, query, threads, start)
-    }
-}
-
-/// Runs one `ris-greedy` query against the resident sketch pool — the
-/// sketch-backend counterpart of [`run_pooled`].
-pub(crate) fn run_sketch(
-    sketch: &SketchPool,
-    graph: &DiGraph,
-    query: &Query,
-    threads: usize,
-    start: Instant,
-) -> Result<QueryResult> {
-    let mut seeds = query.seeds.clone();
-    seeds.sort_unstable();
-    seeds.dedup();
-    let request = ContainmentRequest::builder(graph)
-        .seeds(seeds)
-        .budget(query.budget)
-        .intervention(query.intervention)
-        .sketch_pooled(sketch, threads)
-        .build()?;
-    let selection = query.algorithm.solver().solve(graph, &request)?;
-    Ok(QueryResult {
-        blockers: selection.blockers,
-        blocked_edges: selection.blocked_edges,
-        estimated_spread: selection.estimated_spread,
-        rounds: selection.stats.rounds,
-        samples_consulted: selection.stats.samples_drawn,
-        from_cache: false,
-        elapsed: start.elapsed(),
-        disposition: Disposition::Computed,
-        trace_id: 0,
-        phases: None,
-    })
-}
-
-/// Runs one query against the pool with the given parallelism: the query
-/// becomes a [`ContainmentRequest`] with a `Pooled` backend and is
-/// dispatched through the [`AlgorithmKind`] registry — no per-algorithm
-/// `match` lives in the engine.
-pub(crate) fn run_pooled(
-    pool: &SamplePool,
     graph: &DiGraph,
     query: &Query,
     threads: usize,
@@ -949,12 +350,16 @@ pub(crate) fn run_pooled(
     let mut seeds = query.seeds.clone();
     seeds.sort_unstable();
     seeds.dedup();
-    let request = ContainmentRequest::builder(graph)
+    let builder = ContainmentRequest::builder(graph)
         .seeds(seeds)
         .budget(query.budget)
-        .intervention(query.intervention)
-        .pooled_with_threads(pool, threads)
-        .build()?;
+        .intervention(query.intervention);
+    let builder = if query.algorithm == AlgorithmKind::RisGreedy {
+        builder.sketch_pooled(sketch.ok_or(EngineError::NoSketchPool)?, threads)
+    } else {
+        builder.pooled_with_threads(pool.ok_or(EngineError::NoPool)?, threads)
+    };
+    let request = builder.build()?;
     let selection = query.algorithm.solver().solve(graph, &request)?;
     Ok(QueryResult {
         blockers: selection.blockers,
@@ -970,119 +375,89 @@ pub(crate) fn run_pooled(
     })
 }
 
-/// Fans a batch of distinct queries across worker threads; each worker runs
-/// its queries single-threaded with its own workspace, so the batch is
-/// deterministic and identical to a sequential run.
-fn run_resident_batch(
-    pool: Option<&SamplePool>,
-    sketch: Option<&SketchPool>,
-    graph: &DiGraph,
-    queries: &[Query],
-    threads: usize,
-) -> Vec<Result<QueryResult>> {
-    let workers = threads.max(1).min(queries.len());
-    // Any parallelism the fan-out cannot use goes *inside* the queries —
-    // safe because pooled answers are thread-count-invariant.
-    let threads_per_query = (threads.max(1) / workers).max(1);
-    if workers <= 1 {
-        return queries
-            .iter()
-            .map(|q| run_resident(pool, sketch, graph, q, threads_per_query, Instant::now()))
-            .collect();
-    }
-    let mut outcomes: Vec<Vec<Result<QueryResult>>> = Vec::new();
-    crossbeam::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for range in shard_ranges(queries.len(), workers) {
-            let chunk = &queries[range];
-            handles.push(scope.spawn(move |_| {
-                chunk
-                    .iter()
-                    .map(|q| {
-                        run_resident(pool, sketch, graph, q, threads_per_query, Instant::now())
-                    })
-                    .collect::<Vec<_>>()
-            }));
-        }
-        for handle in handles {
-            outcomes.push(handle.join().expect("batch query worker panicked"));
-        }
-    })
-    .expect("batch query scope failed");
-    outcomes.into_iter().flatten().collect()
-}
-
 #[cfg(test)]
 mod tests {
+    // The resident-state contract, checked on a 1-thread `SharedEngine`
+    // driven from one caller.
     use super::*;
-    use imin_graph::generators;
+    use crate::shared::tests::{primed, query, wc_graph};
+    use crate::SharedEngine;
+    use imin_core::IminError;
 
-    fn vid(i: usize) -> VertexId {
-        VertexId::new(i)
-    }
+    /// Registry algorithms with no pooled solver.
+    const SIMULATION_ONLY: [AlgorithmKind; 2] =
+        [AlgorithmKind::BaselineGreedy, AlgorithmKind::Exact];
 
-    fn primed_engine() -> Engine {
-        let graph = generators::preferential_attachment(200, 3, true, 0.3, 11).unwrap();
-        let mut engine = Engine::new().with_threads(2);
-        engine.load_graph(graph, "pa-200".into());
-        engine.build_pool(300, 5).unwrap();
-        engine
-    }
-
-    fn query(seed: usize, budget: usize) -> Query {
+    fn ask(algorithm: AlgorithmKind, seed: usize, budget: usize) -> Query {
         Query {
-            seeds: vec![vid(seed)],
-            budget,
-            algorithm: QueryAlgorithm::AdvancedGreedy,
-            intervention: Intervention::BlockVertices,
+            algorithm,
+            ..query(seed, budget)
         }
+    }
+
+    fn temp_snapshot(tag: &str) -> std::path::PathBuf {
+        let name = format!("imin-engine-{tag}-{}.iminsnap", std::process::id());
+        std::env::temp_dir().join(name)
     }
 
     #[test]
     fn lifecycle_errors_are_explicit() {
-        let mut engine = Engine::new();
+        let engine = SharedEngine::new().with_threads(1);
         assert!(matches!(
-            engine.build_pool(10, 1),
+            engine.ensure_pool(10, 1),
+            Err(EngineError::NoGraph)
+        ));
+        assert!(matches!(
+            engine.ensure_sketch_pool(10, 1),
             Err(EngineError::NoGraph)
         ));
         assert!(matches!(
             engine.query(&query(0, 1)),
             Err(EngineError::NoGraph)
         ));
-        let graph = generators::preferential_attachment(50, 2, true, 0.3, 1).unwrap();
-        engine.load_graph(graph, "g".into());
+        engine.load_graph(wc_graph(50, 1), "g".into());
         assert!(matches!(
             engine.query(&query(0, 1)),
             Err(EngineError::NoPool)
         ));
-        assert!(engine.build_pool(0, 1).is_err(), "zero theta is rejected");
+        let ris = ask(AlgorithmKind::RisGreedy, 0, 1);
+        assert!(matches!(engine.query(&ris), Err(EngineError::NoSketchPool)));
+        assert!(engine.ensure_pool(0, 1).is_err(), "zero theta is rejected");
+        assert!(
+            engine.ensure_sketch_pool(0, 1).is_err(),
+            "zero theta_r is rejected"
+        );
     }
 
     #[test]
-    fn second_identical_query_is_served_from_cache() {
-        let mut engine = primed_engine();
-        let q = query(0, 3);
-        let first = engine.query(&q).unwrap();
-        assert!(!first.from_cache);
-        let second = engine.query(&q).unwrap();
-        assert!(second.from_cache);
-        assert_eq!(first.blockers, second.blockers);
-        assert_eq!(first.estimated_spread, second.estimated_spread);
-        assert_eq!(engine.stats().cache_hits, 1);
-        // Canonicalisation: permuted/duplicated seeds hit the same entry.
-        let permuted = Query {
-            seeds: vec![vid(0), vid(0)],
-            ..q
-        };
-        assert!(engine.query(&permuted).unwrap().from_cache);
+    fn snapshot_lifecycle_errors_are_explicit() {
+        let engine = SharedEngine::new().with_threads(1);
+        let nowhere = "/tmp/never-written.iminsnap";
+        assert!(matches!(
+            engine.save_snapshot(nowhere),
+            Err(EngineError::NoGraph)
+        ));
+        engine.load_graph(wc_graph(50, 1), "g".into());
+        assert!(matches!(
+            engine.save_snapshot(nowhere),
+            Err(EngineError::NoPool)
+        ));
+        // A failed restore keeps the resident state untouched.
+        engine.ensure_pool(50, 1).unwrap();
+        assert!(engine
+            .restore_snapshot("/nonexistent/nowhere.iminsnap")
+            .is_err());
+        let view = engine.view();
+        assert_eq!(view.pool_info.unwrap().theta, 50);
+        assert_eq!(view.graph_label, "g");
     }
 
     #[test]
     fn rebuilding_the_pool_invalidates_the_cache() {
-        let mut engine = primed_engine();
+        let engine = primed(200);
         let q = query(0, 2);
         let first = engine.query(&q).unwrap();
-        engine.build_pool(300, 6).unwrap(); // different pool seed
+        engine.ensure_pool(200, 6).unwrap(); // different pool seed
         assert_eq!(engine.cache_entries(), 0);
         let second = engine.query(&q).unwrap();
         assert!(!second.from_cache);
@@ -1093,59 +468,53 @@ mod tests {
 
     #[test]
     fn matching_pool_requests_are_noops_that_keep_the_cache() {
-        let mut engine = primed_engine();
+        let engine = primed(200);
         let q = query(0, 2);
         engine.query(&q).unwrap();
-        assert_eq!(engine.cache_entries(), 1);
-        let (info, action) = engine.ensure_pool(300, 5).unwrap();
+        let (info, action) = engine.ensure_pool(200, 5).unwrap();
         assert_eq!(action, PoolAction::Reused);
         assert_eq!(info.provenance, PoolProvenance::Built);
         assert_eq!(engine.cache_entries(), 1, "cache must survive the no-op");
         assert!(engine.query(&q).unwrap().from_cache);
-        assert_eq!(engine.stats().pool_builds, 1);
-        assert_eq!(engine.stats().pool_reuses, 1);
+        let stats = engine.stats();
+        assert_eq!((stats.pool_builds, stats.pool_reuses), (1, 1));
     }
 
     #[test]
     fn growing_pool_requests_extend_in_place_bit_identically() {
-        let mut engine = primed_engine(); // θ=300, seed 5
+        let engine = primed(200);
         let q = query(0, 3);
         engine.query(&q).unwrap();
-        let (info, action) = engine.ensure_pool(500, 5).unwrap();
-        assert_eq!(action, PoolAction::Extended);
-        assert_eq!(info.theta, 500);
+        let (info, action) = engine.ensure_pool(350, 5).unwrap();
+        assert_eq!((action, info.theta), (PoolAction::Extended, 350));
         assert_eq!(
             info.provenance,
-            PoolProvenance::Extended { from_theta: 300 }
+            PoolProvenance::Extended { from_theta: 200 }
         );
         assert_eq!(engine.cache_entries(), 0, "answers may change with θ");
         let grown = engine.query(&q).unwrap();
         assert!(!grown.from_cache);
-        assert_eq!(engine.stats().pool_extends, 1);
-        assert_eq!(engine.stats().pool_builds, 1, "no from-scratch rebuild");
-
-        // The extended pool answers exactly like a freshly built θ=500 pool.
-        let mut scratch = Engine::new().with_threads(2);
-        scratch.load_graph(
-            generators::preferential_attachment(200, 3, true, 0.3, 11).unwrap(),
-            "pa-200".into(),
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.pool_extends, stats.pool_builds),
+            (1, 1),
+            "no rebuild"
         );
-        let (info, action) = scratch.ensure_pool(500, 5).unwrap();
-        assert_eq!(action, PoolAction::Built);
-        assert_eq!(info.provenance, PoolProvenance::Built);
+        // The extended pool answers exactly like a freshly built θ=350 pool.
+        let scratch = primed(350);
         let reference = scratch.query(&q).unwrap();
         assert_eq!(grown.blockers, reference.blockers);
         assert_eq!(grown.estimated_spread, reference.estimated_spread);
         assert_eq!(
-            imin_core::snapshot::pool_digest(engine.pool().unwrap()),
-            imin_core::snapshot::pool_digest(scratch.pool().unwrap()),
+            imin_core::snapshot::pool_digest(&engine.view().pool.unwrap()),
+            imin_core::snapshot::pool_digest(&scratch.view().pool.unwrap()),
             "arena bytes are identical after the in-place extension"
         );
     }
 
     #[test]
     fn shrinking_or_reseeded_pool_requests_rebuild() {
-        let mut engine = primed_engine(); // θ=300, seed 5
+        let engine = primed(200);
         let (info, action) = engine.ensure_pool(100, 5).unwrap();
         assert_eq!(action, PoolAction::Built, "shrinking resamples exactly θ");
         assert_eq!(info.theta, 100);
@@ -1156,138 +525,59 @@ mod tests {
 
     #[test]
     fn save_and_restore_round_trip_through_the_engine_api() {
-        let mut path = std::env::temp_dir();
-        path.push(format!(
-            "imin-engine-roundtrip-{}.iminsnap",
-            std::process::id()
-        ));
-        let mut engine = primed_engine();
+        let path = temp_snapshot("roundtrip");
+        let engine = primed(150);
         let q = query(2, 3);
         let before = engine.query(&q).unwrap();
         let summary = engine.save_snapshot(&path).unwrap();
-        assert_eq!(summary.theta, 300);
+        assert_eq!(summary.theta, 150);
         assert!(summary.bytes_written > 0);
         assert_eq!(engine.stats().snapshot_saves, 1);
-
-        let mut warm = Engine::new().with_threads(2);
+        let warm = SharedEngine::new().with_threads(1);
         let info = warm.restore_snapshot(&path).unwrap();
-        assert_eq!(info.theta, 300);
-        assert_eq!(info.seed, 5);
+        assert_eq!((info.theta, info.seed), (150, 5));
+        let path_label = path.display().to_string();
         assert_eq!(
             info.provenance,
-            PoolProvenance::Restored {
-                path: path.display().to_string()
-            }
+            PoolProvenance::Restored { path: path_label }
         );
-        assert_eq!(warm.graph_label(), "pa-200");
+        assert_eq!(warm.view().graph_label, "pa-300/WC");
         let after = warm.query(&q).unwrap();
         assert!(!after.from_cache);
         assert_eq!(before.blockers, after.blockers);
         assert_eq!(before.estimated_spread, after.estimated_spread);
         assert_eq!(warm.stats().snapshot_restores, 1);
-
         // A matching POOL after the restore is a no-op on the restored pool.
-        let (_, action) = warm.ensure_pool(300, 5).unwrap();
-        assert_eq!(action, PoolAction::Reused);
+        assert_eq!(warm.ensure_pool(150, 5).unwrap().1, PoolAction::Reused);
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn snapshot_lifecycle_errors_are_explicit() {
-        let mut engine = Engine::new();
-        assert!(matches!(
-            engine.save_snapshot("/tmp/never-written.iminsnap"),
-            Err(EngineError::NoGraph)
-        ));
-        let graph = generators::preferential_attachment(50, 2, true, 0.3, 1).unwrap();
-        engine.load_graph(graph, "g".into());
-        assert!(matches!(
-            engine.save_snapshot("/tmp/never-written.iminsnap"),
-            Err(EngineError::NoPool)
-        ));
-        // A failed restore keeps the resident state untouched.
-        engine.build_pool(50, 1).unwrap();
-        let err = engine.restore_snapshot("/nonexistent/nowhere.iminsnap");
-        assert!(err.is_err());
-        assert_eq!(engine.pool_info().unwrap().theta, 50);
-        assert_eq!(engine.graph_label(), "g");
-    }
-
-    #[test]
-    fn batch_matches_sequential_and_fills_the_cache() {
-        let mut sequential = primed_engine();
-        let mut batched = primed_engine();
-        let queries: Vec<Query> = (0..5).map(|s| query(s, 2)).collect();
-        let one_by_one: Vec<QueryResult> = queries
-            .iter()
-            .map(|q| sequential.query(q).unwrap())
-            .collect();
-        let batch = batched.run_queries(&queries);
-        for (a, b) in one_by_one.iter().zip(&batch) {
-            let b = b.as_ref().unwrap();
-            assert_eq!(a.blockers, b.blockers);
-            assert_eq!(a.estimated_spread, b.estimated_spread);
-        }
-        // Every answer is now cached.
-        for q in &queries {
-            assert!(batched.query(q).unwrap().from_cache);
-        }
-    }
-
-    #[test]
-    fn batch_deduplicates_identical_questions() {
-        let mut engine = primed_engine();
-        let q = query(1, 2);
-        let results = engine.run_queries(&[q.clone(), q.clone(), q]);
-        let first = results[0].as_ref().unwrap();
-        for r in &results {
-            assert_eq!(r.as_ref().unwrap().blockers, first.blockers);
-        }
-        assert_eq!(engine.cache_entries(), 1);
-    }
-
-    #[test]
     fn any_pool_capable_registry_algorithm_answers_queries() {
-        let mut engine = primed_engine();
-        for algorithm in [
-            QueryAlgorithm::AdvancedGreedy,
-            QueryAlgorithm::GreedyReplace,
-            QueryAlgorithm::Random,
-            QueryAlgorithm::OutDegree,
-            QueryAlgorithm::Degree,
-            QueryAlgorithm::OutNeighbors,
-            QueryAlgorithm::PageRank,
-        ] {
-            let q = Query {
-                seeds: vec![vid(0)],
-                budget: 3,
-                algorithm,
-                intervention: Intervention::BlockVertices,
-            };
+        let engine = primed(200);
+        engine.ensure_sketch_pool(200, 7).unwrap();
+        for &algorithm in AlgorithmKind::all() {
+            if SIMULATION_ONLY.contains(&algorithm) {
+                continue;
+            }
             let result = engine
-                .query(&q)
+                .query(&ask(algorithm, 0, 3))
                 .unwrap_or_else(|e| panic!("{algorithm:?}: {e}"));
             assert!(result.blockers.len() <= 3, "{algorithm:?}");
-            assert!(!result.blockers.contains(&vid(0)), "{algorithm:?}");
+            assert!(
+                !result.blockers.contains(&VertexId::new(0)),
+                "{algorithm:?}"
+            );
         }
     }
 
     #[test]
     fn simulation_only_algorithms_report_the_unsupported_backend() {
-        let mut engine = primed_engine();
-        for algorithm in [QueryAlgorithm::BaselineGreedy, QueryAlgorithm::Exact] {
-            let q = Query {
-                seeds: vec![vid(0)],
-                budget: 2,
-                algorithm,
-                intervention: Intervention::BlockVertices,
-            };
-            let err = engine.query(&q).unwrap_err();
+        let engine = primed(100);
+        for algorithm in SIMULATION_ONLY {
+            let err = engine.query(&ask(algorithm, 0, 2)).unwrap_err();
             assert!(
-                matches!(
-                    err,
-                    EngineError::Core(imin_core::IminError::BackendUnsupported { .. })
-                ),
+                matches!(err, EngineError::Core(IminError::BackendUnsupported { .. })),
                 "{algorithm:?}: {err:?}"
             );
         }
@@ -1295,12 +585,11 @@ mod tests {
 
     #[test]
     fn compress_pool_keeps_the_cache_and_the_answers() {
-        let mut engine = primed_engine();
+        let engine = primed(200);
         let q = query(0, 3);
-        let raw = engine.query(&q).unwrap();
-        assert_eq!(engine.pool_info().unwrap().arena, imin_core::ArenaKind::Raw);
+        engine.query(&q).unwrap();
         let info = engine.compress_pool().unwrap();
-        assert_eq!(info.arena, imin_core::ArenaKind::Compressed);
+        assert_eq!(info.arena, ArenaKind::Compressed);
         assert!(info.compression_ratio > 0.0);
         assert_eq!(
             info.provenance,
@@ -1310,159 +599,110 @@ mod tests {
         assert_eq!(
             engine.cache_entries(),
             1,
-            "compressed answers are byte-identical, the cache must survive"
+            "byte-identical answers keep the cache"
         );
         assert!(engine.query(&q).unwrap().from_cache);
         // Fresh questions against the compressed arena match the raw pool.
-        let q2 = query(1, 2);
-        let mut scratch = primed_engine();
-        let reference = scratch.query(&q2).unwrap();
-        let compressed = engine.query(&q2).unwrap();
+        let compressed = engine.query(&query(1, 2)).unwrap();
+        let reference = primed(200).query(&query(1, 2)).unwrap();
         assert_eq!(reference.blockers, compressed.blockers);
         assert_eq!(reference.estimated_spread, compressed.estimated_spread);
         assert_eq!(reference.samples_consulted, compressed.samples_consulted);
-        let _ = raw;
-        assert_eq!(engine.stats().pool_compressions, 1);
-        // Compressing twice is a no-op.
-        engine.compress_pool().unwrap();
-        assert_eq!(engine.stats().pool_compressions, 1);
     }
 
     #[test]
     fn ensure_pool_rebuilds_rather_than_extends_a_compressed_pool() {
-        let mut engine = primed_engine(); // θ=300, seed 5
+        let engine = primed(200);
         engine.compress_pool().unwrap();
-        let (info, action) = engine.ensure_pool(500, 5).unwrap();
+        // A matching request still reuses the compressed pool as-is.
+        let (info, action) = engine.ensure_pool(200, 5).unwrap();
+        assert_eq!(
+            (action, info.arena),
+            (PoolAction::Reused, ArenaKind::Compressed)
+        );
+        let (info, action) = engine.ensure_pool(300, 5).unwrap();
         assert_eq!(
             action,
             PoolAction::Built,
             "compressed arenas cannot grow in place"
         );
-        assert_eq!(info.theta, 500);
-        assert_eq!(info.arena, imin_core::ArenaKind::Raw);
+        assert_eq!((info.theta, info.arena), (300, ArenaKind::Raw));
         assert_eq!(engine.stats().pool_extends, 0);
-        // A matching request still reuses the compressed pool as-is.
-        let mut again = primed_engine();
-        again.compress_pool().unwrap();
-        let (info, action) = again.ensure_pool(300, 5).unwrap();
-        assert_eq!(action, PoolAction::Reused);
-        assert_eq!(info.arena, imin_core::ArenaKind::Compressed);
     }
 
     #[test]
     fn mapped_restore_answers_byte_identically_to_a_copy_restore() {
-        let mut path = std::env::temp_dir();
-        path.push(format!(
-            "imin-engine-maprestore-{}.iminsnap",
-            std::process::id()
-        ));
-        let mut engine = primed_engine();
-        let q = query(2, 3);
-        let before = engine.query(&q).unwrap();
-        engine.save_snapshot(&path).unwrap();
-
-        let mut warm = Engine::new().with_threads(2);
-        let info = warm.restore_snapshot_with(&path, RestoreMode::Map).unwrap();
-        assert_eq!(info.theta, 300);
-        assert_eq!(info.arena, imin_core::ArenaKind::MappedRaw);
-        assert_eq!(
-            info.provenance,
-            PoolProvenance::Mapped {
-                path: path.display().to_string()
-            }
-        );
-        let after = warm.query(&q).unwrap();
-        assert!(!after.from_cache);
-        assert_eq!(before.blockers, after.blockers);
-        assert_eq!(before.estimated_spread, after.estimated_spread);
-
+        let path = temp_snapshot("maprestore");
+        primed(150).save_snapshot(&path).unwrap();
+        let restore = |mode| {
+            let engine = SharedEngine::new().with_threads(1);
+            let info = engine.restore_snapshot_with(&path, mode).unwrap();
+            (engine, info)
+        };
+        let (copied, _) = restore(RestoreMode::Copy);
+        let (mapped, info) = restore(RestoreMode::Map);
+        assert_eq!(info.arena, ArenaKind::MappedRaw);
+        let path_label = path.display().to_string();
+        assert_eq!(info.provenance, PoolProvenance::Mapped { path: path_label });
+        for q in [query(2, 3), query(5, 2)] {
+            let (a, b) = (copied.query(&q).unwrap(), mapped.query(&q).unwrap());
+            assert_eq!(a.blockers, b.blockers);
+            assert_eq!(a.estimated_spread, b.estimated_spread);
+        }
         // A growing POOL on the mapped pool rebuilds instead of extending.
-        let (info, action) = warm.ensure_pool(400, 5).unwrap();
-        assert_eq!(action, PoolAction::Built);
-        assert_eq!(info.arena, imin_core::ArenaKind::Raw);
+        let (info, action) = mapped.ensure_pool(300, 5).unwrap();
+        assert_eq!((action, info.arena), (PoolAction::Built, ArenaKind::Raw));
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn sketch_pool_residency_reuses_and_rebuilds() {
-        let mut engine = Engine::new().with_threads(2);
-        let graph = generators::preferential_attachment(200, 3, true, 0.3, 11).unwrap();
-        engine.load_graph(graph, "pa-200".into());
-        // ris-greedy before any sketch pool → typed lifecycle error.
-        let q = Query {
-            seeds: vec![vid(0)],
-            budget: 3,
-            algorithm: QueryAlgorithm::RisGreedy,
-            intervention: Intervention::BlockVertices,
-        };
-        assert!(matches!(engine.query(&q), Err(EngineError::NoSketchPool)));
-
+        let engine = SharedEngine::new().with_threads(1);
+        engine.load_graph(wc_graph(300, 11), "pa-300/WC".into());
+        let q = ask(AlgorithmKind::RisGreedy, 0, 3);
         let (info, action) = engine.ensure_sketch_pool(400, 7).unwrap();
-        assert_eq!(action, PoolAction::Built);
-        assert_eq!(info.theta_r, 400);
-        assert_eq!(info.seed, 7);
+        assert_eq!(
+            (action, info.theta_r, info.seed),
+            (PoolAction::Built, 400, 7)
+        );
         assert!(info.memory_bytes > 0);
         let first = engine.query(&q).unwrap();
         assert!(first.blockers.len() <= 3);
-        assert!(!first.blockers.contains(&vid(0)));
+        assert!(!first.blockers.contains(&VertexId::new(0)));
         assert_eq!(first.samples_consulted, 400);
-
-        // Matching request is a no-op that keeps the cache.
+        // A matching request is a no-op that keeps the cache.
         let (_, action) = engine.ensure_sketch_pool(400, 7).unwrap();
         assert_eq!(action, PoolAction::Reused);
         assert!(engine.query(&q).unwrap().from_cache);
-        assert_eq!(engine.stats().sketch_builds, 1);
-        assert_eq!(engine.stats().sketch_reuses, 1);
-
-        // A different (θ_r, seed) rebuilds and drops cached answers.
+        // A different θ_r rebuilds and drops cached answers.
         let (info, action) = engine.ensure_sketch_pool(600, 7).unwrap();
-        assert_eq!(action, PoolAction::Built);
-        assert_eq!(info.theta_r, 600);
+        assert_eq!((action, info.theta_r), (PoolAction::Built, 600));
         assert_eq!(engine.cache_entries(), 0);
-        assert_eq!(engine.stats().sketch_builds, 2);
+        let stats = engine.stats();
+        assert_eq!((stats.sketch_builds, stats.sketch_reuses), (2, 1));
     }
 
     #[test]
     fn both_backends_serve_side_by_side() {
-        let mut engine = primed_engine(); // forward θ=300, seed 5
+        let engine = primed(200);
         engine.ensure_sketch_pool(400, 7).unwrap();
         assert!(
-            engine.pool().is_some(),
+            engine.view().pool.is_some(),
             "forward pool survives sketch build"
         );
-        let forward = engine.query(&query(0, 3)).unwrap();
-        let sketch = engine
-            .query(&Query {
-                seeds: vec![vid(0)],
-                budget: 3,
-                algorithm: QueryAlgorithm::RisGreedy,
-                intervention: Intervention::BlockVertices,
-            })
-            .unwrap();
-        assert!(!forward.blockers.is_empty());
-        assert!(!sketch.blockers.is_empty());
-        // Batch routing dispatches per algorithm too.
-        let batch = engine.run_queries(&[
-            query(1, 2),
-            Query {
-                seeds: vec![vid(1)],
-                budget: 2,
-                algorithm: QueryAlgorithm::RisGreedy,
-                intervention: Intervention::BlockVertices,
-            },
-        ]);
-        assert!(batch.iter().all(|r| r.is_ok()));
+        for algorithm in [AlgorithmKind::AdvancedGreedy, AlgorithmKind::RisGreedy] {
+            let result = engine.query(&ask(algorithm, 0, 3)).unwrap();
+            assert!(!result.blockers.is_empty(), "{algorithm:?}");
+        }
     }
 
     #[test]
     fn save_on_a_sketch_only_engine_is_a_typed_backend_error() {
-        let mut engine = Engine::new().with_threads(2);
-        let graph = generators::preferential_attachment(100, 3, true, 0.3, 3).unwrap();
-        engine.load_graph(graph, "pa-100".into());
+        let engine = SharedEngine::new().with_threads(1);
+        engine.load_graph(wc_graph(100, 3), "pa-100/WC".into());
         engine.ensure_sketch_pool(100, 1).unwrap();
-        let err = engine
-            .save_snapshot("/tmp/never-written-sketch.iminsnap")
-            .unwrap_err();
+        let path = temp_snapshot("sketchonly");
+        let err = engine.save_snapshot(&path).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1473,39 +713,20 @@ mod tests {
             ),
             "got {err:?}"
         );
+        assert!(!path.exists(), "a refused SAVE writes nothing");
         assert_eq!(engine.stats().snapshot_saves, 0);
     }
 
     #[test]
     fn loading_a_graph_drops_the_sketch_pool() {
-        let mut engine = Engine::new().with_threads(2);
-        let graph = generators::preferential_attachment(100, 3, true, 0.3, 3).unwrap();
-        engine.load_graph(graph, "pa-100".into());
+        let engine = SharedEngine::new().with_threads(1);
+        engine.load_graph(wc_graph(100, 3), "pa-100/WC".into());
         engine.ensure_sketch_pool(100, 1).unwrap();
-        assert!(engine.sketch_pool().is_some());
-        let graph = generators::preferential_attachment(80, 3, true, 0.3, 4).unwrap();
-        engine.load_graph(graph, "pa-80".into());
-        assert!(engine.sketch_pool().is_none());
-        assert!(engine.sketch_pool_info().is_none());
-    }
-
-    #[test]
-    fn batch_on_an_unprimed_engine_reports_errors() {
-        let mut engine = Engine::new();
-        let results = engine.run_queries(&[query(0, 1)]);
-        assert!(matches!(results[0], Err(EngineError::NoGraph)));
-    }
-
-    #[test]
-    fn batch_errors_keep_their_typed_variant_on_the_first_slot() {
-        let mut engine = primed_engine();
-        let bad = query(9_999, 1); // out-of-range seed
-        let results = engine.run_queries(&[bad.clone(), bad]);
-        assert!(
-            matches!(results[0], Err(EngineError::Core(_))),
-            "first slot must keep the typed error, got {:?}",
-            results[0]
-        );
-        assert!(results[1].is_err(), "duplicate slot is an error too");
+        assert!(engine.view().sketch.is_some());
+        engine.load_graph(wc_graph(80, 4), "pa-80/WC".into());
+        let view = engine.view();
+        assert!(view.sketch.is_none() && view.sketch_info.is_none());
+        let ris = ask(AlgorithmKind::RisGreedy, 0, 2);
+        assert!(matches!(engine.query(&ris), Err(EngineError::NoSketchPool)));
     }
 }

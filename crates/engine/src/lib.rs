@@ -9,14 +9,15 @@
 //!
 //! The crate has three layers:
 //!
-//! * [`Engine`] — the in-process API: a loaded [`imin_graph::DiGraph`], a
-//!   resident [`imin_core::SamplePool`], an LRU cache of recent query
-//!   results keyed by canonicalised query, and a batched
-//!   [`Engine::run_queries`] that fans a batch across the worker pool.
-//!   [`SharedEngine`] is its concurrent counterpart: the same lifecycle
-//!   driven through `&self` from many connection threads at once, with
-//!   parallel read-side queries, single-flight coalescing of identical
-//!   in-flight questions, and admission control (see [`shared`]).
+//! * [`SharedEngine`] — the in-process API and the one implementation of
+//!   resident state: a loaded [`imin_graph::DiGraph`], a resident
+//!   [`imin_core::SamplePool`] (and, side by side, a reverse-sketch
+//!   [`imin_core::SketchPool`]), and an LRU cache of recent query results
+//!   keyed by canonicalised query. Every method takes `&self`, so any
+//!   number of threads query it at once: parallel read-side queries,
+//!   single-flight coalescing of identical in-flight questions, and
+//!   admission control (see [`shared`]). Answers never depend on how many
+//!   threads ask or compute.
 //! * [`protocol`] — a newline-delimited text protocol (`LOAD`, `POOL`,
 //!   `QUERY`, `SAVE`, `RESTORE`, `COMPRESS`, `STATS`, `METRICS`, `PING`,
 //!   `QUIT` — the full table is [`protocol::VERBS`]) with an `OK …` /
@@ -40,23 +41,31 @@
 //! ## Example
 //!
 //! ```
-//! use imin_engine::{Engine, Query, QueryAlgorithm};
+//! use imin_engine::{AlgorithmKind, Query, SharedEngine};
 //! use imin_graph::{generators, VertexId};
 //!
 //! let graph = generators::preferential_attachment(300, 3, true, 0.2, 7).unwrap();
-//! let mut engine = Engine::new();
+//! let engine = SharedEngine::new();
 //! engine.load_graph(graph, "pa-300".into());
-//! engine.build_pool(500, 42).unwrap();
+//! engine.ensure_pool(500, 42).unwrap();
 //! let query = Query {
 //!     seeds: vec![VertexId::new(0)],
 //!     budget: 3,
-//!     algorithm: QueryAlgorithm::AdvancedGreedy,
+//!     algorithm: AlgorithmKind::AdvancedGreedy,
 //!     intervention: imin_core::Intervention::BlockVertices,
 //! };
 //! let first = engine.query(&query).unwrap();
 //! let second = engine.query(&query).unwrap();
 //! assert_eq!(first.blockers, second.blockers);
 //! assert!(!first.from_cache && second.from_cache);
+//!
+//! // Threads share the engine: distinct questions compute in parallel
+//! // against the one resident pool.
+//! let other = Query { seeds: vec![VertexId::new(1)], ..query.clone() };
+//! std::thread::scope(|scope| {
+//!     scope.spawn(|| engine.query(&other).unwrap());
+//!     scope.spawn(|| engine.query(&query).unwrap());
+//! });
 //!
 //! // The same budget can buy edge deletions or prebunking instead —
 //! // `QUERY … intervene=edge|prebunk:<alpha>` over the wire.
@@ -82,8 +91,8 @@ pub mod shared;
 pub use cache::LruCache;
 pub use client::Client;
 pub use engine::{
-    Disposition, Engine, EngineStats, PoolAction, PoolBackend, PoolInfo, PoolProvenance, Query,
-    QueryAlgorithm, QueryResult, RestoreMode, SketchPoolInfo,
+    Disposition, PoolAction, PoolBackend, PoolInfo, PoolProvenance, Query, QueryResult,
+    RestoreMode, SketchPoolInfo,
 };
 pub use error::EngineError;
 pub use imin_core::snapshot::{SnapshotError, SnapshotSummary};

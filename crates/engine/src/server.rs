@@ -9,6 +9,9 @@
 //! line; malformed input (including invalid UTF-8) produces `ERR <reason>`
 //! and keeps the connection open, and a panicking handler answers
 //! `ERR internal: …` on its own connection without disturbing any other.
+//! A request line longer than [`MAX_REQUEST_LINE`] bytes answers one
+//! `ERR request line too long …` and is dropped up to its newline, so no
+//! client can grow server memory without bound.
 //!
 //! Under overload the server sheds load instead of queueing unboundedly:
 //! once `max_inflight` distinct queries are computing, further distinct
@@ -20,18 +23,21 @@
 //! latency, disposition and trace id, plus the per-phase breakdown for
 //! requests at or above the log's slow-query threshold.
 
-use crate::engine::{Engine, PoolBackend, Query};
+use crate::engine::{PoolBackend, Query};
 use crate::protocol::{parse_request, LoadSpec, ModelSpec, Request};
 use crate::shared::{panic_message, take_last_observation, SharedEngine};
 use imin_diffusion::ProbabilityModel;
 use imin_graph::edgelist::{load_edge_list, EdgeListOptions};
 use imin_graph::{generators, DiGraph};
 use imin_obs::{AccessLog, AccessRecord};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The longest request line the server reads, in bytes before the `\n`.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// A bound (but not yet accepting) protocol server.
 #[derive(Debug)]
@@ -49,16 +55,6 @@ impl Server {
     /// Propagates socket errors.
     pub fn bind(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         Self::with_shared(addr, SharedEngine::new())
-    }
-
-    /// Binds to `addr`, adopting a caller-configured single-threaded
-    /// [`Engine`] (thread count, cache capacity, or even a pre-loaded
-    /// graph) into a [`SharedEngine`].
-    ///
-    /// # Errors
-    /// Propagates socket errors.
-    pub fn with_engine(addr: impl ToSocketAddrs, engine: Engine) -> std::io::Result<Self> {
-        Self::with_shared(addr, SharedEngine::from_engine(engine))
     }
 
     /// Binds to `addr` with a caller-configured concurrent engine.
@@ -134,7 +130,9 @@ impl Server {
 /// Lines are read as **bytes** and converted lossily: a client that sends
 /// invalid UTF-8 gets a normal `ERR` reply (the replacement characters
 /// never parse as a verb) instead of having its connection dropped
-/// mid-session.
+/// mid-session. At most [`MAX_REQUEST_LINE`] + 1 bytes of a line are
+/// buffered; a longer line is answered before its newline arrives, then
+/// skipped.
 fn serve_connection(
     stream: TcpStream,
     engine: &SharedEngine,
@@ -145,26 +143,62 @@ fn serve_connection(
     let mut buf = Vec::new();
     loop {
         buf.clear();
-        if reader.read_until(b'\n', &mut buf)? == 0 {
+        let limit = MAX_REQUEST_LINE as u64 + 1;
+        if (&mut reader).take(limit).read_until(b'\n', &mut buf)? == 0 {
             break; // EOF
+        }
+        let oversized = buf.len() > MAX_REQUEST_LINE && buf.last() != Some(&b'\n');
+        if oversized {
+            buf.clear(); // not a request: the access log records verb `-`
         }
         let line = String::from_utf8_lossy(&buf);
         let line = line.trim_end_matches(['\n', '\r']);
         // Blank lines still get a reply (`ERR empty request`) — a client
         // that sends one must not be left waiting forever.
         let start = Instant::now();
-        let (reply, quit) = answer_line(line, engine);
+        let (reply, quit) = if oversized {
+            (
+                format!("ERR request line too long (max {MAX_REQUEST_LINE} bytes)"),
+                false,
+            )
+        } else {
+            answer_line(line, engine)
+        };
         if let Some(log) = access_log {
             log_request(log, line, &reply, start.elapsed().as_micros() as u64);
         }
         writer.write_all(reply.as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
+        if oversized {
+            skip_line(&mut reader)?;
+        }
         if quit {
             break;
         }
     }
     Ok(())
+}
+
+/// Drops the rest of the current line, up to and including its newline
+/// (or EOF), one buffered chunk at a time.
+fn skip_line(reader: &mut impl BufRead) -> std::io::Result<()> {
+    loop {
+        let chunk = reader.fill_buf()?;
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        match chunk.iter().position(|&b| b == b'\n') {
+            Some(end) => {
+                reader.consume(end + 1);
+                return Ok(());
+            }
+            None => {
+                let len = chunk.len();
+                reader.consume(len);
+            }
+        }
+    }
 }
 
 /// Emits one access-log line for a served request. The verb is the first

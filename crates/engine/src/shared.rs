@@ -1,15 +1,16 @@
-//! The concurrent serving core: shared-pool parallel queries, request
+//! The resident engine: one graph, its sample pools and a result cache,
+//! serving many queries at once — shared-pool parallel queries, request
 //! coalescing and admission control.
 //!
-//! [`SharedEngine`] is the `&self` counterpart of the single-threaded
-//! [`Engine`]: every method takes a shared reference, so one instance can
-//! be driven from any number of connection threads simultaneously. It
-//! splits the engine's responsibilities by mutability:
+//! Every [`SharedEngine`] method takes a shared reference, so one instance
+//! can be driven from any number of connection threads simultaneously
+//! (driven from one thread it is simply the serial engine). It splits its
+//! responsibilities by mutability:
 //!
 //! * **State transitions** (`LOAD` / `POOL` / `RESTORE`) are exclusive.
 //!   They take the write side of an `RwLock` around the resident
-//!   `(graph, pool)` pair, exactly like the old whole-engine mutex — these
-//!   verbs are rare and expensive, serialising them is the right shape.
+//!   `(graph, pool)` pair — these verbs are rare and expensive,
+//!   serialising them is the right shape.
 //! * **Queries** are read-side. A query clones `Arc` handles to the
 //!   immutable graph and pool under a brief read lock and then computes
 //!   *without holding any lock at all*: a built [`SamplePool`] never
@@ -51,8 +52,8 @@
 
 use crate::cache::LruCache;
 use crate::engine::{
-    run_resident, Disposition, Engine, PoolAction, PoolBackend, PoolInfo, PoolProvenance, Query,
-    QueryKey, QueryResult, RestoreMode, SketchPoolInfo,
+    run_resident, Disposition, PoolAction, PoolBackend, PoolInfo, PoolProvenance, Query, QueryKey,
+    QueryResult, RestoreMode, SketchPoolInfo,
 };
 use crate::metrics::{self, EngineMetrics, Verb};
 use crate::{EngineError, Result};
@@ -106,8 +107,7 @@ struct CacheState {
 }
 
 /// What a coalesced follower receives: the leader's answer, or its error
-/// demoted to a message (the typed error stays with the leader, mirroring
-/// the duplicate-slot convention of [`Engine::run_queries`]).
+/// demoted to a message (the typed error stays with the leader).
 type CoalescedOutcome = std::result::Result<QueryResult, String>;
 
 /// One in-flight computation that identical queries rendezvous on.
@@ -190,9 +190,6 @@ fn set_observation(observation: Observation) {
 }
 
 /// A point-in-time copy of every serving counter, as reported by `STATS`.
-///
-/// The first eight fields carry the same meaning as [`crate::EngineStats`];
-/// the rest are new with the concurrent serving core.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServingStats {
     /// Queries received (cache hits, coalesced, rejected all included).
@@ -309,41 +306,6 @@ impl SharedEngine {
             max_inflight: DEFAULT_MAX_INFLIGHT,
             observability: AtomicBool::new(true),
         }
-    }
-
-    /// Adopts a single-threaded [`Engine`]'s resident state and counters.
-    /// The LRU cache's *entries* are dropped (only the capacity carries
-    /// over) — they would be valid, but the engine is typically empty or
-    /// freshly primed when a server wraps it.
-    pub fn from_engine(engine: Engine) -> Self {
-        let parts = engine.into_parts();
-        let shared = SharedEngine::new()
-            .with_threads(parts.threads)
-            .with_cache_capacity(parts.cache_capacity);
-        {
-            let mut state = write_unpoisoned(&shared.state);
-            state.graph = parts.graph.map(Arc::new);
-            state.graph_label = parts.graph_label;
-            state.pool = parts.pool.map(Arc::new);
-            state.pool_info = parts.pool_info;
-            state.sketch = parts.sketch.map(Arc::new);
-            state.sketch_info = parts.sketch_info;
-        }
-        let c = &shared.counters;
-        c.queries.store(parts.stats.queries, Relaxed);
-        c.cache_hits.store(parts.stats.cache_hits, Relaxed);
-        c.pool_builds.store(parts.stats.pool_builds, Relaxed);
-        c.pool_extends.store(parts.stats.pool_extends, Relaxed);
-        c.pool_compressions
-            .store(parts.stats.pool_compressions, Relaxed);
-        c.pool_reuses.store(parts.stats.pool_reuses, Relaxed);
-        c.sketch_builds.store(parts.stats.sketch_builds, Relaxed);
-        c.sketch_reuses.store(parts.stats.sketch_reuses, Relaxed);
-        c.graph_loads.store(parts.stats.graph_loads, Relaxed);
-        c.snapshot_saves.store(parts.stats.snapshot_saves, Relaxed);
-        c.snapshot_restores
-            .store(parts.stats.snapshot_restores, Relaxed);
-        shared
     }
 
     /// Sets the worker-thread count for pool builds **and** resets the
@@ -516,12 +478,21 @@ impl SharedEngine {
             .record_us(start.elapsed().as_micros() as u64);
     }
 
-    /// Makes a pool with exactly `(θ, seed)` resident — the same least-work
-    /// contract as [`Engine::ensure_pool`] (no-op / extend in place /
-    /// rebuild), executed exclusively. Queries in flight keep their own
-    /// `Arc` to the old pool; the extend and rebuild paths wait for those
-    /// references to drain before mutating or releasing the arenas, so
-    /// peak memory stays at one pool.
+    /// Makes a pool with exactly `(θ, seed)` resident, doing the least work
+    /// that gets there, exclusively:
+    ///
+    /// * the resident pool already matches → **no-op** (the result cache
+    ///   survives untouched),
+    /// * the resident pool has the same seed, a smaller θ and an
+    ///   extendable (raw, heap) arena → grown in place with
+    ///   [`SamplePool::extend_to`] (bit-identical to a fresh θ build; the
+    ///   cache is invalidated because answers may change),
+    /// * anything else — including a growing request against a compressed
+    ///   or mapped pool → sampled from scratch (cache invalidated).
+    ///
+    /// Queries in flight keep their own `Arc` to the old pool; the extend
+    /// and rebuild paths wait for those references to drain before
+    /// mutating or releasing the arenas, so peak memory stays at one pool.
     ///
     /// # Errors
     /// [`EngineError::NoGraph`] before a graph is loaded, or the underlying
@@ -1045,30 +1016,30 @@ pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::engine::QueryAlgorithm;
+    use imin_core::ArenaKind;
     use imin_graph::{generators, VertexId};
     use std::sync::Barrier;
 
-    fn wc_graph(n: usize, seed: u64) -> DiGraph {
+    pub(crate) fn wc_graph(n: usize, seed: u64) -> DiGraph {
         imin_diffusion::ProbabilityModel::WeightedCascade
             .apply(&generators::preferential_attachment(n, 3, true, 1.0, seed).unwrap())
             .unwrap()
     }
 
-    fn primed(theta: usize) -> SharedEngine {
+    pub(crate) fn primed(theta: usize) -> SharedEngine {
         let engine = SharedEngine::new().with_threads(1);
         engine.load_graph(wc_graph(300, 11), "pa-300/WC".into());
         engine.ensure_pool(theta, 5).unwrap();
         engine
     }
 
-    fn query(seed: usize, budget: usize) -> Query {
+    pub(crate) fn query(seed: usize, budget: usize) -> Query {
         Query {
             seeds: vec![VertexId::new(seed)],
             budget,
-            algorithm: QueryAlgorithm::AdvancedGreedy,
+            algorithm: AlgorithmKind::AdvancedGreedy,
             intervention: imin_core::Intervention::BlockVertices,
         }
     }
@@ -1098,16 +1069,51 @@ mod tests {
 
     #[test]
     fn answers_match_the_single_threaded_engine_bit_for_bit() {
-        let shared = primed(200);
-        let mut classic = Engine::new().with_threads(1);
-        classic.load_graph(wc_graph(300, 11), "pa-300/WC".into());
-        classic.build_pool(200, 5).unwrap();
-        for q in [query(0, 3), query(7, 2), query(12, 4)] {
-            let a = shared.query(&q).unwrap();
-            let b = classic.query(&q).unwrap();
-            assert_eq!(a.blockers, b.blockers);
-            assert_eq!(a.estimated_spread, b.estimated_spread);
+        // Distinct questions computed at once on a multi-threaded engine
+        // equal what a 1-thread engine answers when asked in turn.
+        let oracle = primed(200);
+        let engine = SharedEngine::new().with_threads(3);
+        engine.load_graph(wc_graph(300, 11), "pa-300/WC".into());
+        engine.ensure_pool(200, 5).unwrap();
+        let questions = [query(0, 3), query(7, 2), query(12, 4)];
+        let barrier = Barrier::new(questions.len());
+        let answers: Vec<QueryResult> = std::thread::scope(|scope| {
+            let handles: Vec<_> = questions
+                .iter()
+                .map(|q| {
+                    let (engine, barrier) = (&engine, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        engine.query(q).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (q, answer) in questions.iter().zip(&answers) {
+            let expected = oracle.query(q).unwrap();
+            assert_eq!(answer.blockers, expected.blockers);
+            assert_eq!(answer.estimated_spread, expected.estimated_spread);
         }
+    }
+
+    #[test]
+    fn permuted_or_duplicated_seeds_hit_the_same_cache_entry() {
+        let engine = primed(200);
+        let ask = |seeds: &[usize]| Query {
+            seeds: seeds.iter().map(|&s| VertexId::new(s)).collect(),
+            ..query(0, 3)
+        };
+        let first = engine.query(&ask(&[3, 0])).unwrap();
+        assert!(!first.from_cache);
+        for seeds in [&[3, 0][..], &[0, 3], &[0, 0, 3, 3]] {
+            let again = engine.query(&ask(seeds)).unwrap();
+            assert!(again.from_cache, "{seeds:?}");
+            assert_eq!(again.blockers, first.blockers);
+            assert_eq!(again.estimated_spread, first.estimated_spread);
+        }
+        assert_eq!(engine.stats().cache_hits, 3);
+        assert_eq!(engine.cache_entries(), 1);
     }
 
     #[test]
@@ -1173,7 +1179,7 @@ mod tests {
     fn pool_swaps_invalidate_and_fence_the_cache() {
         let engine = primed(200);
         let q = query(2, 3);
-        let first = engine.query(&q).unwrap();
+        engine.query(&q).unwrap();
         assert_eq!(engine.cache_entries(), 1);
         // Matching POOL keeps the cache; a reseeded POOL clears it.
         let (_, action) = engine.ensure_pool(200, 5).unwrap();
@@ -1182,13 +1188,11 @@ mod tests {
         let (_, action) = engine.ensure_pool(200, 6).unwrap();
         assert_eq!(action, PoolAction::Built);
         assert_eq!(engine.cache_entries(), 0);
-        let second = engine.query(&q).unwrap();
-        assert!(!second.from_cache);
+        assert!(!engine.query(&q).unwrap().from_cache);
         // Growing extends in place, bit-identical to a fresh build.
         let (info, action) = engine.ensure_pool(350, 6).unwrap();
         assert_eq!(action, PoolAction::Extended);
         assert_eq!(info.theta, 350);
-        let _ = first;
     }
 
     #[test]
@@ -1217,10 +1221,10 @@ mod tests {
     fn compress_pool_swaps_arenas_without_disturbing_answers() {
         let engine = primed(200);
         let q = query(2, 3);
-        let raw = engine.query(&q).unwrap();
+        engine.query(&q).unwrap();
         assert_eq!(engine.cache_entries(), 1);
         let info = engine.compress_pool().unwrap();
-        assert_eq!(info.arena, imin_core::ArenaKind::Compressed);
+        assert_eq!(info.arena, ArenaKind::Compressed);
         assert_eq!(
             engine.cache_entries(),
             1,
@@ -1231,9 +1235,7 @@ mod tests {
         let reference = primed(200).query(&query(7, 2)).unwrap();
         assert_eq!(fresh.blockers, reference.blockers);
         assert_eq!(fresh.estimated_spread, reference.estimated_spread);
-        let _ = raw;
-        let stats = engine.stats();
-        assert_eq!(stats.pool_compressions, 1);
+        assert_eq!(engine.stats().pool_compressions, 1);
         // Idempotent; a growing POOL afterwards rebuilds instead of extending.
         engine.compress_pool().unwrap();
         assert_eq!(engine.stats().pool_compressions, 1);
@@ -1254,11 +1256,9 @@ mod tests {
         let before = engine.query(&q).unwrap();
         engine.save_snapshot(&path).unwrap();
         let warm = SharedEngine::new().with_threads(1);
-        let info = warm
-            .restore_snapshot_with(&path, crate::engine::RestoreMode::Map)
-            .unwrap();
+        let info = warm.restore_snapshot_with(&path, RestoreMode::Map).unwrap();
         assert_eq!(info.theta, 150);
-        assert_eq!(info.arena, imin_core::ArenaKind::MappedRaw);
+        assert_eq!(info.arena, ArenaKind::MappedRaw);
         assert_eq!(
             info.provenance.label(),
             format!("mapped:{}", path.display())
@@ -1270,36 +1270,12 @@ mod tests {
     }
 
     #[test]
-    fn from_engine_adopts_state_and_counters() {
-        let mut engine = Engine::new().with_threads(1).with_cache_capacity(17);
-        engine.load_graph(wc_graph(120, 2), "pa-120/WC".into());
-        engine.build_pool(80, 3).unwrap();
-        let q = query(0, 2);
-        engine.query(&q).unwrap();
-        engine.query(&q).unwrap(); // cache hit
-        let shared = SharedEngine::from_engine(engine);
-        let stats = shared.stats();
-        assert_eq!(stats.queries, 2);
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.pool_builds, 1);
-        let view = shared.view();
-        assert_eq!(view.graph_label, "pa-120/WC");
-        assert_eq!(view.pool_info.unwrap().theta, 80);
-        // Entries were dropped but capacity carried over; answers still work.
-        assert_eq!(shared.cache_entries(), 0);
-        let again = shared.query(&q).unwrap();
-        assert!(!again.from_cache);
-    }
-
-    #[test]
     fn sketch_queries_serve_concurrently_and_deterministically() {
         let engine = Arc::new(primed(150));
         engine.ensure_sketch_pool(400, 7).unwrap();
         let sketch_query = Query {
-            seeds: vec![VertexId::new(1)],
-            budget: 4,
-            algorithm: QueryAlgorithm::RisGreedy,
-            intervention: imin_core::Intervention::BlockVertices,
+            algorithm: AlgorithmKind::RisGreedy,
+            ..query(1, 4)
         };
         let clients = 6usize;
         let barrier = Arc::new(Barrier::new(clients));
@@ -1318,17 +1294,16 @@ mod tests {
             assert_eq!(answer.blockers, answers[0].blockers);
             assert_eq!(answer.estimated_spread, answers[0].estimated_spread);
         }
-        // The shared answer matches the single-threaded engine bit for bit.
-        let mut classic = Engine::new().with_threads(1);
-        classic.load_graph(wc_graph(300, 11), "pa-300/WC".into());
-        classic.ensure_sketch_pool(400, 7).unwrap();
-        let reference = classic.query(&sketch_query).unwrap();
+        // The shared answer matches a fresh 1-thread engine bit for bit.
+        let oracle = SharedEngine::new().with_threads(1);
+        oracle.load_graph(wc_graph(300, 11), "pa-300/WC".into());
+        oracle.ensure_sketch_pool(400, 7).unwrap();
+        let reference = oracle.query(&sketch_query).unwrap();
         assert_eq!(answers[0].blockers, reference.blockers);
         assert_eq!(answers[0].estimated_spread, reference.estimated_spread);
         // Forward queries still work next to the sketch pool.
         assert!(engine.query(&query(0, 2)).is_ok());
-        let stats = engine.stats();
-        assert_eq!(stats.sketch_builds, 1);
+        assert_eq!(engine.stats().sketch_builds, 1);
         // Matching sketch POOL is a reuse.
         let (_, action) = engine.ensure_sketch_pool(400, 7).unwrap();
         assert_eq!(action, PoolAction::Reused);
@@ -1338,14 +1313,11 @@ mod tests {
     #[test]
     fn ris_greedy_without_a_sketch_pool_is_a_typed_error() {
         let engine = primed(100);
-        let err = engine
-            .query(&Query {
-                seeds: vec![VertexId::new(0)],
-                budget: 2,
-                algorithm: QueryAlgorithm::RisGreedy,
-                intervention: imin_core::Intervention::BlockVertices,
-            })
-            .unwrap_err();
+        let ris = Query {
+            algorithm: AlgorithmKind::RisGreedy,
+            ..query(0, 2)
+        };
+        let err = engine.query(&ris).unwrap_err();
         assert!(matches!(err, EngineError::NoSketchPool), "got {err:?}");
     }
 

@@ -2,8 +2,9 @@
 //! mix of identical and distinct queries, checked three ways —
 //!
 //! 1. **Byte parity**: every `blockers=`/`spread=` answer equals a serial
-//!    replay of the same question on a fresh single-threaded [`Engine`]
-//!    (the oracle). Concurrent execution must be invisible in the answers.
+//!    replay of the same question on a fresh 1-thread [`SharedEngine`]
+//!    driven from one thread (the oracle). Concurrent execution must be
+//!    invisible in the answers.
 //! 2. **Counter consistency**: on a primed engine every valid query is
 //!    exactly one of cache-hit / coalesced / computed / rejected, the
 //!    in-flight gauge returns to zero, and nothing is rejected under the
@@ -22,7 +23,7 @@
 //! once the admission budget is exhausted.
 
 use imin_engine::protocol::{parse_request, payload_field, Request};
-use imin_engine::{Client, Engine, Server, SharedEngine};
+use imin_engine::{Client, Server, SharedEngine};
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -53,9 +54,9 @@ fn schedule(thread: usize) -> Vec<String> {
 }
 
 /// The serial oracle: answers a protocol `QUERY` line on a fresh
-/// single-threaded engine primed identically to the server, formatted
-/// exactly like the server's reply fields.
-fn oracle_answer(engine: &mut Engine, line: &str) -> (String, String) {
+/// 1-thread engine primed identically to the server, formatted exactly
+/// like the server's reply fields.
+fn oracle_answer(engine: &SharedEngine, line: &str) -> (String, String) {
     let Ok(Request::Query { query, .. }) = parse_request(line) else {
         panic!("oracle got a non-query line: {line}");
     };
@@ -120,8 +121,8 @@ fn thirty_two_clients_answer_byte_identically_to_the_serial_oracle() {
         .collect();
     assert_eq!(all_answers.len(), CLIENTS * QUERIES_PER_CLIENT);
 
-    // Serial replay on the single-threaded oracle.
-    let mut oracle = Engine::new().with_threads(1);
+    // Serial replay on the 1-thread oracle.
+    let oracle = SharedEngine::new().with_threads(1);
     let Ok(Request::Load(_)) = parse_request(GRAPH) else {
         panic!("graph line must parse")
     };
@@ -131,9 +132,9 @@ fn thirty_two_clients_answer_byte_identically_to_the_serial_oracle() {
             .unwrap(),
         "oracle".into(),
     );
-    oracle.build_pool(POOL_THETA, POOL_SEED).unwrap();
+    oracle.ensure_pool(POOL_THETA, POOL_SEED).unwrap();
     for (line, blockers, spread) in &all_answers {
-        let (expect_blockers, expect_spread) = oracle_answer(&mut oracle, line);
+        let (expect_blockers, expect_spread) = oracle_answer(&oracle, line);
         assert_eq!(
             (blockers, spread),
             (&expect_blockers, &expect_spread),
@@ -242,7 +243,7 @@ fn a_simultaneous_burst_of_one_question_coalesces_onto_one_computation() {
                 let query = imin_engine::Query {
                     seeds: vec![imin_graph::VertexId::new(20 + round)],
                     budget: 4,
-                    algorithm: imin_engine::QueryAlgorithm::AdvancedGreedy,
+                    algorithm: imin_engine::AlgorithmKind::AdvancedGreedy,
                     intervention: imin_core::Intervention::BlockVertices,
                 };
                 std::thread::spawn(move || {

@@ -4,11 +4,13 @@
 //! lines — through the same [`answer_line`] state machine the TCP server
 //! loops over. Every input must produce exactly one well-formed reply line
 //! and leave the connection (and the engine) alive: no panic, no hang, no
-//! dropped connection, no poisoned lock.
+//! dropped connection, no poisoned lock. Over real TCP, invalid UTF-8 and
+//! a line past the server's length cap get the same treatment.
 //!
 //! The generators are seeded, so a failure reproduces identically on every
 //! machine and every run.
 
+use imin_engine::server::MAX_REQUEST_LINE;
 use imin_engine::{answer_line, Client, Server, SharedEngine};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -268,6 +270,44 @@ fn invalid_utf8_over_tcp_gets_an_err_reply_and_keeps_the_connection() {
     assert_eq!(reply.trim_end(), "OK pong");
 
     // And the server as a whole is healthy for fresh connections too.
+    let mut probe = Client::connect(addr).expect("second connection");
+    assert_eq!(probe.send_raw("PING").expect("ping"), "OK pong");
+}
+
+#[test]
+fn an_oversized_request_line_gets_one_err_and_keeps_the_connection() {
+    let addr = Server::bind("127.0.0.1:0")
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+
+    // One byte past the cap and no newline yet: the reply must not wait
+    // for the rest of the line.
+    writer
+        .write_all(&vec![b'x'; MAX_REQUEST_LINE + 1])
+        .expect("write");
+    writer.flush().expect("flush");
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("read");
+    assert_eq!(
+        reply.trim_end(),
+        "ERR request line too long (max 1048576 bytes)"
+    );
+
+    // The rest of that line is dropped up to its newline; the next line is
+    // a fresh request on the same connection, answered once.
+    writer
+        .write_all(b"still the same oversized line\nPING\n")
+        .expect("write");
+    writer.flush().expect("flush");
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("read");
+    assert_eq!(reply.trim_end(), "OK pong");
+
+    // Other connections never noticed.
     let mut probe = Client::connect(addr).expect("second connection");
     assert_eq!(probe.send_raw("PING").expect("ping"), "OK pong");
 }

@@ -1,9 +1,9 @@
 //! End-to-end observability checks:
 //!
 //! * **Byte identity** — blocker selections are identical with tracing on,
-//!   tracing off (`--no-obs`), and on the serial single-threaded engine,
-//!   over both raw and compressed arenas. Observability must never change
-//!   an answer.
+//!   tracing off (`--no-obs`), and on a serial 1-thread engine, over both
+//!   raw and compressed arenas. Observability must never change an
+//!   answer.
 //! * **Trace accounting** — on a single-query-thread engine, a traced
 //!   query's phase times sum to within 10% of its reported elapsed time
 //!   (wall clock == CPU time only when one thread computes).
@@ -13,9 +13,7 @@
 //!   snapshot phases; the access log emits one well-formed line per
 //!   request.
 
-use imin_engine::{
-    AccessLog, Client, Engine, LogFormat, Query, QueryAlgorithm, Server, SharedEngine,
-};
+use imin_engine::{AccessLog, AlgorithmKind, Client, LogFormat, Query, Server, SharedEngine};
 use imin_graph::{generators, DiGraph, VertexId};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -30,7 +28,7 @@ fn query(seed: usize, budget: usize) -> Query {
     Query {
         seeds: vec![VertexId::new(seed)],
         budget,
-        algorithm: QueryAlgorithm::AdvancedGreedy,
+        algorithm: AlgorithmKind::AdvancedGreedy,
         intervention: imin_core::Intervention::BlockVertices,
     }
 }
@@ -39,9 +37,9 @@ fn query(seed: usize, budget: usize) -> Query {
 fn blocker_selections_are_byte_identical_with_observability_on_and_off() {
     let graph = wc_graph(600, 13);
 
-    let mut serial = Engine::new().with_threads(1);
+    let serial = SharedEngine::new().with_threads(1);
     serial.load_graph(graph.clone(), "parity".into());
-    serial.build_pool(400, 5).unwrap();
+    serial.ensure_pool(400, 5).unwrap();
 
     let on = SharedEngine::new().with_threads(1);
     on.load_graph(graph.clone(), "parity".into());
@@ -61,9 +59,9 @@ fn blocker_selections_are_byte_identical_with_observability_on_and_off() {
             off.compress_pool().unwrap();
         }
         for (seed, budget, algorithm) in [
-            (0, 3, QueryAlgorithm::AdvancedGreedy),
-            (7, 2, QueryAlgorithm::GreedyReplace),
-            (23, 4, QueryAlgorithm::AdvancedGreedy),
+            (0, 3, AlgorithmKind::AdvancedGreedy),
+            (7, 2, AlgorithmKind::GreedyReplace),
+            (23, 4, AlgorithmKind::AdvancedGreedy),
         ] {
             let q = Query {
                 seeds: vec![VertexId::new(seed)],
@@ -193,7 +191,7 @@ fn sketch_queries_record_their_phases_without_a_registry_restart() {
         .query(&Query {
             seeds: vec![VertexId::new(1)],
             budget: 3,
-            algorithm: QueryAlgorithm::RisGreedy,
+            algorithm: AlgorithmKind::RisGreedy,
             intervention: imin_core::Intervention::BlockVertices,
         })
         .unwrap();

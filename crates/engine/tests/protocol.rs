@@ -2,10 +2,10 @@
 //! port, driven through the `imin-cli` client library. Parse errors must
 //! come back as `ERR <reason>` lines without dropping the connection.
 
-use imin_engine::{Client, Engine, QueryAlgorithm, Server};
+use imin_engine::{AlgorithmKind, Client, Server, SharedEngine};
 
 fn spawn_server() -> std::net::SocketAddr {
-    Server::with_engine("127.0.0.1:0", Engine::new().with_threads(2))
+    Server::with_shared("127.0.0.1:0", SharedEngine::new().with_threads(2))
         .expect("bind ephemeral port")
         .spawn()
         .expect("spawn server")
@@ -24,7 +24,7 @@ fn full_lifecycle_over_the_wire() {
     let _build_ms = client.build_pool(400, 42).unwrap();
 
     let first = client
-        .query(&[0], 3, QueryAlgorithm::AdvancedGreedy)
+        .query(&[0], 3, AlgorithmKind::AdvancedGreedy)
         .unwrap();
     assert!(first.blockers.len() <= 3);
     assert!(!first.cached);
@@ -32,7 +32,7 @@ fn full_lifecycle_over_the_wire() {
 
     // The identical question is a cache hit with the identical answer.
     let second = client
-        .query(&[0], 3, QueryAlgorithm::AdvancedGreedy)
+        .query(&[0], 3, AlgorithmKind::AdvancedGreedy)
         .unwrap();
     assert!(second.cached);
     assert_eq!(first.blockers, second.blockers);
@@ -40,7 +40,7 @@ fn full_lifecycle_over_the_wire() {
 
     // GreedyReplace works over the same pool.
     let replace = client
-        .query(&[0, 5], 2, QueryAlgorithm::GreedyReplace)
+        .query(&[0, 5], 2, AlgorithmKind::GreedyReplace)
         .unwrap();
     assert!(replace.blockers.len() <= 2);
 
@@ -78,27 +78,27 @@ fn parse_errors_return_err_lines_and_keep_the_connection() {
 
     // Semantic errors (right syntax, wrong state) are ERR lines too.
     let err = client
-        .query(&[0], 1, QueryAlgorithm::AdvancedGreedy)
+        .query(&[0], 1, AlgorithmKind::AdvancedGreedy)
         .unwrap_err();
     assert!(err.to_string().contains("LOAD"), "{err}");
     client.load_pa_wc(50, 2, 1).unwrap();
     let err = client
-        .query(&[0], 1, QueryAlgorithm::AdvancedGreedy)
+        .query(&[0], 1, AlgorithmKind::AdvancedGreedy)
         .unwrap_err();
     assert!(err.to_string().contains("POOL"), "{err}");
     client.build_pool(50, 1).unwrap();
     // Out-of-range seed and zero budget surface the algorithm's errors.
     let err = client
-        .query(&[9999], 1, QueryAlgorithm::AdvancedGreedy)
+        .query(&[9999], 1, AlgorithmKind::AdvancedGreedy)
         .unwrap_err();
     assert!(err.to_string().contains("out of range"), "{err}");
     let err = client
-        .query(&[0], 0, QueryAlgorithm::AdvancedGreedy)
+        .query(&[0], 0, AlgorithmKind::AdvancedGreedy)
         .unwrap_err();
     assert!(err.to_string().contains("budget"), "{err}");
     // And the engine still answers proper queries afterwards.
     let reply = client
-        .query(&[0], 1, QueryAlgorithm::AdvancedGreedy)
+        .query(&[0], 1, AlgorithmKind::AdvancedGreedy)
         .unwrap();
     assert!(reply.blockers.len() <= 1);
 }

@@ -12,7 +12,7 @@
 //! cargo run --release --example resident_engine
 //! ```
 
-use imin_engine::{AlgorithmKind, Engine, Query};
+use imin_engine::{AlgorithmKind, Query, SharedEngine};
 use std::time::Instant;
 
 fn main() {
@@ -29,10 +29,10 @@ fn main() {
     );
 
     // 2. Prime the engine: one graph load, one pool build.
-    let mut engine = Engine::new();
+    let engine = SharedEngine::new();
     engine.load_graph(graph, "pa-5000/WC".into());
     let theta = 2_000;
-    let info = engine.build_pool(theta, 7).expect("pool build");
+    let (info, _) = engine.ensure_pool(theta, 7).expect("pool build");
     println!(
         "pool: θ={} realisations, {} live edges, {:.1} MiB, built in {:?} on {} thread(s)",
         info.theta,
@@ -79,7 +79,8 @@ fn main() {
         );
     }
 
-    // 4. Batched queries fan out across the worker pool in one call.
+    // 4. A batch is one thread per question: the engine is shared, so the
+    //    distinct questions compute in parallel against the one pool.
     let batch: Vec<Query> = (0..6)
         .map(|i| Query {
             seeds: vec![imin_graph::VertexId::new(100 + i)],
@@ -89,8 +90,17 @@ fn main() {
         })
         .collect();
     let start = Instant::now();
-    let answers = engine.run_queries(&batch);
-    let ok = answers.iter().filter(|r| r.is_ok()).count();
+    let ok = std::thread::scope(|scope| {
+        let callers: Vec<_> = batch
+            .iter()
+            .map(|query| scope.spawn(|| engine.query(query).is_ok()))
+            .collect();
+        callers
+            .into_iter()
+            .map(|caller| caller.join().expect("query thread"))
+            .filter(|&answered| answered)
+            .count()
+    });
     println!(
         "batch: {ok}/{} queries answered in {:?} ({:.1} queries/sec)",
         batch.len(),
