@@ -20,28 +20,27 @@
 //!   estimate byte-identical to no intervention at all.
 //!
 //! [`Intervention`] is the request-level selector threaded through
-//! [`crate::ContainmentRequest`]; the greedy loops here mirror the pooled
-//! vertex loops of [`crate::pool`] (same integer accumulation, same
-//! bit-identical-at-any-thread-count contract) but live in their own module
-//! so the vertex hot path stays byte-stable.
+//! [`crate::ContainmentRequest`]. Both families share the pooled estimator
+//! kernel of [`crate::pool`] with vertex blocking — the same re-rooted BFS
+//! over the borrowed arena view, dominator tree and integer credit, hence
+//! the same bit-identical-at-any-thread-count contract and the same phase
+//! laps in traces. This module only supplies what differs: the edge filter
+//! of each family (deleted edges, `α`-coins), and the greedy loops that
+//! read the per-edge or per-vertex credit the kernel returns.
 
 use crate::decrease::DecreaseEstimate;
-use crate::pool::{shard_ranges, SamplePool};
+use crate::pool::{
+    check_mask_len, pooled_decrease_with, pooled_edge_credit_with, timed_best, with_pool_workspace,
+    EdgeFilter, PoolWorkspace, SamplePool,
+};
 use crate::request::{ContainmentRequest, EvalBackend};
 use crate::types::{BlockerSelection, SelectionStats};
 use crate::{IminError, Result};
-use imin_domtree::DomTreeWorkspace;
 use imin_graph::VertexId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
-use std::ops::Range;
 use std::str::FromStr;
 use std::time::Instant;
-
-/// Sentinel for "no local slot" in the dense renumbering.
-const UNMAPPED: u32 = u32::MAX;
-/// Global id stored at local 0: the virtual root above the seed set.
-const VIRTUAL_ROOT: u32 = u32::MAX;
 
 /// What a containment request removes from the cascade: the paper's vertex
 /// blocking (the default), edge blocking, or probabilistic prebunking.
@@ -179,251 +178,44 @@ fn prebunk_coin(pool_seed: u64, sample_idx: u64, src: u32, dst: u32) -> u64 {
     x
 }
 
-/// What the re-rooted BFS filters and what the credit pass accumulates.
-enum Mode<'a> {
-    /// Skip deleted edges; credit each sole-in-edge `(u, v)` with
-    /// `subtree_size(v)` into the edge map.
-    Edge {
-        deleted: &'a HashSet<(u32, u32)>,
-        deleted_src: &'a [bool],
-    },
-    /// Thin live edges into prebunked vertices by the `α`-coin; credit
-    /// vertices exactly like the vertex estimator.
-    Prebunk {
-        prebunked: &'a [bool],
-        keep_threshold: u64,
-        pool_seed: u64,
-    },
+/// Edge blocking: drops the deleted edges. `deleted_src` marks their
+/// sources, so only edges leaving such a vertex pay for the set lookup.
+struct DeletedEdges<'a> {
+    deleted: &'a HashSet<(u32, u32)>,
+    deleted_src: &'a [bool],
 }
 
-/// Per-worker scratch for the intervention estimators: the re-rooted
-/// cascade (with per-vertex in-degree and sole-predecessor tracking, which
-/// the vertex path does not need), the dominator workspace and the integer
-/// accumulators. Merging across workers is pure `u64` addition, so results
-/// are thread-count-independent exactly like [`crate::pool`].
-#[derive(Default)]
-struct InterveneScratch {
-    vertices: Vec<u32>,
-    offsets: Vec<u32>,
-    targets: Vec<u32>,
-    local_of: Vec<u32>,
-    /// Live in-edges per local vertex (the virtual-root edge counts for
-    /// seeds, keeping them out of the sole-in-edge criterion).
-    in_count: Vec<u32>,
-    /// Global id of the first live predecessor per local vertex;
-    /// [`VIRTUAL_ROOT`] for seeds.
-    pred: Vec<u32>,
-    sample_offsets: Vec<u32>,
-    sample_targets: Vec<u32>,
-    domtree: DomTreeWorkspace,
-    sizes: Vec<u64>,
-    edge_delta: HashMap<(u32, u32), u64>,
-    vertex_delta: Vec<u64>,
-    reached_sum: u64,
+impl EdgeFilter for DeletedEdges<'_> {
+    #[inline]
+    fn keeps(&self, _sample: usize, u: u32, t: u32) -> bool {
+        !(self.deleted_src[u as usize] && self.deleted.contains(&(u, t)))
+    }
 }
 
-impl InterveneScratch {
-    fn reset_cascade(&mut self, n: usize) {
-        for &v in self.vertices.iter().skip(1) {
-            self.local_of[v as usize] = UNMAPPED;
-        }
-        if self.local_of.len() < n {
-            self.local_of.resize(n, UNMAPPED);
-        }
-        self.vertices.clear();
-        self.vertices.push(VIRTUAL_ROOT);
-        self.offsets.clear();
-        self.offsets.push(0);
-        self.targets.clear();
-        self.in_count.clear();
-        self.in_count.push(0);
-        self.pred.clear();
-        self.pred.push(VIRTUAL_ROOT);
-    }
+/// Prebunking: a live edge into a prebunked vertex survives only when its
+/// `α`-coin for this realisation falls below the acceptance threshold.
+struct PrebunkCoins<'a> {
+    prebunked: &'a [bool],
+    keep_threshold: u64,
+    pool_seed: u64,
+}
 
-    fn intern(&mut self, global: u32) -> u32 {
-        let slot = self.local_of[global as usize];
-        if slot != UNMAPPED {
-            return slot;
-        }
-        let local = self.vertices.len() as u32;
-        self.local_of[global as usize] = local;
-        self.vertices.push(global);
-        self.in_count.push(0);
-        self.pred.push(VIRTUAL_ROOT);
-        local
-    }
-
-    /// Re-roots every realisation in `range` under the intervention and
-    /// accumulates credit: subtree sizes per sole-in-edge for `Edge`,
-    /// per vertex for `Prebunk`.
-    fn accumulate(
-        &mut self,
-        pool: &SamplePool,
-        seeds: &[u32],
-        is_seed: &[bool],
-        range: Range<usize>,
-        mode: &Mode<'_>,
-    ) {
-        let n = pool.num_vertices();
-        self.edge_delta.clear();
-        self.vertex_delta.clear();
-        self.vertex_delta.resize(n, 0);
-        self.reached_sum = 0;
-        let only_seeds = 1 + seeds.len();
-        for idx in range {
-            pool.sample_csr_into(idx, &mut self.sample_offsets, &mut self.sample_targets);
-            self.reset_cascade(n);
-            // Virtual root → every seed, with probability 1.
-            for &s in seeds {
-                let local = self.intern(s);
-                self.in_count[local as usize] += 1;
-                self.targets.push(local);
-            }
-            self.offsets.push(self.targets.len() as u32);
-            let mut head = 1usize;
-            while head < self.vertices.len() {
-                let u_global = self.vertices[head];
-                head += 1;
-                let lo = self.sample_offsets[u_global as usize] as usize;
-                let hi = self.sample_offsets[u_global as usize + 1] as usize;
-                for ti in lo..hi {
-                    let t = self.sample_targets[ti];
-                    match *mode {
-                        Mode::Edge {
-                            deleted,
-                            deleted_src,
-                        } => {
-                            if deleted_src[u_global as usize] && deleted.contains(&(u_global, t)) {
-                                continue;
-                            }
-                        }
-                        Mode::Prebunk {
-                            prebunked,
-                            keep_threshold,
-                            pool_seed,
-                        } => {
-                            if prebunked[t as usize]
-                                && (prebunk_coin(pool_seed, idx as u64, u_global, t) >> 11)
-                                    >= keep_threshold
-                            {
-                                continue;
-                            }
-                        }
-                    }
-                    let t_local = self.intern(t);
-                    self.in_count[t_local as usize] += 1;
-                    if self.in_count[t_local as usize] == 1 {
-                        self.pred[t_local as usize] = u_global;
-                    }
-                    self.targets.push(t_local);
-                }
-                self.offsets.push(self.targets.len() as u32);
-            }
-            let reached = self.vertices.len();
-            self.reached_sum += (reached - 1) as u64;
-            if reached <= only_seeds {
-                continue;
-            }
-            let tree =
-                self.domtree
-                    .compute_csr(reached, &self.offsets, &self.targets, VertexId::new(0));
-            tree.subtree_sizes_into(&mut self.sizes);
-            match *mode {
-                Mode::Edge { .. } => {
-                    // Exact marginal gain: if (pred, v) is v's only live
-                    // in-edge, deleting it detaches exactly the vertices
-                    // dominated by v. Seeds are excluded automatically —
-                    // their sole in-edge is the virtual-root edge.
-                    for v in 1..reached {
-                        if self.in_count[v] == 1 && self.pred[v] != VIRTUAL_ROOT {
-                            *self
-                                .edge_delta
-                                .entry((self.pred[v], self.vertices[v]))
-                                .or_insert(0) += self.sizes[v];
-                        }
-                    }
-                }
-                Mode::Prebunk { .. } => {
-                    for (&global, &size) in self.vertices[1..reached]
-                        .iter()
-                        .zip(&self.sizes[1..reached])
-                    {
-                        if is_seed[global as usize] {
-                            continue;
-                        }
-                        self.vertex_delta[global as usize] += size;
-                    }
-                }
-            }
+impl<'a> PrebunkCoins<'a> {
+    fn new(pool: &SamplePool, prebunked: &'a [bool], alpha: f64) -> Self {
+        PrebunkCoins {
+            prebunked,
+            keep_threshold: alpha_threshold(alpha),
+            pool_seed: pool.pool_seed(),
         }
     }
 }
 
-/// Canonicalises the seed set (sort, dedup, bounds-check) into plain
-/// buffers plus a membership mask.
-fn stage_seeds(n: usize, seeds: &[VertexId]) -> Result<(Vec<u32>, Vec<bool>)> {
-    if seeds.is_empty() {
-        return Err(IminError::EmptySeedSet);
+impl EdgeFilter for PrebunkCoins<'_> {
+    #[inline]
+    fn keeps(&self, sample: usize, u: u32, t: u32) -> bool {
+        !self.prebunked[t as usize]
+            || (prebunk_coin(self.pool_seed, sample as u64, u, t) >> 11) < self.keep_threshold
     }
-    let mut staged = Vec::with_capacity(seeds.len());
-    for &s in seeds {
-        if s.index() >= n {
-            return Err(IminError::SeedOutOfRange {
-                vertex: s.index(),
-                num_vertices: n,
-            });
-        }
-        staged.push(s.raw());
-    }
-    staged.sort_unstable();
-    staged.dedup();
-    let mut is_seed = vec![false; n];
-    for &s in &staged {
-        is_seed[s as usize] = true;
-    }
-    Ok((staged, is_seed))
-}
-
-/// Runs `accumulate` over the whole pool, sharded across `threads`
-/// workers, and merges the integer accumulators (order-independent, so
-/// results are bit-identical at any thread count).
-fn sharded_accumulate(
-    pool: &SamplePool,
-    seeds: &[u32],
-    is_seed: &[bool],
-    threads: usize,
-    mode: &Mode<'_>,
-) -> (HashMap<(u32, u32), u64>, Vec<u64>, u64) {
-    let theta = pool.theta();
-    let threads = threads.max(1).min(theta);
-    let mut workers: Vec<InterveneScratch> = Vec::new();
-    workers.resize_with(threads, InterveneScratch::default);
-    if threads <= 1 {
-        workers[0].accumulate(pool, seeds, is_seed, 0..theta, mode);
-    } else {
-        crossbeam::scope(|scope| {
-            for (worker, range) in workers.iter_mut().zip(shard_ranges(theta, threads)) {
-                scope.spawn(move |_| worker.accumulate(pool, seeds, is_seed, range, mode));
-            }
-        })
-        .expect("intervention-estimator worker panicked");
-    }
-    let mut iter = workers.into_iter();
-    let first = iter.next().expect("at least one worker");
-    let mut edge_delta = first.edge_delta;
-    let mut vertex_delta = first.vertex_delta;
-    let mut reached_total = first.reached_sum;
-    for worker in iter {
-        reached_total += worker.reached_sum;
-        for (edge, d) in worker.edge_delta {
-            *edge_delta.entry(edge).or_insert(0) += d;
-        }
-        for (acc, d) in vertex_delta.iter_mut().zip(worker.vertex_delta) {
-            *acc += d;
-        }
-    }
-    (edge_delta, vertex_delta, reached_total)
 }
 
 /// Algorithm 2 generalised to prebunking: estimates the spread decrease of
@@ -445,30 +237,14 @@ pub fn pooled_prebunk_decrease(
     alpha: f64,
     threads: usize,
 ) -> Result<DecreaseEstimate> {
-    let n = pool.num_vertices();
-    if prebunked.len() != n {
-        return Err(IminError::Diffusion(
-            imin_diffusion::DiffusionError::MaskLengthMismatch {
-                mask_len: prebunked.len(),
-                num_vertices: n,
-            },
-        ));
-    }
+    check_mask_len(pool, prebunked)?;
     Intervention::Prebunk { alpha }.validate()?;
-    let (staged, is_seed) = stage_seeds(n, seeds)?;
-    let mode = Mode::Prebunk {
-        prebunked,
-        keep_threshold: alpha_threshold(alpha),
-        pool_seed: pool.pool_seed(),
-    };
-    let (_, vertex_delta, reached_total) =
-        sharded_accumulate(pool, &staged, &is_seed, threads, &mode);
-    let theta = pool.theta();
-    let inv = 1.0 / theta as f64;
-    Ok(DecreaseEstimate {
-        delta: vertex_delta.iter().map(|&d| d as f64 * inv).collect(),
-        average_reached: reached_total as f64 * inv,
-        samples: theta,
+    with_pool_workspace(|ws| {
+        // A prebunked seed is still a seed: prebunking thins edges, it
+        // does not remove the vertex.
+        ws.stage_seeds(pool.num_vertices(), seeds, None)?;
+        let filter = PrebunkCoins::new(pool, prebunked, alpha);
+        Ok(pooled_decrease_with(pool, &filter, threads, ws))
     })
 }
 
@@ -500,58 +276,69 @@ pub fn pooled_edge_greedy_in(
         return Err(IminError::ZeroBudget);
     }
     let n = pool.num_vertices();
-    let (staged, is_seed) = stage_seeds(n, seeds)?;
     let theta = pool.theta();
-    let mut deleted: HashSet<(u32, u32)> = HashSet::new();
-    let mut deleted_src = vec![false; n];
-    let mut blocked_edges: Vec<(VertexId, VertexId)> = Vec::with_capacity(budget);
-    let mut stats = SelectionStats::default();
-    let mut estimated_spread = None;
-    for round in 0..budget {
-        let mode = Mode::Edge {
-            deleted: &deleted,
-            deleted_src: &deleted_src,
-        };
-        let (edge_delta, _, reached_total) =
-            sharded_accumulate(pool, &staged, &is_seed, threads, &mode);
-        stats.samples_drawn += theta;
-        let average_reached = reached_total as f64 / theta as f64;
-        // Deterministic argmax whatever the map's iteration order: largest
-        // credit first, ties towards the lexicographically smallest edge.
-        let mut best: Option<((u32, u32), u64)> = None;
-        for (&edge, &delta) in &edge_delta {
-            if seed_first
-                && !is_seed[edge.0 as usize]
+    let timed = imin_obs::span::active();
+    with_pool_workspace(|ws| {
+        ws.stage_seeds(n, seeds, None)?;
+        let mut deleted: HashSet<(u32, u32)> = HashSet::new();
+        let mut deleted_src = vec![false; n];
+        let mut blocked_edges: Vec<(VertexId, VertexId)> = Vec::with_capacity(budget);
+        let mut stats = SelectionStats::default();
+        let mut estimated_spread = None;
+        for round in 0..budget {
+            let filter = DeletedEdges {
+                deleted: &deleted,
+                deleted_src: &deleted_src,
+            };
+            let reached_total = pooled_edge_credit_with(pool, &filter, threads, ws);
+            stats.samples_drawn += theta;
+            let average_reached = reached_total as f64 / theta as f64;
+            let select_start = timed.then(Instant::now);
+            let (edge_delta, is_seed) = (ws.edge_credit(), ws.is_seed());
+            // Loop-invariant: whether any seed edge still earns credit.
+            let seeds_only = seed_first
                 && edge_delta
                     .iter()
-                    .any(|(e, &d)| is_seed[e.0 as usize] && d > 0)
-            {
-                continue;
+                    .any(|(e, &d)| is_seed[e.0 as usize] && d > 0);
+            // Deterministic argmax whatever the map's iteration order:
+            // largest credit first, ties towards the lexicographically
+            // smallest edge.
+            let mut best: Option<((u32, u32), u64)> = None;
+            for (&edge, &delta) in edge_delta {
+                if seeds_only && !is_seed[edge.0 as usize] {
+                    continue;
+                }
+                let better = match best {
+                    None => delta > 0,
+                    Some((b_edge, b_delta)) => {
+                        delta > b_delta || (delta == b_delta && edge < b_edge)
+                    }
+                };
+                if better {
+                    best = Some((edge, delta));
+                }
             }
-            let better = match best {
-                None => delta > 0,
-                Some((b_edge, b_delta)) => delta > b_delta || (delta == b_delta && edge < b_edge),
+            if let Some(select_start) = select_start {
+                let ns = select_start.elapsed().as_nanos() as u64;
+                imin_obs::span::add_ns(imin_obs::Phase::Select, ns);
+            }
+            let Some(((src, dst), delta)) = best else {
+                estimated_spread = Some(average_reached);
+                break;
             };
-            if better {
-                best = Some((edge, delta));
-            }
+            estimated_spread = Some(average_reached - delta as f64 / theta as f64);
+            deleted.insert((src, dst));
+            deleted_src[src as usize] = true;
+            blocked_edges.push((VertexId::from_raw(src), VertexId::from_raw(dst)));
+            stats.rounds = round + 1;
         }
-        let Some(((src, dst), delta)) = best else {
-            estimated_spread = Some(average_reached);
-            break;
-        };
-        estimated_spread = Some(average_reached - delta as f64 / theta as f64);
-        deleted.insert((src, dst));
-        deleted_src[src as usize] = true;
-        blocked_edges.push((VertexId::from_raw(src), VertexId::from_raw(dst)));
-        stats.rounds = round + 1;
-    }
-    stats.elapsed = start.elapsed();
-    Ok(BlockerSelection {
-        blockers: Vec::new(),
-        blocked_edges,
-        estimated_spread,
-        stats,
+        stats.elapsed = start.elapsed();
+        Ok(BlockerSelection {
+            blockers: Vec::new(),
+            blocked_edges,
+            estimated_spread,
+            stats,
+        })
     })
 }
 
@@ -582,62 +369,67 @@ pub fn pooled_prebunk_greedy_in(
     if budget == 0 {
         return Err(IminError::ZeroBudget);
     }
-    let n = pool.num_vertices();
-    if forbidden.len() != n {
-        return Err(IminError::Diffusion(
-            imin_diffusion::DiffusionError::MaskLengthMismatch {
-                mask_len: forbidden.len(),
-                num_vertices: n,
-            },
-        ));
-    }
+    check_mask_len(pool, forbidden)?;
     Intervention::Prebunk { alpha }.validate()?;
-    let (_, is_seed) = stage_seeds(n, seeds)?;
-    let mut prebunked = vec![false; n];
-    let mut chosen_order: Vec<VertexId> = Vec::with_capacity(budget);
-    let mut stats = SelectionStats::default();
-    for round in 0..budget {
-        let estimate = pooled_prebunk_decrease(pool, seeds, &prebunked, alpha, threads)?;
-        stats.samples_drawn += estimate.samples;
-        let chosen = estimate.best_candidate(|v| {
+    let n = pool.num_vertices();
+    let timed = imin_obs::span::active();
+    with_pool_workspace(|ws| {
+        ws.stage_seeds(n, seeds, None)?;
+        let mut prebunked = vec![false; n];
+        let mut chosen_order: Vec<VertexId> = Vec::with_capacity(budget);
+        let mut stats = SelectionStats::default();
+        let eligible = |v: VertexId, prebunked: &[bool], is_seed: &[bool]| {
             !is_seed[v.index()] && !prebunked[v.index()] && !forbidden[v.index()]
-        });
-        let Some(chosen) = chosen else { break };
-        prebunked[chosen.index()] = true;
-        chosen_order.push(chosen);
-        stats.rounds = round + 1;
-    }
-    if replace {
-        for idx in (0..chosen_order.len()).rev() {
-            let u = chosen_order[idx];
-            prebunked[u.index()] = false;
-            stats.rounds += 1;
-            let estimate = pooled_prebunk_decrease(pool, seeds, &prebunked, alpha, threads)?;
+        };
+        let pass = |prebunked: &[bool], ws: &mut PoolWorkspace| {
+            pooled_decrease_with(
+                pool,
+                &PrebunkCoins::new(pool, prebunked, alpha),
+                threads,
+                ws,
+            )
+        };
+        for round in 0..budget {
+            let estimate = pass(&prebunked, ws);
             stats.samples_drawn += estimate.samples;
-            let chosen = estimate.best_candidate(|v| {
-                !is_seed[v.index()] && !prebunked[v.index()] && !forbidden[v.index()]
-            });
-            let Some(chosen) = chosen else {
-                prebunked[u.index()] = true;
-                break;
-            };
+            let chosen = timed_best(&estimate, timed, |v| eligible(v, &prebunked, ws.is_seed()));
+            let Some(chosen) = chosen else { break };
             prebunked[chosen.index()] = true;
-            chosen_order[idx] = chosen;
-            if chosen == u {
-                break;
+            chosen_order.push(chosen);
+            stats.rounds = round + 1;
+        }
+        if replace {
+            for idx in (0..chosen_order.len()).rev() {
+                let u = chosen_order[idx];
+                prebunked[u.index()] = false;
+                stats.rounds += 1;
+                let estimate = pass(&prebunked, ws);
+                stats.samples_drawn += estimate.samples;
+                let chosen =
+                    timed_best(&estimate, timed, |v| eligible(v, &prebunked, ws.is_seed()));
+                let Some(chosen) = chosen else {
+                    prebunked[u.index()] = true;
+                    break;
+                };
+                prebunked[chosen.index()] = true;
+                chosen_order[idx] = chosen;
+                if chosen == u {
+                    break;
+                }
             }
         }
-    }
-    // One final pass with the complete prebunk set applied: the honest
-    // expected spread under the intervention, exact w.r.t. the pool+coins.
-    let final_estimate = pooled_prebunk_decrease(pool, seeds, &prebunked, alpha, threads)?;
-    stats.samples_drawn += final_estimate.samples;
-    stats.elapsed = start.elapsed();
-    Ok(BlockerSelection {
-        blockers: chosen_order,
-        blocked_edges: Vec::new(),
-        estimated_spread: Some(final_estimate.average_reached),
-        stats,
+        // One final pass with the complete prebunk set applied: the honest
+        // expected spread under the intervention, exact w.r.t. the
+        // pool+coins.
+        let final_estimate = pass(&prebunked, ws);
+        stats.samples_drawn += final_estimate.samples;
+        stats.elapsed = start.elapsed();
+        Ok(BlockerSelection {
+            blockers: chosen_order,
+            blocked_edges: Vec::new(),
+            estimated_spread: Some(final_estimate.average_reached),
+            stats,
+        })
     })
 }
 
@@ -709,6 +501,7 @@ pub(crate) fn solve_pooled_intervention(
 mod tests {
     use super::*;
     use crate::pool::pooled_decrease;
+    use crate::AlgorithmKind;
     use imin_graph::{generators, DiGraph};
 
     fn vid(i: usize) -> VertexId {
@@ -866,6 +659,199 @@ mod tests {
             pooled_prebunk_greedy_in(&pool, &[vid(0)], &forbidden, 3, 0.3, 4, false).unwrap();
         assert_eq!(four.blockers, sel.blockers);
         assert_eq!(four.estimated_spread, sel.estimated_spread);
+    }
+
+    /// Solves one pooled request through the public solver entry point.
+    fn solve_family(
+        g: &DiGraph,
+        pool: &SamplePool,
+        seeds: &[VertexId],
+        budget: usize,
+        algorithm: AlgorithmKind,
+        intervention: Intervention,
+        threads: usize,
+    ) -> BlockerSelection {
+        let request = ContainmentRequest::builder(g)
+            .seeds(seeds.iter().copied())
+            .budget(budget)
+            .intervention(intervention)
+            .pooled_with_threads(pool, threads)
+            .build()
+            .unwrap();
+        algorithm.solver().solve(g, &request).unwrap()
+    }
+
+    /// Everything a selection pins: the picks in order, the bits of the
+    /// spread estimate and the round accounting.
+    fn fingerprint(sel: &BlockerSelection) -> String {
+        let blockers: Vec<u32> = sel.blockers.iter().map(|v| v.raw()).collect();
+        let edges: Vec<(u32, u32)> = sel
+            .blocked_edges
+            .iter()
+            .map(|(u, v)| (u.raw(), v.raw()))
+            .collect();
+        format!(
+            "blockers={blockers:?} edges={edges:?} spread={:#018x} rounds={} samples={}",
+            sel.estimated_spread.map_or(0, f64::to_bits),
+            sel.stats.rounds,
+            sel.stats.samples_drawn
+        )
+    }
+
+    /// FNV-1a over the bits of an estimate's deltas and average.
+    fn estimate_digest(est: &DecreaseEstimate) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for x in est.delta.iter().chain([&est.average_reached]) {
+            for byte in x.to_bits().to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Parity gate for the estimator behind edge blocking and prebunking:
+    /// both pooled greedy flavours × every non-vertex family must reproduce
+    /// these pinned selections, spreads and round counts on raw and
+    /// compressed arenas at 1, 2 and 4 threads, and one prebunk delta
+    /// vector must keep its digest. The values were recorded from the
+    /// estimator that decoded whole realisations before its BFS.
+    #[test]
+    fn family_selections_match_their_golden_values() {
+        const GOLDEN: [(AlgorithmKind, &str, &str); 8] = [
+            (
+                AlgorithmKind::AdvancedGreedy,
+                "edge",
+                "blockers=[] edges=[(2, 43), (40, 250), (2, 38)] spread=0x4042590000000000 rounds=3 samples=768",
+            ),
+            (
+                AlgorithmKind::AdvancedGreedy,
+                "prebunk:0",
+                "blockers=[0, 4, 14] edges=[] spread=0x40407a0000000000 rounds=3 samples=1024",
+            ),
+            (
+                AlgorithmKind::AdvancedGreedy,
+                "prebunk:0.2",
+                "blockers=[0, 4, 14] edges=[] spread=0x4041208000000000 rounds=3 samples=1024",
+            ),
+            (
+                AlgorithmKind::AdvancedGreedy,
+                "prebunk:1",
+                "blockers=[0, 4, 1] edges=[] spread=0x4043ee0000000000 rounds=3 samples=1024",
+            ),
+            (
+                AlgorithmKind::GreedyReplace,
+                "edge",
+                "blockers=[] edges=[(2, 43), (40, 250), (2, 38)] spread=0x4042590000000000 rounds=3 samples=768",
+            ),
+            (
+                AlgorithmKind::GreedyReplace,
+                "prebunk:0",
+                "blockers=[0, 4, 14] edges=[] spread=0x40407a0000000000 rounds=4 samples=1280",
+            ),
+            (
+                AlgorithmKind::GreedyReplace,
+                "prebunk:0.2",
+                "blockers=[0, 4, 14] edges=[] spread=0x4041208000000000 rounds=4 samples=1280",
+            ),
+            (
+                AlgorithmKind::GreedyReplace,
+                "prebunk:1",
+                "blockers=[0, 4, 1] edges=[] spread=0x4043ee0000000000 rounds=4 samples=1280",
+            ),
+        ];
+        const DELTA_DIGEST: u64 = 0x6587_e665_54cc_0c7a;
+        let g = wc_pa(600, 23);
+        let raw = SamplePool::build_with_threads(&g, 256, 91, 2).unwrap();
+        let compressed = raw.compress(&g, 2).unwrap();
+        let seeds = [vid(2), vid(40)];
+        for (algorithm, spec, golden) in GOLDEN {
+            let intervention: Intervention = spec.parse().unwrap();
+            for (arena, pool) in [("raw", &raw), ("compressed", &compressed)] {
+                for threads in [1, 2, 4] {
+                    let sel = solve_family(&g, pool, &seeds, 3, algorithm, intervention, threads);
+                    assert_eq!(
+                        fingerprint(&sel),
+                        golden,
+                        "{} {spec} {arena} threads={threads}",
+                        algorithm.name()
+                    );
+                }
+            }
+        }
+        let mut prebunked = vec![false; g.num_vertices()];
+        for v in [0, 1, 5, 9, 17, 33] {
+            prebunked[v] = true;
+        }
+        for pool in [&raw, &compressed] {
+            for threads in [1, 4] {
+                let est = pooled_prebunk_decrease(pool, &seeds, &prebunked, 0.2, threads).unwrap();
+                assert_eq!(estimate_digest(&est), DELTA_DIGEST, "threads={threads}");
+            }
+        }
+    }
+
+    /// GreedyReplace-flavoured edge rounds take a seed's out-edge while one
+    /// still earns credit, even when an edge deeper in the cascade detaches
+    /// more; AdvancedGreedy takes the deeper edge first.
+    #[test]
+    fn seed_first_edge_rounds_prefer_the_seed_edges() {
+        // 0 -> {1, 2} -> 3 -> 4 -> {5..=10}, all probability 1.
+        let mut edges = vec![
+            (vid(0), vid(1), 1.0),
+            (vid(0), vid(2), 1.0),
+            (vid(1), vid(3), 1.0),
+            (vid(2), vid(3), 1.0),
+            (vid(3), vid(4), 1.0),
+        ];
+        edges.extend((5..=10).map(|v| (vid(4), vid(v), 1.0)));
+        let g = DiGraph::from_edges(11, edges).unwrap();
+        let pool = SamplePool::build(&g, 8, 3).unwrap();
+        let ag = pooled_edge_greedy_in(&pool, &[vid(0)], 2, 1, false).unwrap();
+        assert_eq!(ag.blocked_edges, vec![(vid(3), vid(4)), (vid(0), vid(1))]);
+        assert_eq!(ag.estimated_spread, Some(3.0));
+        let gr = pooled_edge_greedy_in(&pool, &[vid(0)], 1, 1, true).unwrap();
+        assert_eq!(gr.blocked_edges, vec![(vid(0), vid(1))]);
+        assert_eq!(gr.estimated_spread, Some(10.0));
+        let gr = pooled_edge_greedy_in(&pool, &[vid(0)], 2, 1, true).unwrap();
+        assert_eq!(gr.blocked_edges, vec![(vid(0), vid(1)), (vid(0), vid(2))]);
+        assert_eq!(gr.estimated_spread, Some(1.0));
+    }
+
+    /// The containment gates of the three families, on one shared pool and
+    /// through the same AdvancedGreedy entry point: the blocked spread never
+    /// grows with the budget, never exceeds the unblocked baseline, and is
+    /// bit-identical at 1 and 4 threads.
+    #[test]
+    fn every_family_contains_monotonically_and_deterministically() {
+        let g = wc_pa(1_000, 20_230_227);
+        let pool = SamplePool::build_with_threads(&g, 200, 7, 2).unwrap();
+        let families = [
+            Intervention::BlockVertices,
+            Intervention::BlockEdges,
+            Intervention::Prebunk { alpha: 0.2 },
+        ];
+        for seeds in [[vid(3), vid(500)], [vid(17), vid(18)], [vid(250), vid(999)]] {
+            let advanced = AlgorithmKind::AdvancedGreedy;
+            let no_op = Intervention::Prebunk { alpha: 1.0 };
+            let base = solve_family(&g, &pool, &seeds, 1, advanced, no_op, 4)
+                .estimated_spread
+                .unwrap();
+            for intervention in families {
+                let mut prev = f64::INFINITY;
+                for budget in [1, 2, 4, 8] {
+                    let sel = solve_family(&g, &pool, &seeds, budget, advanced, intervention, 4);
+                    let again = solve_family(&g, &pool, &seeds, budget, advanced, intervention, 1);
+                    assert_eq!(fingerprint(&sel), fingerprint(&again), "{intervention}");
+                    let spread = sel.estimated_spread.unwrap();
+                    assert!(spread <= prev + 1e-9, "{intervention} b={budget}: grew");
+                    assert!(
+                        spread <= base + 1e-9,
+                        "{intervention} b={budget}: above base"
+                    );
+                    prev = spread;
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //!   blocked vertices, feeds the same Lengauer–Tarjan workspace the classic
 //!   path uses. A virtual root above the seeds plays the role of the
 //!   unified seed of §V without materialising a merged graph per query.
+//!   The same kernel, with another edge filter and credit sink, prices
+//!   edge blocking and prebunking ([`crate::intervene`]).
 //! * [`pooled_advanced_greedy_in`] / [`pooled_greedy_replace_in`] are
 //!   Algorithms 3 and 4 on top of a borrowed pool: per-query work is only
 //!   re-rooting + dominator trees, which is what makes a resident engine
@@ -61,6 +63,7 @@ use imin_graph::{DiGraph, VertexId, THRESHOLD_ALWAYS};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -677,17 +680,76 @@ impl RootedCascade {
     }
 }
 
+/// Live in-edges of each local vertex of a re-rooted cascade, recorded only
+/// by the edge-credit instantiation of the kernel: how many kept live edges
+/// enter it (the virtual-root edge counts for seeds, keeping them out of
+/// the sole-in-edge criterion) and the global id of the first one's source
+/// ([`VIRTUAL_ROOT`] for seeds).
+#[derive(Clone, Debug, Default)]
+struct InEdges {
+    count: Vec<u32>,
+    first_pred: Vec<u32>,
+}
+
+impl InEdges {
+    fn reset(&mut self) {
+        self.count.clear();
+        self.count.push(0);
+        self.first_pred.clear();
+        self.first_pred.push(VIRTUAL_ROOT);
+    }
+
+    /// Records the kept edge `pred → local`. Local ids are interned densely
+    /// in edge order, so a vertex is new exactly when its id is the next
+    /// free slot.
+    #[inline]
+    fn record(&mut self, local: u32, pred: u32) {
+        let local = local as usize;
+        if local == self.count.len() {
+            self.count.push(1);
+            self.first_pred.push(pred);
+        } else {
+            self.count[local] += 1;
+        }
+    }
+}
+
+/// Which stored live edges the re-rooted BFS keeps — the kernel's
+/// per-family input. Vertex blocking drops edges into blocked vertices,
+/// edge blocking drops deleted edges, and prebunking drops edges into
+/// prebunked vertices whose `α`-coin fails (see [`crate::intervene`]).
+/// Every filter is a pure function of its arguments, so answers stay
+/// bit-identical at any thread count.
+pub(crate) trait EdgeFilter: Sync {
+    /// Whether the live edge `u → t` of realisation `sample` survives.
+    fn keeps(&self, sample: usize, u: u32, t: u32) -> bool;
+}
+
+/// Vertex blocking: drops every edge into a blocked vertex.
+struct BlockedVertices<'a>(&'a [bool]);
+
+impl EdgeFilter for BlockedVertices<'_> {
+    #[inline]
+    fn keeps(&self, _sample: usize, _u: u32, t: u32) -> bool {
+        !self.0[t as usize]
+    }
+}
+
 /// Per-worker scratch for the pooled estimator: the re-rooted cascade
 /// buffers, the dominator-tree workspace and the integer accumulators.
 #[derive(Clone, Debug, Default)]
 struct PoolWorkerScratch {
     cascade: RootedCascade,
+    in_edges: InEdges,
     domtree: DomTreeWorkspace,
     sizes: Vec<u64>,
     /// Integer subtree-size sums per global vertex. `u64` addition is
     /// associative, so merging per-worker sums is order- and
     /// thread-count-independent — the determinism contract of the pool.
     delta_sum: Vec<u64>,
+    /// Integer subtree-size sums per sole live in-edge `(pred, v)`, filled
+    /// by the edge-credit instantiation instead of `delta_sum`.
+    edge_sum: HashMap<(u32, u32), u64>,
     reached_sum: u64,
     /// Nanoseconds spent in the decode / bfs / domtree / credit phases of
     /// the last `accumulate` call, estimated by profiling a prefix of the
@@ -796,10 +858,12 @@ impl PhaseSplit {
 }
 
 impl PoolWorkerScratch {
-    /// Re-roots every realisation in `range` at the seed set and
-    /// accumulates subtree sizes into `self.delta_sum`. Neighbour lists are
-    /// decoded through the pool's arena view — raw slices, varint streams
-    /// and bitset walks all feed the identical BFS, with zero steady-state
+    /// Re-roots every realisation in `range` at the seed set, keeping the
+    /// live edges `filter` lets through, and accumulates dominator-subtree
+    /// sizes: per vertex into `self.delta_sum`, or — with `EDGE_CREDIT` —
+    /// per sole live in-edge into `self.edge_sum`. Neighbour lists are read
+    /// straight from the pool's arena view — raw slices, varint streams and
+    /// bitset walks all feed the identical BFS, with zero steady-state
     /// allocation.
     ///
     /// When `timed` is set, per-phase wall-clock nanoseconds are estimated
@@ -812,44 +876,64 @@ impl PoolWorkerScratch {
     /// uninstrumented query pays nothing. Both variants run the identical
     /// accumulation logic, so answers are byte-identical with timing on
     /// and off.
-    fn accumulate(
+    fn accumulate<const EDGE_CREDIT: bool, F: EdgeFilter>(
         &mut self,
         pool: &SamplePool,
         seeds: &[u32],
         is_seed: &[bool],
-        blocked: &[bool],
+        filter: &F,
         range: Range<usize>,
         timed: bool,
     ) {
-        self.delta_sum.clear();
-        self.delta_sum.resize(pool.num_vertices, 0);
+        if EDGE_CREDIT {
+            self.edge_sum.clear();
+        } else {
+            self.delta_sum.clear();
+            self.delta_sum.resize(pool.num_vertices, 0);
+        }
         self.reached_sum = 0;
         self.phase_ns = [0; 4];
         if timed {
             let split = PhaseSplit::begin();
             let profile_end = range.end.min(range.start + PROFILE_SAMPLES);
-            self.accumulate_impl::<true>(pool, seeds, is_seed, blocked, range.start..profile_end);
-            self.accumulate_impl::<false>(pool, seeds, is_seed, blocked, profile_end..range.end);
+            self.accumulate_impl::<true, EDGE_CREDIT, F>(
+                pool,
+                seeds,
+                is_seed,
+                filter,
+                range.start..profile_end,
+            );
+            self.accumulate_impl::<false, EDGE_CREDIT, F>(
+                pool,
+                seeds,
+                is_seed,
+                filter,
+                profile_end..range.end,
+            );
             split.split(&mut self.phase_ns);
         } else {
-            self.accumulate_impl::<false>(pool, seeds, is_seed, blocked, range);
+            self.accumulate_impl::<false, EDGE_CREDIT, F>(pool, seeds, is_seed, filter, range);
         }
     }
 
-    fn accumulate_impl<const TIMED: bool>(
+    /// The one re-rooted BFS → dominator tree → credit kernel behind every
+    /// intervention family.
+    fn accumulate_impl<const TIMED: bool, const EDGE_CREDIT: bool, F: EdgeFilter>(
         &mut self,
         pool: &SamplePool,
         seeds: &[u32],
         is_seed: &[bool],
-        blocked: &[bool],
+        filter: &F,
         range: Range<usize>,
     ) {
         let n = pool.num_vertices;
         let PoolWorkerScratch {
             cascade,
+            in_edges,
             domtree,
             sizes,
             delta_sum,
+            edge_sum,
             reached_sum,
             phase_ns,
         } = self;
@@ -861,24 +945,34 @@ impl PoolWorkerScratch {
                 lap(&mut mark, &mut phase_ns[PN_DECODE]);
             }
             cascade.reset(n);
+            if EDGE_CREDIT {
+                in_edges.reset();
+            }
             // Virtual root → every seed (the unified-seed edges of §V, all
             // with probability 1, so no coins are involved).
             for &s in seeds {
                 let local = cascade.intern(s);
+                if EDGE_CREDIT {
+                    in_edges.record(local, VIRTUAL_ROOT);
+                }
                 cascade.targets.push(local);
             }
             cascade.offsets.push(cascade.targets.len() as u32);
-            // Multi-source BFS over the stored live edges; only blocked
-            // vertices are filtered — the coins were flipped at build time.
+            // Multi-source BFS over the stored live edges; only the
+            // intervention filters them — the coins were flipped at build
+            // time.
             let mut head = 1usize;
             while head < cascade.vertices.len() {
                 let u_global = cascade.vertices[head];
                 head += 1;
                 view.for_each_live(u_global, |t| {
-                    if blocked[t as usize] {
+                    if !filter.keeps(idx, u_global, t) {
                         return;
                     }
                     let t_local = cascade.intern(t);
+                    if EDGE_CREDIT {
+                        in_edges.record(t_local, u_global);
+                    }
                     cascade.targets.push(t_local);
                 });
                 cascade.offsets.push(cascade.targets.len() as u32);
@@ -904,11 +998,25 @@ impl PoolWorkerScratch {
                 lap(&mut mark, &mut phase_ns[PN_DOMTREE]);
             }
             tree.subtree_sizes_into(sizes);
-            for (&global, &size) in cascade.vertices[1..reached].iter().zip(&sizes[1..reached]) {
-                if is_seed[global as usize] {
-                    continue;
+            if EDGE_CREDIT {
+                // Exact marginal gain: if (pred, v) is v's only live
+                // in-edge, deleting it detaches exactly the vertices
+                // dominated by v. Seeds are excluded automatically — their
+                // sole in-edge is the virtual-root edge.
+                for (v, &size) in sizes.iter().enumerate().take(reached).skip(1) {
+                    let pred = in_edges.first_pred[v];
+                    if in_edges.count[v] == 1 && pred != VIRTUAL_ROOT {
+                        *edge_sum.entry((pred, cascade.vertices[v])).or_insert(0) += size;
+                    }
                 }
-                delta_sum[global as usize] += size;
+            } else {
+                for (&global, &size) in cascade.vertices[1..reached].iter().zip(&sizes[1..reached])
+                {
+                    if is_seed[global as usize] {
+                        continue;
+                    }
+                    delta_sum[global as usize] += size;
+                }
             }
             if TIMED {
                 lap(&mut mark, &mut phase_ns[PN_CREDIT]);
@@ -955,8 +1063,15 @@ impl PoolWorkspace {
     }
 
     /// Canonicalises (sorts, dedups, validates) the query seed set into the
-    /// workspace buffers.
-    fn stage_seeds(&mut self, n: usize, seeds: &[VertexId], blocked: &[bool]) -> Result<()> {
+    /// workspace buffers. A seed inside `blocked` is a
+    /// [`IminError::ForbiddenSeedOverlap`]; families that treat vertices
+    /// without removing them (edge blocking, prebunking) pass `None`.
+    pub(crate) fn stage_seeds(
+        &mut self,
+        n: usize,
+        seeds: &[VertexId],
+        blocked: Option<&[bool]>,
+    ) -> Result<()> {
         if seeds.is_empty() {
             return Err(IminError::EmptySeedSet);
         }
@@ -976,7 +1091,7 @@ impl PoolWorkspace {
                     num_vertices: n,
                 });
             }
-            if blocked[s.index()] {
+            if blocked.is_some_and(|blocked| blocked[s.index()]) {
                 return Err(IminError::ForbiddenSeedOverlap { vertex: s.index() });
             }
             self.seeds.push(s.raw());
@@ -988,6 +1103,138 @@ impl PoolWorkspace {
         }
         Ok(())
     }
+
+    /// Membership mask of the staged seed set.
+    pub(crate) fn is_seed(&self) -> &[bool] {
+        &self.is_seed
+    }
+
+    /// The merged per-edge credit of the last [`pooled_edge_credit_with`]
+    /// pass.
+    pub(crate) fn edge_credit(&self) -> &HashMap<(u32, u32), u64> {
+        &self.workers[0].edge_sum
+    }
+}
+
+/// Rejects a per-vertex mask whose length is not the pool's vertex count.
+pub(crate) fn check_mask_len(pool: &SamplePool, mask: &[bool]) -> Result<()> {
+    if mask.len() != pool.num_vertices() {
+        return Err(IminError::Diffusion(
+            imin_diffusion::DiffusionError::MaskLengthMismatch {
+                mask_len: mask.len(),
+                num_vertices: pool.num_vertices(),
+            },
+        ));
+    }
+    Ok(())
+}
+
+/// Runs the kernel over all θ realisations for the staged seed set,
+/// sharded across `threads` workers, and merges the per-worker integer
+/// sums into the first worker. `u64` addition is order-independent, so the
+/// merged sums are the same at every thread count. `finish` reads them
+/// inside the timed merge window; the phase laps of every worker land in
+/// the calling thread's span, if one is active.
+fn run_kernel<const EDGE_CREDIT: bool, F: EdgeFilter, R>(
+    pool: &SamplePool,
+    filter: &F,
+    threads: usize,
+    workspace: &mut PoolWorkspace,
+    finish: impl FnOnce(&PoolWorkerScratch) -> R,
+) -> R {
+    let theta = pool.theta();
+    let threads = threads.max(1).min(theta);
+    // Sampled on the calling thread: workers collect plain nanosecond
+    // slots, and only the caller's span (if any) aggregates them.
+    let timed = imin_obs::span::active();
+    let PoolWorkspace {
+        workers,
+        seeds: staged,
+        is_seed,
+    } = workspace;
+    if workers.len() < threads {
+        workers.resize_with(threads, PoolWorkerScratch::default);
+    }
+    let workers = &mut workers[..threads];
+    if threads <= 1 {
+        workers[0].accumulate::<EDGE_CREDIT, F>(pool, staged, is_seed, filter, 0..theta, timed);
+    } else {
+        crossbeam::scope(|scope| {
+            for (worker, range) in workers.iter_mut().zip(shard_ranges(theta, threads)) {
+                let (staged, is_seed) = (&*staged, &*is_seed);
+                scope.spawn(move |_| {
+                    worker.accumulate::<EDGE_CREDIT, F>(pool, staged, is_seed, filter, range, timed)
+                });
+            }
+        })
+        .expect("pooled-estimator worker panicked");
+    }
+    let merge_start = timed.then(Instant::now);
+    let (first, rest) = workers.split_at_mut(1);
+    let merged = &mut first[0];
+    for worker in rest.iter() {
+        merged.reached_sum += worker.reached_sum;
+        if EDGE_CREDIT {
+            for (&edge, &d) in &worker.edge_sum {
+                *merged.edge_sum.entry(edge).or_insert(0) += d;
+            }
+        } else {
+            for (acc, &d) in merged.delta_sum.iter_mut().zip(&worker.delta_sum) {
+                *acc += d;
+            }
+        }
+    }
+    let result = finish(merged);
+    if timed {
+        use imin_obs::{span, Phase};
+        for worker in workers.iter() {
+            span::add_ns(Phase::Decode, worker.phase_ns[PN_DECODE]);
+            span::add_ns(Phase::Bfs, worker.phase_ns[PN_BFS]);
+            span::add_ns(Phase::DomTree, worker.phase_ns[PN_DOMTREE]);
+            span::add_ns(Phase::Credit, worker.phase_ns[PN_CREDIT]);
+        }
+        if let Some(start) = merge_start {
+            // Merge + finalisation scale with n, like credit accumulation.
+            span::add_ns(Phase::Credit, start.elapsed().as_nanos() as u64);
+        }
+    }
+    result
+}
+
+/// Per-vertex credit pass for the seed set already staged in `workspace`:
+/// the pooled estimate of Algorithm 2 with `filter` applied to every
+/// realisation (blocked vertices for [`pooled_decrease_in`], the `α`-coins
+/// for prebunking).
+pub(crate) fn pooled_decrease_with<F: EdgeFilter>(
+    pool: &SamplePool,
+    filter: &F,
+    threads: usize,
+    workspace: &mut PoolWorkspace,
+) -> DecreaseEstimate {
+    let theta = pool.theta();
+    run_kernel::<false, F, _>(pool, filter, threads, workspace, |merged| {
+        let inv = 1.0 / theta as f64;
+        DecreaseEstimate {
+            delta: merged.delta_sum.iter().map(|&d| d as f64 * inv).collect(),
+            average_reached: merged.reached_sum as f64 * inv,
+            samples: theta,
+        }
+    })
+}
+
+/// Per-edge credit pass for the seed set already staged in `workspace`:
+/// every sole live in-edge `(pred, v)` earns `v`'s dominator-subtree size.
+/// Returns the reached count summed over the θ realisations; the merged
+/// credit is then [`PoolWorkspace::edge_credit`].
+pub(crate) fn pooled_edge_credit_with<F: EdgeFilter>(
+    pool: &SamplePool,
+    filter: &F,
+    threads: usize,
+    workspace: &mut PoolWorkspace,
+) -> u64 {
+    run_kernel::<true, F, _>(pool, filter, threads, workspace, |merged| {
+        merged.reached_sum
+    })
 }
 
 /// Algorithm 2 against a resident pool: estimates the spread decrease of
@@ -1011,74 +1258,14 @@ pub fn pooled_decrease_in(
     threads: usize,
     workspace: &mut PoolWorkspace,
 ) -> Result<DecreaseEstimate> {
-    let n = pool.num_vertices();
-    if blocked.len() != n {
-        return Err(IminError::Diffusion(
-            imin_diffusion::DiffusionError::MaskLengthMismatch {
-                mask_len: blocked.len(),
-                num_vertices: n,
-            },
-        ));
-    }
-    workspace.stage_seeds(n, seeds, blocked)?;
-    let theta = pool.theta();
-    let threads = threads.max(1).min(theta);
-    // Sampled on the calling thread: workers collect plain nanosecond
-    // slots, and only the caller's span (if any) aggregates them.
-    let timed = imin_obs::span::active();
-    let PoolWorkspace {
-        workers,
-        seeds: staged,
-        is_seed,
-    } = workspace;
-    if workers.len() < threads {
-        workers.resize_with(threads, PoolWorkerScratch::default);
-    }
-    let workers = &mut workers[..threads];
-    if threads <= 1 {
-        workers[0].accumulate(pool, staged, is_seed, blocked, 0..theta, timed);
-    } else {
-        crossbeam::scope(|scope| {
-            for (worker, range) in workers.iter_mut().zip(shard_ranges(theta, threads)) {
-                let (staged, is_seed) = (&*staged, &*is_seed);
-                scope.spawn(move |_| {
-                    worker.accumulate(pool, staged, is_seed, blocked, range, timed)
-                });
-            }
-        })
-        .expect("pooled-estimator worker panicked");
-    }
-    let merge_start = timed.then(Instant::now);
-    // Integer merge: order-independent, hence thread-count-independent.
-    let (first, rest) = workers.split_at_mut(1);
-    let delta_sum = &mut first[0].delta_sum;
-    let mut reached_total = first[0].reached_sum;
-    for worker in rest.iter() {
-        reached_total += worker.reached_sum;
-        for (acc, &d) in delta_sum.iter_mut().zip(&worker.delta_sum) {
-            *acc += d;
-        }
-    }
-    let inv = 1.0 / theta as f64;
-    let estimate = DecreaseEstimate {
-        delta: delta_sum.iter().map(|&d| d as f64 * inv).collect(),
-        average_reached: reached_total as f64 * inv,
-        samples: theta,
-    };
-    if timed {
-        use imin_obs::{span, Phase};
-        for worker in workers.iter() {
-            span::add_ns(Phase::Decode, worker.phase_ns[PN_DECODE]);
-            span::add_ns(Phase::Bfs, worker.phase_ns[PN_BFS]);
-            span::add_ns(Phase::DomTree, worker.phase_ns[PN_DOMTREE]);
-            span::add_ns(Phase::Credit, worker.phase_ns[PN_CREDIT]);
-        }
-        if let Some(start) = merge_start {
-            // Merge + finalisation scale with n, like credit accumulation.
-            span::add_ns(Phase::Credit, start.elapsed().as_nanos() as u64);
-        }
-    }
-    Ok(estimate)
+    check_mask_len(pool, blocked)?;
+    workspace.stage_seeds(pool.num_vertices(), seeds, Some(blocked))?;
+    Ok(pooled_decrease_with(
+        pool,
+        &BlockedVertices(blocked),
+        threads,
+        workspace,
+    ))
 }
 
 /// One-shot convenience over [`pooled_decrease_in`] with a fresh workspace.
@@ -1096,7 +1283,7 @@ pub fn pooled_decrease(
 
 /// `DecreaseEstimate::best_candidate` with the scan attributed to the
 /// `select` phase of the caller's span when `timed` is set.
-fn timed_best(
+pub(crate) fn timed_best(
     estimate: &DecreaseEstimate,
     timed: bool,
     pred: impl Fn(VertexId) -> bool,
@@ -1115,15 +1302,7 @@ fn validate_pooled_query(pool: &SamplePool, forbidden: &[bool], budget: usize) -
     if budget == 0 {
         return Err(IminError::ZeroBudget);
     }
-    if forbidden.len() != pool.num_vertices() {
-        return Err(IminError::Diffusion(
-            imin_diffusion::DiffusionError::MaskLengthMismatch {
-                mask_len: forbidden.len(),
-                num_vertices: pool.num_vertices(),
-            },
-        ));
-    }
-    Ok(())
+    check_mask_len(pool, forbidden)
 }
 
 /// AdvancedGreedy (Algorithm 3) against a borrowed resident pool.
@@ -1207,7 +1386,7 @@ pub fn pooled_greedy_replace_in(
 
     // Stage once to build the seed mask for candidate filtering; the
     // estimator re-stages per round (cheap — the buffers are reused).
-    workspace.stage_seeds(n, seeds, &blocked)?;
+    workspace.stage_seeds(n, seeds, Some(&blocked))?;
     let eligible = |v: VertexId, blocked: &[bool], is_seed: &[bool]| {
         !is_seed[v.index()] && !blocked[v.index()] && !forbidden[v.index()]
     };

@@ -1,18 +1,20 @@
 //! End-to-end observability checks:
 //!
-//! * **Byte identity** — blocker selections are identical with tracing on,
-//!   tracing off (`--no-obs`), and on a serial 1-thread engine, over both
-//!   raw and compressed arenas. Observability must never change an
-//!   answer.
+//! * **Byte identity** — blocker and edge selections of every
+//!   intervention family are identical with tracing on, tracing off
+//!   (`--no-obs`), and on a serial 1-thread engine, over both raw and
+//!   compressed arenas. Observability must never change an answer.
 //! * **Trace accounting** — on a single-query-thread engine, a traced
 //!   query's phase times sum to within 10% of its reported elapsed time
-//!   (wall clock == CPU time only when one thread computes).
+//!   for every intervention family (wall clock == CPU time only when one
+//!   thread computes).
 //! * **Wire format** — `QUERY … trace=1` replies carry `trace_id=`,
 //!   `disposition=` and all eight query-phase keys; `METRICS` over real
 //!   TCP parses as Prometheus exposition; a snapshot restore records the
 //!   snapshot phases; the access log emits one well-formed line per
 //!   request.
 
+use imin_core::Intervention;
 use imin_engine::{AccessLog, AlgorithmKind, Client, LogFormat, Query, Server, SharedEngine};
 use imin_graph::{generators, DiGraph, VertexId};
 use std::io::Write;
@@ -29,7 +31,7 @@ fn query(seed: usize, budget: usize) -> Query {
         seeds: vec![VertexId::new(seed)],
         budget,
         algorithm: AlgorithmKind::AdvancedGreedy,
-        intervention: imin_core::Intervention::BlockVertices,
+        intervention: Intervention::BlockVertices,
     }
 }
 
@@ -58,28 +60,51 @@ fn blocker_selections_are_byte_identical_with_observability_on_and_off() {
             on.compress_pool().unwrap();
             off.compress_pool().unwrap();
         }
-        for (seed, budget, algorithm) in [
-            (0, 3, AlgorithmKind::AdvancedGreedy),
-            (7, 2, AlgorithmKind::GreedyReplace),
-            (23, 4, AlgorithmKind::AdvancedGreedy),
+        let edge = Intervention::BlockEdges;
+        let prebunk = Intervention::Prebunk { alpha: 0.2 };
+        for (seed, budget, algorithm, intervention) in [
+            (
+                0,
+                3,
+                AlgorithmKind::AdvancedGreedy,
+                Intervention::BlockVertices,
+            ),
+            (
+                7,
+                2,
+                AlgorithmKind::GreedyReplace,
+                Intervention::BlockVertices,
+            ),
+            (
+                23,
+                4,
+                AlgorithmKind::AdvancedGreedy,
+                Intervention::BlockVertices,
+            ),
+            (0, 3, AlgorithmKind::AdvancedGreedy, edge),
+            (7, 2, AlgorithmKind::GreedyReplace, edge),
+            (0, 3, AlgorithmKind::AdvancedGreedy, prebunk),
+            (7, 2, AlgorithmKind::GreedyReplace, prebunk),
         ] {
             let q = Query {
                 seeds: vec![VertexId::new(seed)],
                 budget,
                 algorithm,
-                intervention: imin_core::Intervention::BlockVertices,
+                intervention,
             };
             let expect = serial.query(&q).unwrap();
             let traced = on.query(&q).unwrap();
             let untraced = off.query(&q).unwrap();
             assert_eq!(
                 traced.blockers, expect.blockers,
-                "{arena}: tracing must not change the answer"
+                "{arena} {intervention}: tracing must not change the answer"
             );
             assert_eq!(
                 untraced.blockers, expect.blockers,
-                "{arena}: --no-obs must not change the answer"
+                "{arena} {intervention}: --no-obs must not change the answer"
             );
+            assert_eq!(traced.blocked_edges, expect.blocked_edges);
+            assert_eq!(untraced.blocked_edges, expect.blocked_edges);
             assert_eq!(traced.estimated_spread, expect.estimated_spread);
             assert_eq!(untraced.estimated_spread, expect.estimated_spread);
         }
@@ -91,20 +116,32 @@ fn traced_phase_times_sum_close_to_the_reported_elapsed_time() {
     // One query thread: the phase laps accumulate on the same wall clock
     // the elapsed time is measured on, so the sum must track it closely.
     // A heavy query keeps the fixed per-query overhead (locking, reply
-    // formatting) far below the 10% band.
+    // formatting) far below the 10% band. Every intervention family runs
+    // the same phased estimator kernel, so the band holds for each.
     let engine = SharedEngine::new().with_threads(1).with_query_threads(1);
     engine.load_graph(wc_graph(2000, 17), "sum-check".into());
     engine.ensure_pool(1500, 5).unwrap();
 
-    let result = engine.query(&query(1, 4)).unwrap();
-    let phases = result.phases.expect("observability is on by default");
-    let total = phases.total_us() as f64;
-    let elapsed = result.elapsed.as_micros() as f64;
-    assert!(
-        total >= 0.9 * elapsed && total <= 1.1 * elapsed,
-        "phase sum {total}µs must be within 10% of elapsed {elapsed}µs"
-    );
-    assert!(result.trace_id > 0, "computed queries get a trace id");
+    for intervention in [
+        Intervention::BlockVertices,
+        Intervention::BlockEdges,
+        Intervention::Prebunk { alpha: 0.2 },
+    ] {
+        let result = engine
+            .query(&Query {
+                intervention,
+                ..query(1, 4)
+            })
+            .unwrap();
+        let phases = result.phases.expect("observability is on by default");
+        let total = phases.total_us() as f64;
+        let elapsed = result.elapsed.as_micros() as f64;
+        assert!(
+            total >= 0.9 * elapsed && total <= 1.1 * elapsed,
+            "{intervention}: phase sum {total}µs must be within 10% of elapsed {elapsed}µs"
+        );
+        assert!(result.trace_id > 0, "computed queries get a trace id");
+    }
 }
 
 #[test]
@@ -192,7 +229,7 @@ fn sketch_queries_record_their_phases_without_a_registry_restart() {
             seeds: vec![VertexId::new(1)],
             budget: 3,
             algorithm: AlgorithmKind::RisGreedy,
-            intervention: imin_core::Intervention::BlockVertices,
+            intervention: Intervention::BlockVertices,
         })
         .unwrap();
     let phases = result.phases.expect("observability is on by default");
