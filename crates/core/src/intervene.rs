@@ -500,8 +500,12 @@ pub(crate) fn solve_pooled_intervention(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decrease::{decrease_es_multi_in, DecreaseConfig, DecreaseWorkspace};
     use crate::pool::pooled_decrease;
-    use crate::AlgorithmKind;
+    use crate::sampler::IcLiveEdgeSampler;
+    use crate::triggering::{advanced_greedy_triggering, greedy_replace_triggering};
+    use crate::{AlgorithmConfig, AlgorithmKind};
+    use imin_diffusion::triggering::LtTriggering;
     use imin_graph::{generators, DiGraph};
 
     fn vid(i: usize) -> VertexId {
@@ -788,6 +792,145 @@ mod tests {
                 assert_eq!(estimate_digest(&est), DELTA_DIGEST, "threads={threads}");
             }
         }
+    }
+
+    /// Parity gate for every vertex-blocking greedy and the Fresh
+    /// estimator, on the graph of the family gate with vertex 4 forbidden:
+    /// Fresh AG/GR through the solver (IC, 1 and 3 seeds) and the
+    /// triggering shims (LT, 1 seed), one golden per thread count because
+    /// a Fresh run splits its RNG stream by worker; pooled AG/GR (1 and 2
+    /// seeds), checked on both arenas at 1, 2 and 4 threads; and digests
+    /// of Fresh multi-seed estimates. The values were recorded before the
+    /// greedy loops shared one driver and the Fresh path the pooled kernel.
+    #[test]
+    fn vertex_selections_match_their_golden_values() {
+        const GOLDEN: [&str; 22] = [
+            "fresh advanced seeds=1 threads=1 blockers=[1, 6, 7] edges=[] spread=0x403c4b0000000000 rounds=3 samples=768",
+            "fresh advanced seeds=3 threads=1 blockers=[1, 0, 7] edges=[] spread=0x4042138000000000 rounds=3 samples=768",
+            "fresh replace seeds=1 threads=1 blockers=[0, 1, 6] edges=[] spread=0x4040550000000000 rounds=5 samples=1280",
+            "fresh replace seeds=3 threads=1 blockers=[0, 1, 29] edges=[] spread=0x4043a60000000000 rounds=5 samples=1280",
+            "lt AG threads=1 blockers=[29, 1, 9] edges=[] spread=0x4040a60000000000 rounds=3 samples=768",
+            "lt GR threads=1 blockers=[0, 7, 1] edges=[] spread=0x40406c8000000000 rounds=4 samples=1024",
+            "fresh advanced seeds=1 threads=2 blockers=[0, 1, 7] edges=[] spread=0x403de60000000000 rounds=3 samples=768",
+            "fresh advanced seeds=3 threads=2 blockers=[0, 7, 14] edges=[] spread=0x4042910000000000 rounds=3 samples=768",
+            "fresh replace seeds=1 threads=2 blockers=[1, 251, 14] edges=[] spread=0x403e250000000000 rounds=6 samples=1536",
+            "fresh replace seeds=3 threads=2 blockers=[1, 0, 22] edges=[] spread=0x40422e8000000000 rounds=5 samples=1280",
+            "lt AG threads=2 blockers=[0, 6, 1] edges=[] spread=0x4040920000000000 rounds=3 samples=768",
+            "lt GR threads=2 blockers=[0, 6, 44] edges=[] spread=0x403fbc0000000000 rounds=5 samples=1280",
+            "fresh advanced seeds=1 threads=4 blockers=[0, 1, 6] edges=[] spread=0x403e590000000000 rounds=3 samples=768",
+            "fresh advanced seeds=3 threads=4 blockers=[0, 8, 29] edges=[] spread=0x4042970000000000 rounds=3 samples=768",
+            "fresh replace seeds=1 threads=4 blockers=[0, 1, 40] edges=[] spread=0x403ce70000000000 rounds=6 samples=1536",
+            "fresh replace seeds=3 threads=4 blockers=[0, 1, 6] edges=[] spread=0x4041958000000000 rounds=6 samples=1536",
+            "lt AG threads=4 blockers=[0, 1, 6] edges=[] spread=0x4040b80000000000 rounds=3 samples=768",
+            "lt GR threads=4 blockers=[0, 14, 1] edges=[] spread=0x4040cd0000000000 rounds=5 samples=1280",
+            "pooled advanced seeds=1 blockers=[0, 1, 14] edges=[] spread=0x403c290000000000 rounds=3 samples=768",
+            "pooled advanced seeds=2 blockers=[0, 14, 1] edges=[] spread=0x4040a88000000000 rounds=3 samples=768",
+            "pooled replace seeds=1 blockers=[0, 1, 14] edges=[] spread=0x403c290000000000 rounds=4 samples=1024",
+            "pooled replace seeds=2 blockers=[0, 14, 1] edges=[] spread=0x4040a88000000000 rounds=4 samples=1024",
+        ];
+        const DIGESTS: [u64; 4] = [
+            0xea22_6b19_be51_9e1f,
+            0x1e6b_61d1_af70_b7b7,
+            0x7064_c40a_71f4_a4d7,
+            0x2a89_fa4d_47b6_cb83,
+        ];
+        let g = wc_pa(600, 23);
+        let raw = SamplePool::build_with_threads(&g, 256, 91, 2).unwrap();
+        let compressed = raw.compress(&g, 2).unwrap();
+        let mut forbidden = vec![false; g.num_vertices()];
+        forbidden[4] = true;
+        let (one, two, three) = (
+            &[vid(2)][..],
+            &[vid(2), vid(40)][..],
+            &[vid(2), vid(40), vid(77)][..],
+        );
+        let solve =
+            |algorithm: AlgorithmKind, seeds: &[VertexId], pool: Option<&SamplePool>, threads| {
+                let builder = ContainmentRequest::builder(&g)
+                    .seeds(seeds.iter().copied())
+                    .budget(3);
+                let builder = builder.forbid_mask(forbidden.clone());
+                let request = match pool {
+                    Some(pool) => builder.pooled_with_threads(pool, threads),
+                    None => builder.fresh(256, 0x5EED, threads),
+                };
+                fingerprint(
+                    &algorithm
+                        .solver()
+                        .solve(&g, &request.build().unwrap())
+                        .unwrap(),
+                )
+            };
+        let label = |algorithm: AlgorithmKind, seeds: &[VertexId]| {
+            format!("{} seeds={}", algorithm.name(), seeds.len())
+        };
+        let greedies = [AlgorithmKind::AdvancedGreedy, AlgorithmKind::GreedyReplace];
+        type Shim = fn(
+            &LtTriggering,
+            &DiGraph,
+            VertexId,
+            &[bool],
+            usize,
+            &AlgorithmConfig,
+        ) -> Result<BlockerSelection>;
+        let lt_shims: [(&str, Shim); 2] = [
+            ("AG", advanced_greedy_triggering),
+            ("GR", greedy_replace_triggering),
+        ];
+        let mut actual = Vec::new();
+        for threads in [1, 2, 4] {
+            for algorithm in greedies {
+                for seeds in [one, three] {
+                    let fresh = solve(algorithm, seeds, None, threads);
+                    actual.push(format!(
+                        "fresh {} threads={threads} {fresh}",
+                        label(algorithm, seeds)
+                    ));
+                }
+            }
+            let config = AlgorithmConfig::fast_for_tests()
+                .with_theta(256)
+                .with_threads(threads);
+            for (name, shim) in lt_shims {
+                let sel = shim(&LtTriggering, &g, vid(2), &forbidden, 3, &config).unwrap();
+                actual.push(format!("lt {name} threads={threads} {}", fingerprint(&sel)));
+            }
+        }
+        for algorithm in greedies {
+            for seeds in [one, two] {
+                let reference = solve(algorithm, seeds, Some(&raw), 1);
+                for pool in [&raw, &compressed] {
+                    for threads in [1, 2, 4] {
+                        assert_eq!(solve(algorithm, seeds, Some(pool), threads), reference);
+                    }
+                }
+                actual.push(format!("pooled {} {reference}", label(algorithm, seeds)));
+            }
+        }
+        for (line, golden) in actual.iter().zip(GOLDEN) {
+            assert_eq!(line, golden);
+        }
+        let mut digests = Vec::new();
+        for seeds in [one, three] {
+            for threads in [1, 3] {
+                let config = DecreaseConfig {
+                    theta: 256,
+                    threads,
+                    seed: 0x5EED,
+                };
+                let mut ws = DecreaseWorkspace::new();
+                let est = decrease_es_multi_in(
+                    &IcLiveEdgeSampler,
+                    &g,
+                    seeds,
+                    &forbidden,
+                    &config,
+                    &mut ws,
+                );
+                digests.push(estimate_digest(&est.unwrap()));
+            }
+        }
+        assert_eq!(digests, DIGESTS);
     }
 
     /// GreedyReplace-flavoured edge rounds take a seed's out-edge while one
