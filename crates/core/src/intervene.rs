@@ -7,9 +7,11 @@
 //! * **Edge blocking** (Zehmakan & Maurya, arXiv 2308.08860): remove `k`
 //!   edges instead of vertices. In a stored realisation a removed edge is a
 //!   targeted live-edge deletion — and when the deleted edge `(u, v)` is
-//!   the *only* live in-edge of `v` among the reached region, deleting it
-//!   detaches exactly the vertices dominated by `v`, so the dominator-tree
-//!   subtree size prices the edge **exactly** per realisation.
+//!   the only live edge into `v` from outside `v`'s dominator subtree,
+//!   deleting it detaches exactly the vertices dominated by `v` (the other
+//!   in-edges come from vertices reachable only through `v`), so the
+//!   dominator-tree subtree size prices the edge **exactly** per
+//!   realisation.
 //! * **Prebunking** (Furutani et al., arXiv 2508.01124): a prebunked
 //!   vertex keeps transmitting, but *accepts* each incoming activation
 //!   only with probability `α`. Under the integer coin-threshold
@@ -249,7 +251,7 @@ pub fn pooled_prebunk_decrease(
 }
 
 /// Greedy edge blocking against a borrowed resident pool: every round
-/// prices all live edges by the sole-in-edge dominator credit, deletes the
+/// prices all live edges by their exact dominator credit, deletes the
 /// best one from every realisation, and re-evaluates — so the reported
 /// `estimated_spread` is exact with respect to the pool, not an
 /// accumulation of stale estimates.
@@ -718,14 +720,17 @@ mod tests {
     /// these pinned selections, spreads and round counts on raw and
     /// compressed arenas at 1, 2 and 4 threads, and one prebunk delta
     /// vector must keep its digest. The values were recorded from the
-    /// estimator that decoded whole realisations before its BFS.
+    /// estimator that decoded whole realisations before its BFS; the two
+    /// edge rows were re-recorded once, when the edge credit stopped
+    /// ignoring in-edges from the target's own dominator subtree (see
+    /// `credits_equal_brute_force_deletion_gains`).
     #[test]
     fn family_selections_match_their_golden_values() {
         const GOLDEN: [(AlgorithmKind, &str, &str); 8] = [
             (
                 AlgorithmKind::AdvancedGreedy,
                 "edge",
-                "blockers=[] edges=[(2, 43), (40, 250), (2, 38)] spread=0x4042590000000000 rounds=3 samples=768",
+                "blockers=[] edges=[(2, 38), (2, 257), (2, 43)] spread=0x4041ed0000000000 rounds=3 samples=768",
             ),
             (
                 AlgorithmKind::AdvancedGreedy,
@@ -745,7 +750,7 @@ mod tests {
             (
                 AlgorithmKind::GreedyReplace,
                 "edge",
-                "blockers=[] edges=[(2, 43), (40, 250), (2, 38)] spread=0x4042590000000000 rounds=3 samples=768",
+                "blockers=[] edges=[(2, 38), (2, 257), (2, 43)] spread=0x4041ed0000000000 rounds=3 samples=768",
             ),
             (
                 AlgorithmKind::GreedyReplace,
@@ -958,6 +963,84 @@ mod tests {
         let gr = pooled_edge_greedy_in(&pool, &[vid(0)], 2, 1, true).unwrap();
         assert_eq!(gr.blocked_edges, vec![(vid(0), vid(1)), (vid(0), vid(2))]);
         assert_eq!(gr.estimated_spread, Some(1.0));
+    }
+
+    /// Reached count of realisation 0 of `pool` from `seeds` with vertex
+    /// `blocked` and edge `cut` removed, and the live edges the BFS kept.
+    fn brute_force_reach(
+        pool: &SamplePool,
+        seeds: &[VertexId],
+        blocked: Option<u32>,
+        cut: Option<(u32, u32)>,
+    ) -> (u64, Vec<(u32, u32)>) {
+        let (offsets, targets) = pool.sample_csr(0);
+        let mut seen = vec![false; pool.num_vertices()];
+        let mut queue: Vec<u32> = seeds.iter().map(|s| s.raw()).collect();
+        queue.iter().for_each(|&s| seen[s as usize] = true);
+        let mut kept = Vec::new();
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            for &t in &targets[offsets[u as usize] as usize..offsets[u as usize + 1] as usize] {
+                if blocked != Some(t) && cut != Some((u, t)) {
+                    kept.push((u, t));
+                    if !std::mem::replace(&mut seen[t as usize], true) {
+                        queue.push(t);
+                    }
+                }
+            }
+        }
+        (queue.len() as u64, kept)
+    }
+
+    /// The exact rung of the estimator checks, one realisation per pool
+    /// (θ = 1) so every credit is an integer: a vertex's credit is the drop
+    /// in reached count when it is blocked (Theorem 6), an edge's credit the
+    /// drop when it is deleted, and prebunking at α = 0 is vertex blocking
+    /// bit for bit — by brute force on a back-edge cycle and on a
+    /// bidirectional WC graph, where deleting an edge into a cycle detaches
+    /// the cycle even though the edge is not its target's only live in-edge.
+    #[test]
+    fn credits_equal_brute_force_deletion_gains() {
+        let cycle = [(0, 1), (1, 2), (2, 1), (0, 3)].map(|(u, v)| (vid(u), vid(v), 1.0));
+        let cycle = DiGraph::from_edges(4, cycle.to_vec()).unwrap();
+        for (g, seeds) in [(cycle, vec![vid(0)]), (wc_pa(60, 3), vec![vid(0), vid(7)])] {
+            let n = g.num_vertices();
+            let treated: Vec<bool> = (0..n)
+                .map(|v| v % 3 == 1 && !seeds.contains(&vid(v)))
+                .collect();
+            for pool_seed in 0..8 {
+                let pool = SamplePool::build(&g, 1, pool_seed).unwrap();
+                let (base, live) = brute_force_reach(&pool, &seeds, None, None);
+                let est = pooled_decrease(&pool, &seeds, &vec![false; n], 1).unwrap();
+                for v in (0..n).filter(|&v| !seeds.contains(&vid(v))) {
+                    let gain = base - brute_force_reach(&pool, &seeds, Some(v as u32), None).0;
+                    assert_eq!(
+                        est.delta[v], gain as f64,
+                        "pool seed {pool_seed}: vertex {v}"
+                    );
+                }
+                let credit = with_pool_workspace(|ws| {
+                    ws.stage_seeds(n, &seeds, None).unwrap();
+                    let none = HashSet::new();
+                    let deleted_src = vec![false; n];
+                    let filter = DeletedEdges {
+                        deleted: &none,
+                        deleted_src: &deleted_src,
+                    };
+                    pooled_edge_credit_with(&pool, &filter, 1, ws);
+                    ws.edge_credit().clone()
+                });
+                for (u, v) in live {
+                    let gain = base - brute_force_reach(&pool, &seeds, None, Some((u, v))).0;
+                    let got = credit.get(&(u, v)).copied().unwrap_or(0);
+                    assert_eq!(got, gain, "pool seed {pool_seed}: edge ({u}, {v})");
+                }
+                let prebunk = pooled_prebunk_decrease(&pool, &seeds, &treated, 0.0, 1).unwrap();
+                let blocked = pooled_decrease(&pool, &seeds, &treated, 1).unwrap();
+                assert_eq!(estimate_digest(&prebunk), estimate_digest(&blocked));
+            }
+        }
     }
 
     /// The containment gates of the three families, on one shared pool and

@@ -59,7 +59,7 @@
 //! generalised [`Intervention`] ([`intervene`]): `BlockVertices` (the
 //! default — requests are byte-identical to before the field existed),
 //! `BlockEdges` (spend the budget deleting live edges, exact
-//! single-feeder dominator credit per pooled realisation), and
+//! dominator-subtree credit per pooled realisation), and
 //! `Prebunk { alpha }` (rescale the chosen vertices' acceptance
 //! probability by `alpha ∈ [0, 1]` via deterministic coin-threshold
 //! thinning — `alpha = 0.0` coincides with vertex blocking and

@@ -58,7 +58,7 @@ use crate::snapshot::SnapshotError;
 use crate::types::{BlockerSelection, SelectionStats};
 use crate::{IminError, Result};
 use imin_diffusion::live_edge::indexed_sample_seed;
-use imin_domtree::DomTreeWorkspace;
+use imin_domtree::{DomTree, DomTreeWorkspace};
 use imin_graph::{DiGraph, VertexId, THRESHOLD_ALWAYS};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
@@ -680,36 +680,65 @@ impl RootedCascade {
     }
 }
 
-/// Live in-edges of each local vertex of a re-rooted cascade, recorded only
-/// by the edge-credit instantiation of the kernel: how many kept live edges
-/// enter it (the virtual-root edge counts for seeds, keeping them out of
-/// the sole-in-edge criterion) and the global id of the first one's source
-/// ([`VIRTUAL_ROOT`] for seeds).
+/// Per-worker scratch of the edge credit. Deleting the kept edge `(u, v)`
+/// detaches exactly `v`'s dominator subtree when every other kept edge
+/// into `v` comes from inside that subtree — from a vertex only reachable
+/// through `v` — so only in-edges from outside the subtree count. A
+/// preorder numbering of the dominator tree makes that test O(1): `x` is
+/// in `v`'s subtree iff `pre[v] <= pre[x] < pre[v] + size[v]`.
 #[derive(Clone, Debug, Default)]
-struct InEdges {
+struct EdgeCredit {
+    /// Dominator-tree preorder index of every local vertex.
+    pre: Vec<u32>,
+    /// Next free preorder index below each local vertex, then the number
+    /// of its kept in-edges from outside its subtree.
     count: Vec<u32>,
-    first_pred: Vec<u32>,
+    /// Source of the last such in-edge.
+    pred: Vec<u32>,
 }
 
-impl InEdges {
-    fn reset(&mut self) {
-        self.count.clear();
-        self.count.push(0);
-        self.first_pred.clear();
-        self.first_pred.push(VIRTUAL_ROOT);
-    }
-
-    /// Records the kept edge `pred → local`. Local ids are interned densely
-    /// in edge order, so a vertex is new exactly when its id is the next
-    /// free slot.
-    #[inline]
-    fn record(&mut self, local: u32, pred: u32) {
-        let local = local as usize;
-        if local == self.count.len() {
-            self.count.push(1);
-            self.first_pred.push(pred);
-        } else {
-            self.count[local] += 1;
+impl EdgeCredit {
+    /// Credits every kept edge that is the only one entering its target
+    /// from outside the target's dominator subtree with that subtree's
+    /// size. The virtual root's edges name no graph edge and earn nothing.
+    fn accumulate(
+        &mut self,
+        tree: &DomTree,
+        sizes: &[u64],
+        cascade: &RootedCascade,
+        edge_sum: &mut HashMap<(u32, u32), u64>,
+    ) {
+        let reached = cascade.vertices.len();
+        let EdgeCredit { pre, count, pred } = self;
+        pre.clear();
+        pre.resize(reached, 0);
+        count.clear();
+        count.resize(reached, 1);
+        pred.resize(reached, 0);
+        // Parents precede children in the tree's preorder, so each child
+        // takes the next free block of its parent's interval.
+        let idom = tree.idom_raw();
+        for v in tree.preorder().skip(1).map(VertexId::index) {
+            let parent = idom[v] as usize;
+            pre[v] = count[parent];
+            count[parent] += sizes[v] as u32;
+            count[v] = pre[v] + 1;
+        }
+        count.fill(0);
+        for (u, window) in cascade.offsets.windows(2).enumerate() {
+            for &v in &cascade.targets[window[0] as usize..window[1] as usize] {
+                let v = v as usize;
+                if pre[u].wrapping_sub(pre[v]) >= sizes[v] as u32 {
+                    count[v] += 1;
+                    pred[v] = u as u32;
+                }
+            }
+        }
+        for v in 1..reached {
+            if count[v] == 1 && pred[v] != 0 {
+                let edge = (cascade.vertices[pred[v] as usize], cascade.vertices[v]);
+                *edge_sum.entry(edge).or_insert(0) += sizes[v];
+            }
         }
     }
 }
@@ -740,15 +769,15 @@ impl EdgeFilter for BlockedVertices<'_> {
 #[derive(Clone, Debug, Default)]
 struct PoolWorkerScratch {
     cascade: RootedCascade,
-    in_edges: InEdges,
+    edge_credit: EdgeCredit,
     domtree: DomTreeWorkspace,
     sizes: Vec<u64>,
     /// Integer subtree-size sums per global vertex. `u64` addition is
     /// associative, so merging per-worker sums is order- and
     /// thread-count-independent — the determinism contract of the pool.
     delta_sum: Vec<u64>,
-    /// Integer subtree-size sums per sole live in-edge `(pred, v)`, filled
-    /// by the edge-credit instantiation instead of `delta_sum`.
+    /// Integer subtree-size sums per live edge `(pred, v)`, filled by the
+    /// edge-credit instantiation instead of `delta_sum`.
     edge_sum: HashMap<(u32, u32), u64>,
     reached_sum: u64,
     /// Nanoseconds spent in the decode / bfs / domtree / credit phases of
@@ -861,7 +890,7 @@ impl PoolWorkerScratch {
     /// Re-roots every realisation in `range` at the seed set, keeping the
     /// live edges `filter` lets through, and accumulates dominator-subtree
     /// sizes: per vertex into `self.delta_sum`, or — with `EDGE_CREDIT` —
-    /// per sole live in-edge into `self.edge_sum`. Neighbour lists are read
+    /// per live edge into `self.edge_sum` (see [`EdgeCredit`]). Neighbour lists are read
     /// straight from the pool's arena view — raw slices, varint streams and
     /// bitset walks all feed the identical BFS, with zero steady-state
     /// allocation.
@@ -929,7 +958,7 @@ impl PoolWorkerScratch {
         let n = pool.num_vertices;
         let PoolWorkerScratch {
             cascade,
-            in_edges,
+            edge_credit,
             domtree,
             sizes,
             delta_sum,
@@ -945,16 +974,10 @@ impl PoolWorkerScratch {
                 lap(&mut mark, &mut phase_ns[PN_DECODE]);
             }
             cascade.reset(n);
-            if EDGE_CREDIT {
-                in_edges.reset();
-            }
             // Virtual root → every seed (the unified-seed edges of §V, all
             // with probability 1, so no coins are involved).
             for &s in seeds {
                 let local = cascade.intern(s);
-                if EDGE_CREDIT {
-                    in_edges.record(local, VIRTUAL_ROOT);
-                }
                 cascade.targets.push(local);
             }
             cascade.offsets.push(cascade.targets.len() as u32);
@@ -970,9 +993,6 @@ impl PoolWorkerScratch {
                         return;
                     }
                     let t_local = cascade.intern(t);
-                    if EDGE_CREDIT {
-                        in_edges.record(t_local, u_global);
-                    }
                     cascade.targets.push(t_local);
                 });
                 cascade.offsets.push(cascade.targets.len() as u32);
@@ -999,16 +1019,7 @@ impl PoolWorkerScratch {
             }
             tree.subtree_sizes_into(sizes);
             if EDGE_CREDIT {
-                // Exact marginal gain: if (pred, v) is v's only live
-                // in-edge, deleting it detaches exactly the vertices
-                // dominated by v. Seeds are excluded automatically — their
-                // sole in-edge is the virtual-root edge.
-                for (v, &size) in sizes.iter().enumerate().take(reached).skip(1) {
-                    let pred = in_edges.first_pred[v];
-                    if in_edges.count[v] == 1 && pred != VIRTUAL_ROOT {
-                        *edge_sum.entry((pred, cascade.vertices[v])).or_insert(0) += size;
-                    }
-                }
+                edge_credit.accumulate(tree, sizes, cascade, edge_sum);
             } else {
                 for (&global, &size) in cascade.vertices[1..reached].iter().zip(&sizes[1..reached])
                 {
@@ -1223,7 +1234,8 @@ pub(crate) fn pooled_decrease_with<F: EdgeFilter>(
 }
 
 /// Per-edge credit pass for the seed set already staged in `workspace`:
-/// every sole live in-edge `(pred, v)` earns `v`'s dominator-subtree size.
+/// every live edge `(pred, v)` whose deletion detaches `v` earns `v`'s
+/// dominator-subtree size (see [`EdgeCredit`]).
 /// Returns the reached count summed over the θ realisations; the merged
 /// credit is then [`PoolWorkspace::edge_credit`].
 pub(crate) fn pooled_edge_credit_with<F: EdgeFilter>(
