@@ -9,6 +9,10 @@
 //! changing the greedy choices in expectation (§V-C, "Comparison with
 //! Baseline").
 //!
+//! The rounds themselves run in the crate's one greedy driver (`greedy.rs`),
+//! shared with GreedyReplace and the other intervention families; this
+//! module supplies the solver and its entry points.
+//!
 //! The preferred entry point is the [`AdvancedGreedy`] solver behind a
 //! [`crate::ContainmentRequest`]: one call shape for any seed-set size and
 //! either evaluation backend (`Fresh` self-sampling per round, or `Pooled`
@@ -16,12 +20,12 @@
 //! thin shims kept for source compatibility and are parity-tested
 //! byte-identical to the solver.
 
-use crate::decrease::{decrease_es_multi_in, DecreaseConfig, DecreaseWorkspace};
-use crate::pool::{pooled_advanced_greedy_in, with_pool_workspace, PoolWorkspace, SamplePool};
-use crate::request::{shim_request_from_config, ContainmentRequest, EvalBackend};
+use crate::greedy::{self, Plan, SeedSchedule, VertexPricer};
+use crate::pool::{pooled_advanced_greedy_in, PoolWorkspace, SamplePool};
+use crate::request::{shim_request_from_config, ContainmentRequest};
 use crate::sampler::{IcLiveEdgeSampler, SpreadSampler};
 use crate::solver::{AlgorithmKind, BlockerSolver};
-use crate::types::{AlgorithmConfig, BlockerSelection, SelectionStats};
+use crate::types::{AlgorithmConfig, BlockerSelection};
 use crate::Result;
 use imin_graph::{DiGraph, VertexId};
 use std::time::Instant;
@@ -40,42 +44,13 @@ impl BlockerSolver for AdvancedGreedy {
     }
 
     fn solve(&self, graph: &DiGraph, request: &ContainmentRequest<'_>) -> Result<BlockerSelection> {
-        request.ensure_graph(graph)?;
-        if !matches!(request.intervention(), crate::Intervention::BlockVertices) {
-            // Edge blocking and prebunking run on the pooled dominator-tree
-            // machinery; the plain-greedy flavour takes no replacement pass.
-            return crate::intervene::solve_pooled_intervention(self.kind().name(), request, false);
-        }
-        match *request.backend() {
-            EvalBackend::Fresh {
-                theta,
-                seed,
-                threads,
-            } => {
-                fresh_advanced_greedy_with(&IcLiveEdgeSampler, graph, request, theta, seed, threads)
-            }
-            EvalBackend::Pooled { pool, threads } => with_pool_workspace(|workspace| {
-                pooled_advanced_greedy_in(
-                    pool,
-                    request.seeds(),
-                    request.forbidden().mask(),
-                    request.budget(),
-                    threads,
-                    workspace,
-                )
-            }),
-            ref other => Err(crate::IminError::BackendUnsupported {
-                algorithm: self.kind().name(),
-                backend: other.label(),
-            }),
-        }
+        greedy::solve(self.kind(), graph, request)
     }
 }
 
-/// The `Fresh`-backend greedy loop, generic over the sample source (IC or
-/// triggering, §V-E) and over the seed-set size: every round prices
-/// candidates with [`decrease_es_multi_in`], which takes the historical
-/// single-source path for one seed and virtual-root re-rooting for several.
+/// The `Fresh` backend of [`AdvancedGreedy`], generic over the sample
+/// source (IC or triggering, §V-E) and the seed-set size: the greedy
+/// driver over fresh samples, round `k` drawn from `seed + k`.
 pub(crate) fn fresh_advanced_greedy_with<S: SpreadSampler + ?Sized>(
     sampler: &S,
     graph: &DiGraph,
@@ -85,54 +60,10 @@ pub(crate) fn fresh_advanced_greedy_with<S: SpreadSampler + ?Sized>(
     threads: usize,
 ) -> Result<BlockerSelection> {
     let start = Instant::now();
-    let n = graph.num_vertices();
-    let budget = request.budget();
-    let mut blocked = vec![false; n];
-    let mut blockers = Vec::with_capacity(budget);
-    let mut stats = SelectionStats::default();
-    let mut estimated_spread = None;
-    // One workspace for the whole run: every round's `budget × θ` sampling
-    // loop reuses the same per-thread sample arenas and dominator-tree
-    // scratch, so steady-state rounds never touch the allocator.
-    let mut workspace = DecreaseWorkspace::new();
-
-    for round in 0..budget {
-        let decrease_cfg = DecreaseConfig {
-            theta,
-            threads,
-            // A fresh sample pool per round (deterministically derived).
-            seed: seed.wrapping_add(round as u64),
-        };
-        let estimate = decrease_es_multi_in(
-            sampler,
-            graph,
-            request.seeds(),
-            &blocked,
-            &decrease_cfg,
-            &mut workspace,
-        )?;
-        stats.samples_drawn += estimate.samples;
-
-        let chosen = estimate.best_candidate(|v| !blocked[v.index()] && request.is_candidate(v));
-        let Some(chosen) = chosen else {
-            estimated_spread = Some(estimate.average_reached);
-            break;
-        };
-        // Spread after this block ≈ spread before it minus the estimated
-        // decrease of the chosen vertex (both from the same sample pool).
-        estimated_spread = Some(estimate.average_reached - estimate.delta[chosen.index()]);
-        blocked[chosen.index()] = true;
-        blockers.push(chosen);
-        stats.rounds = round + 1;
-    }
-
-    stats.elapsed = start.elapsed();
-    Ok(BlockerSelection {
-        blockers,
-        estimated_spread,
-        blocked_edges: Vec::new(),
-        stats,
-    })
+    let (backend, schedule) = ((theta, seed, threads), SeedSchedule::Consecutive);
+    let workspace = &mut PoolWorkspace::new();
+    let mut pricer = VertexPricer::fresh(sampler, graph, request, backend, schedule, workspace)?;
+    greedy::run(&mut pricer, request.budget(), &Plan::advanced(), start)
 }
 
 /// Runs AdvancedGreedy against a **borrowed resident sample pool** instead

@@ -11,36 +11,31 @@
 //! One pass therefore prices *every* candidate blocker simultaneously,
 //! instead of one Monte-Carlo evaluation per candidate as in the baseline.
 //!
+//! The pass is the kernel of [`crate::pool`], fed here by freshly drawn
+//! samples instead of a resident pool's realisations: every sample is
+//! rooted at a *virtual root* with one deterministic edge per seed, so a
+//! single seed and a whole seed set take the same path, and seeds earn no
+//! credit. The root draws no coins, so a one-seed estimate is the one the
+//! source-rooted sampler gives. Sums are `u64`: they add integer subtree
+//! sizes far below 2⁵³, so converting them once per pass loses nothing.
+//!
 //! ## Allocation discipline
 //!
 //! The `budget × θ` inner loop — sample, dominator tree, subtree sizes,
 //! accumulate — runs entirely out of a [`DecreaseWorkspace`]: one
-//! [`CompactSample`] arena, one [`DomTreeWorkspace`] and one subtree-size
-//! buffer per worker thread, all reused across samples *and* across greedy
-//! rounds. After the first few samples have grown the buffers to the cascade
-//! high-water mark, drawing a sample and pricing every candidate allocates
-//! nothing.
+//! [`crate::sampler::CompactSample`] arena, one dominator-tree workspace
+//! and one subtree-size buffer per worker thread, all reused across
+//! samples *and* across greedy rounds. After the first few samples have
+//! grown the buffers to the cascade high-water mark, drawing a sample and
+//! pricing every candidate allocates nothing.
 
-//! ## Multi-seed requests
-//!
-//! [`decrease_es_multi_in`] generalises the estimator to a whole seed set
-//! without materialising a merged graph: every sample is rooted at a
-//! *virtual root* with one deterministic edge per seed (the same re-rooting
-//! construction [`crate::pool`] applies to stored realisations), the
-//! dominator tree is computed from that root, and seeds earn no credit.
-//! With a single seed it takes the historical single-source path, so
-//! results are bit-identical to [`decrease_es_computation_in`].
-
-use crate::pool::{lap, ticks, PhaseSplit, LAP_STRIDE};
-use crate::sampler::{CompactSample, IcLiveEdgeSampler, SpreadSampler};
+use crate::pool::{vertex_credit, PoolWorkspace, Sampled};
+use crate::sampler::{IcLiveEdgeSampler, SpreadSampler};
 use crate::{IminError, Result};
-use imin_domtree::DomTreeWorkspace;
 use imin_graph::{DiGraph, VertexId};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 /// The output of Algorithm 2.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct DecreaseEstimate {
     /// `delta[u]` — estimated decrease of expected spread if `u` were
     /// blocked, for every vertex of the graph (0 for blocked vertices,
@@ -84,10 +79,10 @@ impl DecreaseEstimate {
 pub struct DecreaseConfig {
     /// Number of sampled graphs θ.
     pub theta: usize,
-    /// Worker threads (samples are split across threads; results are
-    /// deterministic for a fixed configuration because every thread uses its
-    /// own derived RNG stream and addition of per-thread partial sums is
-    /// performed in thread order).
+    /// Worker threads. Samples are split across threads, each drawing from
+    /// its own RNG stream derived from `seed`, so the estimate depends on
+    /// the thread count but is deterministic for each: per-thread sums are
+    /// integers, merged exactly.
     pub threads: usize,
     /// Base RNG seed.
     pub seed: u64,
@@ -103,241 +98,11 @@ impl Default for DecreaseConfig {
     }
 }
 
-/// Per-worker scratch state: everything one thread needs to draw samples and
-/// price candidates without touching the allocator.
-#[derive(Clone, Debug, Default)]
-struct WorkerScratch {
-    sample: CompactSample,
-    domtree: DomTreeWorkspace,
-    sizes: Vec<u64>,
-    delta_sum: Vec<f64>,
-    /// Nanoseconds spent in the sample / domtree / credit phases of the
-    /// last accumulate call, estimated by stride-sampled lapping (all
-    /// zero when it ran untimed). Workers fill these plain slots; the
-    /// calling thread folds them into its `imin_obs` span after the join.
-    phase_ns: [u64; 3],
-}
-
-/// `phase_ns` slot indices of [`WorkerScratch`].
-const DN_SAMPLE: usize = 0;
-const DN_DOMTREE: usize = 1;
-const DN_CREDIT: usize = 2;
-
-impl WorkerScratch {
-    /// Draws `samples` live-edge samples and accumulates raw subtree sizes
-    /// into `self.delta_sum`; returns the summed cascade sizes. When
-    /// `timed` is set, per-phase wall-clock nanoseconds are estimated into
-    /// `self.phase_ns` by stride-sampled lapping (untimed calls never
-    /// read the clock).
-    #[allow(clippy::too_many_arguments)]
-    fn accumulate<S: SpreadSampler + ?Sized>(
-        &mut self,
-        sampler: &S,
-        graph: &DiGraph,
-        source: VertexId,
-        blocked: &[bool],
-        samples: usize,
-        seed: u64,
-        timed: bool,
-    ) -> f64 {
-        let n = graph.num_vertices();
-        let mut rng = SmallRng::seed_from_u64(seed);
-        // Split borrows so the dominator workspace can run while the sample
-        // and size buffers stay borrowed.
-        let WorkerScratch {
-            sample,
-            domtree,
-            sizes,
-            delta_sum,
-            phase_ns,
-        } = self;
-        delta_sum.clear();
-        delta_sum.resize(n, 0.0);
-        *phase_ns = [0; 3];
-        let mut reached_sum = 0.0f64;
-        let split = timed.then(PhaseSplit::begin);
-        for i in 0..samples {
-            let sampled = timed && i & (LAP_STRIDE - 1) == 0;
-            let mut mark = if sampled { ticks() } else { 0 };
-            sampler.sample(graph, source, blocked, &mut rng, sample);
-            if sampled {
-                lap(&mut mark, &mut phase_ns[DN_SAMPLE]);
-            }
-            let reached = sample.num_reached();
-            reached_sum += reached as f64;
-            if reached <= 1 {
-                continue;
-            }
-            // Dominator tree of the compact sample, rooted at local vertex 0,
-            // straight off the CSR arena — no per-sample materialisation.
-            let dt = domtree.compute_csr(
-                reached,
-                sample.offsets(),
-                sample.targets(),
-                VertexId::new(0),
-            );
-            if sampled {
-                lap(&mut mark, &mut phase_ns[DN_DOMTREE]);
-            }
-            dt.subtree_sizes_into(sizes);
-            let globals = sample.vertices();
-            // Skip the source (local 0): blocking a seed is not allowed and
-            // its subtree is the whole sample by construction.
-            for local in 1..reached {
-                delta_sum[globals[local] as usize] += sizes[local] as f64;
-            }
-            if sampled {
-                lap(&mut mark, &mut phase_ns[DN_CREDIT]);
-            }
-        }
-        if let Some(split) = split {
-            split.split(phase_ns);
-        }
-        reached_sum
-    }
-
-    /// Multi-seed counterpart of [`WorkerScratch::accumulate`]: every sample
-    /// is rooted at a virtual root above the whole seed set (see
-    /// [`SpreadSampler::sample_multi`]), and seeds earn no credit.
-    #[allow(clippy::too_many_arguments)]
-    fn accumulate_multi<S: SpreadSampler + ?Sized>(
-        &mut self,
-        sampler: &S,
-        graph: &DiGraph,
-        seeds: &[VertexId],
-        is_seed: &[bool],
-        blocked: &[bool],
-        samples: usize,
-        seed: u64,
-        timed: bool,
-    ) -> f64 {
-        let n = graph.num_vertices();
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let WorkerScratch {
-            sample,
-            domtree,
-            sizes,
-            delta_sum,
-            phase_ns,
-        } = self;
-        delta_sum.clear();
-        delta_sum.resize(n, 0.0);
-        *phase_ns = [0; 3];
-        let mut reached_sum = 0.0f64;
-        // Local 0 is the virtual root; it is bookkeeping, not spread.
-        let only_seeds = 1 + seeds.len();
-        let split = timed.then(PhaseSplit::begin);
-        for i in 0..samples {
-            let sampled = timed && i & (LAP_STRIDE - 1) == 0;
-            let mut mark = if sampled { ticks() } else { 0 };
-            sampler.sample_multi(graph, seeds, blocked, &mut rng, sample);
-            if sampled {
-                lap(&mut mark, &mut phase_ns[DN_SAMPLE]);
-            }
-            let reached = sample.num_reached();
-            reached_sum += (reached - 1) as f64;
-            if reached <= only_seeds {
-                // Nothing beyond the seeds was reached: no candidate can
-                // earn credit from this sample.
-                continue;
-            }
-            let dt = domtree.compute_csr(
-                reached,
-                sample.offsets(),
-                sample.targets(),
-                VertexId::new(0),
-            );
-            if sampled {
-                lap(&mut mark, &mut phase_ns[DN_DOMTREE]);
-            }
-            dt.subtree_sizes_into(sizes);
-            let globals = sample.vertices();
-            for local in 1..reached {
-                let g = globals[local] as usize;
-                if is_seed[g] {
-                    continue;
-                }
-                delta_sum[g] += sizes[local] as f64;
-            }
-            if sampled {
-                lap(&mut mark, &mut phase_ns[DN_CREDIT]);
-            }
-        }
-        if let Some(split) = split {
-            split.split(phase_ns);
-        }
-        reached_sum
-    }
-}
-
-/// Folds every worker's `phase_ns` slots into the calling thread's span.
-fn merge_phase_ns(workers: &[WorkerScratch]) {
-    use imin_obs::{span, Phase};
-    for worker in workers {
-        span::add_ns(Phase::Sample, worker.phase_ns[DN_SAMPLE]);
-        span::add_ns(Phase::DomTree, worker.phase_ns[DN_DOMTREE]);
-        span::add_ns(Phase::Credit, worker.phase_ns[DN_CREDIT]);
-    }
-}
-
 /// Reusable state for [`decrease_es_computation_in`] and
-/// [`decrease_es_multi_in`]: one scratch set per worker thread plus the
-/// canonicalised-seed staging buffers, kept alive across greedy rounds so
-/// that the whole `budget × θ` loop of Algorithms 3 and 4 allocates
-/// nothing in steady state.
-#[derive(Clone, Debug, Default)]
-pub struct DecreaseWorkspace {
-    workers: Vec<WorkerScratch>,
-    staged_seeds: Vec<VertexId>,
-    is_seed: Vec<bool>,
-}
-
-impl DecreaseWorkspace {
-    /// Creates an empty workspace; per-thread scratch is added on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn ensure_workers(&mut self, threads: usize) -> &mut [WorkerScratch] {
-        ensure_workers(&mut self.workers, threads)
-    }
-
-    /// Canonicalises (sorts, dedups, validates) the request seed set into
-    /// the workspace buffers. Steady-state calls allocate nothing once the
-    /// buffers have grown to the graph size.
-    fn stage_seeds(&mut self, n: usize, seeds: &[VertexId], blocked: &[bool]) -> Result<()> {
-        if seeds.is_empty() {
-            return Err(IminError::EmptySeedSet);
-        }
-        // A previous round may have staged seeds for a different (larger)
-        // graph; clear only the slots that still exist.
-        for &v in &self.staged_seeds {
-            if let Some(slot) = self.is_seed.get_mut(v.index()) {
-                *slot = false;
-            }
-        }
-        self.is_seed.resize(n, false);
-        self.staged_seeds.clear();
-        for &s in seeds {
-            if s.index() >= n {
-                return Err(IminError::SeedOutOfRange {
-                    vertex: s.index(),
-                    num_vertices: n,
-                });
-            }
-            if blocked[s.index()] {
-                return Err(IminError::ForbiddenSeedOverlap { vertex: s.index() });
-            }
-            self.staged_seeds.push(s);
-        }
-        self.staged_seeds.sort_unstable();
-        self.staged_seeds.dedup();
-        for &s in &self.staged_seeds {
-            self.is_seed[s.index()] = true;
-        }
-        Ok(())
-    }
-}
+/// [`decrease_es_multi_in`] — the kernel's one workspace type, kept alive
+/// across greedy rounds so that the whole `budget × θ` loop of Algorithms 3
+/// and 4 allocates nothing in steady state.
+pub type DecreaseWorkspace = PoolWorkspace;
 
 /// Algorithm 2 with the default IC live-edge sampler.
 pub fn decrease_es_computation(
@@ -407,84 +172,7 @@ pub fn decrease_es_computation_in<S: SpreadSampler + ?Sized>(
             },
         ));
     }
-
-    let threads = config.threads.max(1).min(config.theta);
-    // Sampled on the calling thread; workers only fill plain slots.
-    let timed = imin_obs::span::active();
-    let workers = workspace.ensure_workers(threads);
-    let reached_sum = accumulate_sharded(workers, threads, config, |worker, samples, seed| {
-        worker.accumulate(sampler, graph, source, blocked, samples, seed, timed)
-    });
-    if timed {
-        merge_phase_ns(workers);
-    }
-    Ok(finalise(merged_delta(workers), reached_sum, config.theta))
-}
-
-/// Grows `workers` to at least `threads` scratch sets and returns the
-/// active slice — the one worker-growth policy behind both estimator
-/// paths (the method form exists only for the borrow-friendly call on a
-/// whole workspace).
-fn ensure_workers(workers: &mut Vec<WorkerScratch>, threads: usize) -> &mut [WorkerScratch] {
-    if workers.len() < threads {
-        workers.resize_with(threads, WorkerScratch::default);
-    }
-    &mut workers[..threads]
-}
-
-/// The θ-sharding scaffold shared by the single- and multi-seed
-/// estimators: one `accumulate(worker, samples, seed)` call per worker
-/// thread, with `base + 1`-sized shards for the first `θ % threads`
-/// workers and per-thread RNG streams derived from the golden-ratio
-/// constant. Handles join in spawn order, so the returned cascade-size sum
-/// is deterministic for a fixed configuration. Keeping one scaffold makes
-/// the documented single-/multi-seed bit-compatibility structural.
-fn accumulate_sharded<F>(
-    workers: &mut [WorkerScratch],
-    threads: usize,
-    config: &DecreaseConfig,
-    accumulate: F,
-) -> f64
-where
-    F: Fn(&mut WorkerScratch, usize, u64) -> f64 + Sync,
-{
-    if threads <= 1 {
-        return accumulate(&mut workers[0], config.theta, config.seed);
-    }
-    let base = config.theta / threads;
-    let extra = config.theta % threads;
-    let mut reached_sum = 0.0f64;
-    crossbeam::scope(|scope| {
-        let accumulate = &accumulate;
-        let mut handles = Vec::with_capacity(threads);
-        for (t, worker) in workers.iter_mut().enumerate() {
-            let samples_here = base + usize::from(t < extra);
-            let seed_here = config
-                .seed
-                .wrapping_add(0x9E3779B97F4A7C15u64.wrapping_mul(t as u64 + 1));
-            handles.push(scope.spawn(move |_| accumulate(worker, samples_here, seed_here)));
-        }
-        for h in handles {
-            reached_sum += h.join().expect("decrease-estimation worker panicked");
-        }
-    })
-    .expect("crossbeam scope failed");
-    reached_sum
-}
-
-/// Merges per-thread partial sums in thread order into worker 0's buffer
-/// (deterministic floating-point addition, and no per-round allocation —
-/// the buffer is workspace-owned and reset at the start of each round).
-/// With a single worker this is a no-op borrow.
-fn merged_delta(workers: &mut [WorkerScratch]) -> &[f64] {
-    let (first, rest) = workers.split_at_mut(1);
-    let delta_sum = &mut first[0].delta_sum;
-    for worker in rest.iter() {
-        for (acc, &d) in delta_sum.iter_mut().zip(&worker.delta_sum) {
-            *acc += d;
-        }
-    }
-    delta_sum
+    decrease_es_multi_in(sampler, graph, &[source], blocked, config, workspace)
 }
 
 /// Algorithm 2 for a whole seed set, drawing every scratch buffer from
@@ -495,10 +183,6 @@ fn merged_delta(workers: &mut [WorkerScratch]) -> &[f64] {
 /// re-rooting construction of [`crate::pool`], applied at sampling time.
 /// `estimate.delta[u]` is 0 for seeds, blocked vertices and unreachable
 /// vertices; `estimate.average_reached` counts every seed as active.
-///
-/// With exactly one (deduplicated) seed this delegates to the historical
-/// single-source path, so single-seed results are bit-identical to
-/// [`decrease_es_computation_in`].
 ///
 /// # Errors
 /// Returns an error if θ is zero, the seed set is empty, a seed is out of
@@ -523,46 +207,15 @@ pub fn decrease_es_multi_in<S: SpreadSampler + ?Sized>(
             },
         ));
     }
-    workspace.stage_seeds(n, seeds, blocked)?;
-    if workspace.staged_seeds.len() == 1 {
-        let source = workspace.staged_seeds[0];
-        return decrease_es_computation_in(sampler, graph, source, blocked, config, workspace);
-    }
-
-    let threads = config.threads.max(1).min(config.theta);
-    let timed = imin_obs::span::active();
-    let DecreaseWorkspace {
-        workers,
-        staged_seeds,
-        is_seed,
-    } = workspace;
-    let workers = ensure_workers(workers, threads);
-    let (staged_seeds, is_seed) = (&*staged_seeds, &*is_seed);
-    let reached_sum = accumulate_sharded(workers, threads, config, |worker, samples, seed| {
-        worker.accumulate_multi(
-            sampler,
-            graph,
-            staged_seeds,
-            is_seed,
-            blocked,
-            samples,
-            seed,
-            timed,
-        )
-    });
-    if timed {
-        merge_phase_ns(workers);
-    }
-    Ok(finalise(merged_delta(workers), reached_sum, config.theta))
-}
-
-fn finalise(delta_sum: &[f64], reached_sum: f64, theta: usize) -> DecreaseEstimate {
-    let inv = 1.0 / theta as f64;
-    DecreaseEstimate {
-        delta: delta_sum.iter().map(|d| d * inv).collect(),
-        average_reached: reached_sum * inv,
-        samples: theta,
-    }
+    workspace.stage_seeds(n, seeds, Some(blocked))?;
+    let source = Sampled {
+        sampler,
+        graph,
+        blocked,
+        theta: config.theta,
+        seed: config.seed,
+    };
+    Ok(vertex_credit(&source, config.threads, workspace))
 }
 
 /// The number of samples Theorem 5 prescribes for an `(ε, n^{-l})`
@@ -782,31 +435,6 @@ mod tests {
         .unwrap();
         assert_eq!(a.delta, b.delta);
         assert_eq!(a.average_reached, b.average_reached);
-    }
-
-    #[test]
-    fn single_seed_multi_call_is_bit_identical_to_the_classic_path() {
-        let g = imin_graph::generators::erdos_renyi(70, 0.06, 0.4, 21).unwrap();
-        let blocked = vec![false; 70];
-        for threads in [1usize, 3] {
-            let cfg = DecreaseConfig {
-                theta: 600,
-                threads,
-                seed: 17,
-            };
-            let multi = decrease_es_multi_in(
-                &IcLiveEdgeSampler,
-                &g,
-                &[vid(0)],
-                &blocked,
-                &cfg,
-                &mut DecreaseWorkspace::new(),
-            )
-            .unwrap();
-            let single = decrease_es_computation(&g, vid(0), &blocked, &cfg).unwrap();
-            assert_eq!(multi.delta, single.delta, "threads={threads}");
-            assert_eq!(multi.average_reached, single.average_reached);
-        }
     }
 
     #[test]

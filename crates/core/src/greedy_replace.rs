@@ -20,6 +20,11 @@
 //! when the budget is small — the best of both behaviours (Table III,
 //! Table VII).
 //!
+//! Both phases, and the fill between them, run in the crate's one greedy
+//! driver (`greedy.rs`), shared with AdvancedGreedy and the other
+//! intervention families; this module supplies the solver and its entry
+//! points.
+//!
 //! The preferred entry point is the [`GreedyReplace`] solver behind a
 //! [`crate::ContainmentRequest`]: one call shape for any seed-set size
 //! (phase 1 ranks the out-neighbours of *every* seed) and either
@@ -27,22 +32,22 @@
 //! source compatibility and are parity-tested byte-identical to the
 //! solver.
 
-use crate::decrease::{decrease_es_multi_in, DecreaseConfig, DecreaseWorkspace};
-use crate::pool::{pooled_greedy_replace_in, with_pool_workspace, PoolWorkspace, SamplePool};
-use crate::request::{shim_request_from_config, ContainmentRequest, EvalBackend};
+use crate::greedy::{self, Plan, SeedSchedule, VertexPricer};
+use crate::pool::{pooled_greedy_replace_in, PoolWorkspace, SamplePool};
+use crate::request::{shim_request_from_config, ContainmentRequest};
 use crate::sampler::{IcLiveEdgeSampler, SpreadSampler};
 use crate::solver::{AlgorithmKind, BlockerSolver};
-use crate::types::{AlgorithmConfig, BlockerSelection, SelectionStats};
+use crate::types::{AlgorithmConfig, BlockerSelection};
 use crate::Result;
 use imin_graph::{DiGraph, VertexId};
 use std::time::Instant;
 
 /// Algorithm 4 behind the unified request API (`GR` in the figures).
 ///
-/// Runs with [`GreedyReplaceOptions::default`] (fill-to-budget enabled,
-/// matching the pooled implementation). `Fresh` requests redraw θ samples
-/// per round; `Pooled` requests re-root a resident pool, with answers
-/// bit-identical at any thread count (see [`crate::pool`]).
+/// Both backends fill the budget with global picks when the seeds have
+/// fewer eligible out-neighbours than the budget. `Fresh` requests redraw
+/// θ samples per round; `Pooled` requests re-root a resident pool, with
+/// answers bit-identical at any thread count (see [`crate::pool`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GreedyReplace;
 
@@ -52,43 +57,7 @@ impl BlockerSolver for GreedyReplace {
     }
 
     fn solve(&self, graph: &DiGraph, request: &ContainmentRequest<'_>) -> Result<BlockerSelection> {
-        request.ensure_graph(graph)?;
-        if !matches!(request.intervention(), crate::Intervention::BlockVertices) {
-            // Edge blocking and prebunking run on the pooled dominator-tree
-            // machinery, with the GreedyReplace flavour (seed-first edge
-            // rounds, prebunk replacement sweep).
-            return crate::intervene::solve_pooled_intervention(self.kind().name(), request, true);
-        }
-        match *request.backend() {
-            EvalBackend::Fresh {
-                theta,
-                seed,
-                threads,
-            } => fresh_greedy_replace_with(
-                &IcLiveEdgeSampler,
-                graph,
-                request,
-                theta,
-                seed,
-                threads,
-                GreedyReplaceOptions::default(),
-            ),
-            EvalBackend::Pooled { pool, threads } => with_pool_workspace(|workspace| {
-                pooled_greedy_replace_in(
-                    pool,
-                    graph,
-                    request.seeds(),
-                    request.forbidden().mask(),
-                    request.budget(),
-                    threads,
-                    workspace,
-                )
-            }),
-            ref other => Err(crate::IminError::BackendUnsupported {
-                algorithm: self.kind().name(),
-                backend: other.label(),
-            }),
-        }
+        greedy::solve(self.kind(), graph, request)
     }
 }
 
@@ -123,27 +92,7 @@ pub fn greedy_replace_with_pool(
     )
 }
 
-/// Options specific to GreedyReplace.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GreedyReplaceOptions {
-    /// When the seed has fewer than `b` out-neighbours, Algorithm 4 as
-    /// written returns fewer than `b` blockers. With this flag enabled (the
-    /// default) the remaining budget is filled with AdvancedGreedy-style
-    /// picks over all candidates before the replacement phase, so the full
-    /// budget is always used.
-    pub fill_to_budget: bool,
-}
-
-impl Default for GreedyReplaceOptions {
-    fn default() -> Self {
-        GreedyReplaceOptions {
-            fill_to_budget: true,
-        }
-    }
-}
-
-/// Runs GreedyReplace with the standard IC live-edge sampler and default
-/// options.
+/// Runs GreedyReplace with the standard IC live-edge sampler.
 pub fn greedy_replace(
     graph: &DiGraph,
     source: VertexId,
@@ -151,23 +100,17 @@ pub fn greedy_replace(
     budget: usize,
     config: &AlgorithmConfig,
 ) -> Result<BlockerSelection> {
-    greedy_replace_with(
-        &IcLiveEdgeSampler,
-        graph,
-        source,
-        forbidden,
-        budget,
-        config,
-        GreedyReplaceOptions::default(),
-    )
+    greedy_replace_with(&IcLiveEdgeSampler, graph, source, forbidden, budget, config)
 }
 
-/// Runs GreedyReplace with an arbitrary sample source and explicit options.
+/// Runs GreedyReplace with an arbitrary sample source (IC or triggering,
+/// §V-E). When the seed has fewer than `budget` out-neighbours, the
+/// remaining budget is filled with AdvancedGreedy-style picks over all
+/// candidates before the replacement phase, so the full budget is used.
 ///
 /// # Errors
 /// Returns an error on a zero budget, zero θ, an invalid source, or a
 /// wrong-length forbidden mask.
-#[allow(clippy::too_many_arguments)]
 pub fn greedy_replace_with<S: SpreadSampler + ?Sized>(
     sampler: &S,
     graph: &DiGraph,
@@ -175,7 +118,6 @@ pub fn greedy_replace_with<S: SpreadSampler + ?Sized>(
     forbidden: &[bool],
     budget: usize,
     config: &AlgorithmConfig,
-    options: GreedyReplaceOptions,
 ) -> Result<BlockerSelection> {
     let request = shim_request_from_config(graph, &[source], forbidden, budget, config)?;
     fresh_greedy_replace_with(
@@ -185,16 +127,13 @@ pub fn greedy_replace_with<S: SpreadSampler + ?Sized>(
         config.theta,
         config.seed,
         config.threads,
-        options,
     )
 }
 
-/// The `Fresh`-backend phases of Algorithm 4, generic over the sample
-/// source and the seed-set size: phase 1 ranks the out-neighbours of every
-/// seed, every estimator round prices candidates with
-/// [`decrease_es_multi_in`] (historical single-source path for one seed,
-/// virtual-root re-rooting for several).
-#[allow(clippy::too_many_arguments)]
+/// The `Fresh` backend of [`GreedyReplace`], generic over the sample
+/// source and the seed-set size: the greedy driver over fresh samples,
+/// phase 1 ranking the out-neighbours of every seed and estimator call `k`
+/// drawing from `seed + (k + 1)·0x9E3779B9`.
 pub(crate) fn fresh_greedy_replace_with<S: SpreadSampler + ?Sized>(
     sampler: &S,
     graph: &DiGraph,
@@ -202,124 +141,13 @@ pub(crate) fn fresh_greedy_replace_with<S: SpreadSampler + ?Sized>(
     theta: usize,
     seed: u64,
     threads: usize,
-    options: GreedyReplaceOptions,
 ) -> Result<BlockerSelection> {
     let start = Instant::now();
-    let n = graph.num_vertices();
-    let budget = request.budget();
-    let mut blocked = vec![false; n];
-    let mut blockers: Vec<VertexId> = Vec::with_capacity(budget);
-    let mut stats = SelectionStats::default();
-    let mut estimated_spread: Option<f64> = None;
-    // Shared across the out-neighbour, fill and replacement phases: all
-    // estimator rounds of the whole run draw from the same per-thread
-    // sample arenas and dominator-tree scratch.
-    let mut workspace = DecreaseWorkspace::new();
-    let mut round_seed = seed;
-    let mut next_cfg = |stats: &mut SelectionStats| {
-        round_seed = round_seed.wrapping_add(0x9E3779B9);
-        stats.rounds += 1;
-        DecreaseConfig {
-            theta,
-            threads,
-            seed: round_seed,
-        }
-    };
-    let eligible = |v: VertexId, blocked: &[bool]| !blocked[v.index()] && request.is_candidate(v);
-
-    // ---- Phase 1: pick blockers among the seeds' out-neighbours -----------
-    let mut candidate_pool: Vec<VertexId> = Vec::new();
-    for &s in request.seeds() {
-        candidate_pool.extend(
-            graph
-                .out_edges(s)
-                .map(|(v, _)| v)
-                .filter(|&v| eligible(v, &blocked)),
-        );
-    }
-    candidate_pool.sort_unstable();
-    candidate_pool.dedup();
-
-    let out_rounds = candidate_pool.len().min(budget);
-    for _ in 0..out_rounds {
-        let cfg = next_cfg(&mut stats);
-        let estimate = decrease_es_multi_in(
-            sampler,
-            graph,
-            request.seeds(),
-            &blocked,
-            &cfg,
-            &mut workspace,
-        )?;
-        stats.samples_drawn += estimate.samples;
-        let chosen =
-            estimate.best_candidate(|v| candidate_pool.contains(&v) && eligible(v, &blocked));
-        let Some(chosen) = chosen else { break };
-        estimated_spread = Some(estimate.average_reached - estimate.delta[chosen.index()]);
-        blocked[chosen.index()] = true;
-        blockers.push(chosen);
-        candidate_pool.retain(|&v| v != chosen);
-    }
-
-    // ---- Optional fill: spend any remaining budget on global greedy picks --
-    if options.fill_to_budget {
-        while blockers.len() < budget {
-            let cfg = next_cfg(&mut stats);
-            let estimate = decrease_es_multi_in(
-                sampler,
-                graph,
-                request.seeds(),
-                &blocked,
-                &cfg,
-                &mut workspace,
-            )?;
-            stats.samples_drawn += estimate.samples;
-            let chosen = estimate.best_candidate(|v| eligible(v, &blocked));
-            let Some(chosen) = chosen else { break };
-            estimated_spread = Some(estimate.average_reached - estimate.delta[chosen.index()]);
-            blocked[chosen.index()] = true;
-            blockers.push(chosen);
-        }
-    }
-
-    // ---- Phase 2: replacement in reverse insertion order -------------------
-    for idx in (0..blockers.len()).rev() {
-        let u = blockers[idx];
-        // Temporarily remove u from the blocker set.
-        blocked[u.index()] = false;
-        let cfg = next_cfg(&mut stats);
-        let estimate = decrease_es_multi_in(
-            sampler,
-            graph,
-            request.seeds(),
-            &blocked,
-            &cfg,
-            &mut workspace,
-        )?;
-        stats.samples_drawn += estimate.samples;
-        let chosen = estimate.best_candidate(|v| eligible(v, &blocked));
-        let Some(chosen) = chosen else {
-            // No candidate at all — put u back and stop replacing.
-            blocked[u.index()] = true;
-            break;
-        };
-        estimated_spread = Some(estimate.average_reached - estimate.delta[chosen.index()]);
-        blocked[chosen.index()] = true;
-        blockers[idx] = chosen;
-        if chosen == u {
-            // Early termination: the vertex under replacement is already the
-            // best choice (Algorithm 4, lines 19–20).
-            break;
-        }
-    }
-
-    stats.elapsed = start.elapsed();
-    Ok(BlockerSelection {
-        blockers,
-        estimated_spread,
-        blocked_edges: Vec::new(),
-        stats,
-    })
+    let (backend, schedule) = ((theta, seed, threads), SeedSchedule::Golden);
+    let workspace = &mut PoolWorkspace::new();
+    let mut pricer = VertexPricer::fresh(sampler, graph, request, backend, schedule, workspace)?;
+    let plan = Plan::replace(pricer.out_neighbours(graph, request.seeds()));
+    greedy::run(&mut pricer, request.budget(), &plan, start)
 }
 
 #[cfg(test)]
@@ -416,21 +244,6 @@ mod tests {
         .unwrap();
         let sel = greedy_replace(&g, vid(0), &[false; 5], 3, &config()).unwrap();
         assert_eq!(sel.len(), 3);
-        // Pure Algorithm 4 (no fill) stops at one blocker.
-        let strict = greedy_replace_with(
-            &IcLiveEdgeSampler,
-            &g,
-            vid(0),
-            &[false; 5],
-            3,
-            &config(),
-            GreedyReplaceOptions {
-                fill_to_budget: false,
-            },
-        )
-        .unwrap();
-        assert_eq!(strict.len(), 1);
-        assert_eq!(strict.blockers, vec![vid(1)]);
     }
 
     #[test]

@@ -26,17 +26,20 @@
 //! kernel of [`crate::pool`] with vertex blocking — the same re-rooted BFS
 //! over the borrowed arena view, dominator tree and integer credit, hence
 //! the same bit-identical-at-any-thread-count contract and the same phase
-//! laps in traces. This module only supplies what differs: the edge filter
-//! of each family (deleted edges, `α`-coins), and the greedy loops that
-//! read the per-edge or per-vertex credit the kernel returns.
+//! laps in traces. Their greedy rounds run in the one greedy driver
+//! (`greedy.rs`) that vertex blocking uses too. This module only
+//! supplies what differs: the edge filter of each family (deleted edges,
+//! `α`-coins), the edge pricer, and each family's plan — seed-edge
+//! preference for edges, a replacement sweep without an out-neighbour
+//! phase and a final evaluation pass for prebunking.
 
 use crate::decrease::DecreaseEstimate;
+use crate::greedy::{self, Plan, Pricer, VertexPricer};
 use crate::pool::{
-    check_mask_len, pooled_decrease_with, pooled_edge_credit_with, timed_best, with_pool_workspace,
-    EdgeFilter, PoolWorkspace, SamplePool,
+    check_mask_len, edge_credit, vertex_credit, with_pool_workspace, EdgeFilter, PoolWorkspace,
+    Rerooted, SamplePool,
 };
-use crate::request::{ContainmentRequest, EvalBackend};
-use crate::types::{BlockerSelection, SelectionStats};
+use crate::types::BlockerSelection;
 use crate::{IminError, Result};
 use imin_graph::VertexId;
 use std::collections::HashSet;
@@ -246,8 +249,71 @@ pub fn pooled_prebunk_decrease(
         // does not remove the vertex.
         ws.stage_seeds(pool.num_vertices(), seeds, None)?;
         let filter = PrebunkCoins::new(pool, prebunked, alpha);
-        Ok(pooled_decrease_with(pool, &filter, threads, ws))
+        Ok(vertex_credit(&Rerooted { pool, filter }, threads, ws))
     })
+}
+
+/// Prices edges by their exact dominator credit (see
+/// [`crate::pool::edge_credit`]) under the edges deleted so far. Only
+/// edges with positive credit are offered, so the greedy stops once no
+/// deletion would change anything.
+struct EdgePricer<'a> {
+    pool: &'a SamplePool,
+    threads: usize,
+    workspace: &'a mut PoolWorkspace,
+    deleted: HashSet<(u32, u32)>,
+    deleted_src: Vec<bool>,
+    reached: u64,
+}
+
+impl Pricer for EdgePricer<'_> {
+    type Candidate = (u32, u32);
+
+    fn price(&mut self) -> Result<usize> {
+        let (deleted, deleted_src) = (&self.deleted, &self.deleted_src);
+        let filter = DeletedEdges {
+            deleted,
+            deleted_src,
+        };
+        let source = Rerooted {
+            pool: self.pool,
+            filter,
+        };
+        self.reached = edge_credit(&source, self.threads, self.workspace);
+        Ok(self.pool.theta())
+    }
+
+    fn offers(&self, mut visit: impl FnMut((u32, u32), f64)) {
+        for (&edge, &credit) in self.workspace.edge_credit() {
+            visit(edge, credit as f64);
+        }
+    }
+
+    fn spread(&self) -> f64 {
+        self.reached as f64 / self.pool.theta() as f64
+    }
+
+    fn spread_after(&self, edge: (u32, u32)) -> f64 {
+        let credit = self.workspace.edge_credit()[&edge];
+        self.spread() - credit as f64 / self.pool.theta() as f64
+    }
+
+    fn set(&mut self, edge: (u32, u32), deleted: bool) {
+        if deleted {
+            self.deleted.insert(edge);
+        } else {
+            self.deleted.remove(&edge);
+        }
+        self.deleted_src[edge.0 as usize] = self.deleted.iter().any(|&(u, _)| u == edge.0);
+    }
+
+    fn selection(picks: Vec<(u32, u32)>) -> BlockerSelection {
+        let edge = |(u, v)| (VertexId::from_raw(u), VertexId::from_raw(v));
+        BlockerSelection {
+            blocked_edges: picks.into_iter().map(edge).collect(),
+            ..BlockerSelection::new(Vec::new())
+        }
+    }
 }
 
 /// Greedy edge blocking against a borrowed resident pool: every round
@@ -278,69 +344,22 @@ pub fn pooled_edge_greedy_in(
         return Err(IminError::ZeroBudget);
     }
     let n = pool.num_vertices();
-    let theta = pool.theta();
-    let timed = imin_obs::span::active();
-    with_pool_workspace(|ws| {
-        ws.stage_seeds(n, seeds, None)?;
-        let mut deleted: HashSet<(u32, u32)> = HashSet::new();
-        let mut deleted_src = vec![false; n];
-        let mut blocked_edges: Vec<(VertexId, VertexId)> = Vec::with_capacity(budget);
-        let mut stats = SelectionStats::default();
-        let mut estimated_spread = None;
-        for round in 0..budget {
-            let filter = DeletedEdges {
-                deleted: &deleted,
-                deleted_src: &deleted_src,
-            };
-            let reached_total = pooled_edge_credit_with(pool, &filter, threads, ws);
-            stats.samples_drawn += theta;
-            let average_reached = reached_total as f64 / theta as f64;
-            let select_start = timed.then(Instant::now);
-            let (edge_delta, is_seed) = (ws.edge_credit(), ws.is_seed());
-            // Loop-invariant: whether any seed edge still earns credit.
-            let seeds_only = seed_first
-                && edge_delta
-                    .iter()
-                    .any(|(e, &d)| is_seed[e.0 as usize] && d > 0);
-            // Deterministic argmax whatever the map's iteration order:
-            // largest credit first, ties towards the lexicographically
-            // smallest edge.
-            let mut best: Option<((u32, u32), u64)> = None;
-            for (&edge, &delta) in edge_delta {
-                if seeds_only && !is_seed[edge.0 as usize] {
-                    continue;
-                }
-                let better = match best {
-                    None => delta > 0,
-                    Some((b_edge, b_delta)) => {
-                        delta > b_delta || (delta == b_delta && edge < b_edge)
-                    }
-                };
-                if better {
-                    best = Some((edge, delta));
-                }
-            }
-            if let Some(select_start) = select_start {
-                let ns = select_start.elapsed().as_nanos() as u64;
-                imin_obs::span::add_ns(imin_obs::Phase::Select, ns);
-            }
-            let Some(((src, dst), delta)) = best else {
-                estimated_spread = Some(average_reached);
-                break;
-            };
-            estimated_spread = Some(average_reached - delta as f64 / theta as f64);
-            deleted.insert((src, dst));
-            deleted_src[src as usize] = true;
-            blocked_edges.push((VertexId::from_raw(src), VertexId::from_raw(dst)));
-            stats.rounds = round + 1;
-        }
-        stats.elapsed = start.elapsed();
-        Ok(BlockerSelection {
-            blockers: Vec::new(),
-            blocked_edges,
-            estimated_spread,
-            stats,
-        })
+    let leaves_a_seed = |(u, _): (u32, u32)| seeds.contains(&VertexId::from_raw(u));
+    let plan = Plan {
+        prefer: seed_first.then_some(&leaves_a_seed as &dyn Fn(_) -> bool),
+        ..Plan::advanced()
+    };
+    with_pool_workspace(|workspace| {
+        workspace.stage_seeds(n, seeds, None)?;
+        let mut pricer = EdgePricer {
+            pool,
+            threads,
+            workspace,
+            deleted: HashSet::new(),
+            deleted_src: vec![false; n],
+            reached: 0,
+        };
+        greedy::run(&mut pricer, budget, &plan, start)
     })
 }
 
@@ -373,65 +392,19 @@ pub fn pooled_prebunk_greedy_in(
     }
     check_mask_len(pool, forbidden)?;
     Intervention::Prebunk { alpha }.validate()?;
-    let n = pool.num_vertices();
-    let timed = imin_obs::span::active();
-    with_pool_workspace(|ws| {
-        ws.stage_seeds(n, seeds, None)?;
-        let mut prebunked = vec![false; n];
-        let mut chosen_order: Vec<VertexId> = Vec::with_capacity(budget);
-        let mut stats = SelectionStats::default();
-        let eligible = |v: VertexId, prebunked: &[bool], is_seed: &[bool]| {
-            !is_seed[v.index()] && !prebunked[v.index()] && !forbidden[v.index()]
+    let plan = Plan {
+        replace,
+        final_pass: true,
+        ..Plan::advanced()
+    };
+    with_pool_workspace(|workspace| {
+        let pass = move |prebunked: &[bool], ws: &mut PoolWorkspace| {
+            let filter = PrebunkCoins::new(pool, prebunked, alpha);
+            Ok(vertex_credit(&Rerooted { pool, filter }, threads, ws))
         };
-        let pass = |prebunked: &[bool], ws: &mut PoolWorkspace| {
-            pooled_decrease_with(
-                pool,
-                &PrebunkCoins::new(pool, prebunked, alpha),
-                threads,
-                ws,
-            )
-        };
-        for round in 0..budget {
-            let estimate = pass(&prebunked, ws);
-            stats.samples_drawn += estimate.samples;
-            let chosen = timed_best(&estimate, timed, |v| eligible(v, &prebunked, ws.is_seed()));
-            let Some(chosen) = chosen else { break };
-            prebunked[chosen.index()] = true;
-            chosen_order.push(chosen);
-            stats.rounds = round + 1;
-        }
-        if replace {
-            for idx in (0..chosen_order.len()).rev() {
-                let u = chosen_order[idx];
-                prebunked[u.index()] = false;
-                stats.rounds += 1;
-                let estimate = pass(&prebunked, ws);
-                stats.samples_drawn += estimate.samples;
-                let chosen =
-                    timed_best(&estimate, timed, |v| eligible(v, &prebunked, ws.is_seed()));
-                let Some(chosen) = chosen else {
-                    prebunked[u.index()] = true;
-                    break;
-                };
-                prebunked[chosen.index()] = true;
-                chosen_order[idx] = chosen;
-                if chosen == u {
-                    break;
-                }
-            }
-        }
-        // One final pass with the complete prebunk set applied: the honest
-        // expected spread under the intervention, exact w.r.t. the
-        // pool+coins.
-        let final_estimate = pass(&prebunked, ws);
-        stats.samples_drawn += final_estimate.samples;
-        stats.elapsed = start.elapsed();
-        Ok(BlockerSelection {
-            blockers: chosen_order,
-            blocked_edges: Vec::new(),
-            estimated_spread: Some(final_estimate.average_reached),
-            stats,
-        })
+        let n = pool.num_vertices();
+        let mut pricer = VertexPricer::new(workspace, n, seeds, forbidden, Box::new(pass))?;
+        greedy::run(&mut pricer, budget, &plan, start)
     })
 }
 
@@ -452,62 +425,17 @@ pub(crate) fn require_vertex(
     }
 }
 
-/// Shared non-vertex dispatch for the pooled greedy family
-/// (AdvancedGreedy and GreedyReplace): routes edge-blocking and prebunking
-/// requests to the pooled selectors above, and rejects every other backend
-/// with the typed unsupported error — the fresh and sketch backends answer
-/// vertex requests only.
-///
-/// `replace_flavour` selects the GreedyReplace-shaped variants
-/// (`seed_first` edge rounds, prebunk replacement sweep).
-///
-/// The request's forbidden set is a vertex-level constraint and is ignored
-/// by edge blocking: an edge may be cut even when one of its endpoints is
-/// protected from *vertex* removal.
-pub(crate) fn solve_pooled_intervention(
-    algorithm: &'static str,
-    request: &ContainmentRequest<'_>,
-    replace_flavour: bool,
-) -> Result<BlockerSelection> {
-    match *request.backend() {
-        EvalBackend::Pooled { pool, threads } => match request.intervention() {
-            Intervention::BlockEdges => pooled_edge_greedy_in(
-                pool,
-                request.seeds(),
-                request.budget(),
-                threads,
-                replace_flavour,
-            ),
-            Intervention::Prebunk { alpha } => pooled_prebunk_greedy_in(
-                pool,
-                request.seeds(),
-                request.forbidden().mask(),
-                request.budget(),
-                alpha,
-                threads,
-                replace_flavour,
-            ),
-            Intervention::BlockVertices => {
-                unreachable!("vertex requests take the solver's own path")
-            }
-        },
-        ref other => Err(IminError::InterventionUnsupported {
-            algorithm,
-            backend: other.label(),
-            intervention: request.intervention().family(),
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::decrease::{decrease_es_multi_in, DecreaseConfig, DecreaseWorkspace};
     use crate::pool::pooled_decrease;
+    use crate::request::ContainmentRequest;
     use crate::sampler::IcLiveEdgeSampler;
     use crate::triggering::{advanced_greedy_triggering, greedy_replace_triggering};
     use crate::{AlgorithmConfig, AlgorithmKind};
     use imin_diffusion::triggering::LtTriggering;
+    use imin_graph::traversal::reachable_count_blocked;
     use imin_graph::{generators, DiGraph};
 
     fn vid(i: usize) -> VertexId {
@@ -965,34 +893,6 @@ mod tests {
         assert_eq!(gr.estimated_spread, Some(1.0));
     }
 
-    /// Reached count of realisation 0 of `pool` from `seeds` with vertex
-    /// `blocked` and edge `cut` removed, and the live edges the BFS kept.
-    fn brute_force_reach(
-        pool: &SamplePool,
-        seeds: &[VertexId],
-        blocked: Option<u32>,
-        cut: Option<(u32, u32)>,
-    ) -> (u64, Vec<(u32, u32)>) {
-        let (offsets, targets) = pool.sample_csr(0);
-        let mut seen = vec![false; pool.num_vertices()];
-        let mut queue: Vec<u32> = seeds.iter().map(|s| s.raw()).collect();
-        queue.iter().for_each(|&s| seen[s as usize] = true);
-        let mut kept = Vec::new();
-        let mut head = 0;
-        while let Some(&u) = queue.get(head) {
-            head += 1;
-            for &t in &targets[offsets[u as usize] as usize..offsets[u as usize + 1] as usize] {
-                if blocked != Some(t) && cut != Some((u, t)) {
-                    kept.push((u, t));
-                    if !std::mem::replace(&mut seen[t as usize], true) {
-                        queue.push(t);
-                    }
-                }
-            }
-        }
-        (queue.len() as u64, kept)
-    }
-
     /// The exact rung of the estimator checks, one realisation per pool
     /// (θ = 1) so every credit is an integer: a vertex's credit is the drop
     /// in reached count when it is blocked (Theorem 6), an edge's credit the
@@ -1003,36 +903,52 @@ mod tests {
     #[test]
     fn credits_equal_brute_force_deletion_gains() {
         let cycle = [(0, 1), (1, 2), (2, 1), (0, 3)].map(|(u, v)| (vid(u), vid(v), 1.0));
-        let cycle = DiGraph::from_edges(4, cycle.to_vec()).unwrap();
+        let cycle = DiGraph::from_edges(4, cycle).unwrap();
         for (g, seeds) in [(cycle, vec![vid(0)]), (wc_pa(60, 3), vec![vid(0), vid(7)])] {
             let n = g.num_vertices();
-            let treated: Vec<bool> = (0..n)
-                .map(|v| v % 3 == 1 && !seeds.contains(&vid(v)))
-                .collect();
+            let is_seed = |v: usize| seeds.contains(&vid(v));
+            let treated: Vec<bool> = (0..n).map(|v| v % 3 == 1 && !is_seed(v)).collect();
             for pool_seed in 0..8 {
                 let pool = SamplePool::build(&g, 1, pool_seed).unwrap();
-                let (base, live) = brute_force_reach(&pool, &seeds, None, None);
+                let (offsets, targets) = pool.sample_csr(0);
+                let out = |u: usize| &targets[offsets[u] as usize..offsets[u + 1] as usize];
+                let live: Vec<(u32, u32)> = (0..n)
+                    .flat_map(|u| out(u).iter().map(move |&t| (u as u32, t)))
+                    .collect();
+                // Brute force: the realisation without vertex `blocked` and
+                // edge `cut`, searched from the seeds.
+                let reach = |blocked: Option<usize>, cut: Option<(u32, u32)>| {
+                    let kept = live.iter().filter(|&&e| Some(e) != cut);
+                    let edges = kept.map(|&(u, v)| (vid(u as usize), vid(v as usize), 1.0));
+                    let realisation = DiGraph::from_edges(n, edges).unwrap();
+                    let mask: Vec<bool> = (0..n).map(|v| Some(v) == blocked).collect();
+                    reachable_count_blocked(&realisation, &seeds, &mask) as u64
+                };
+                let base = reach(None, None);
                 let est = pooled_decrease(&pool, &seeds, &vec![false; n], 1).unwrap();
-                for v in (0..n).filter(|&v| !seeds.contains(&vid(v))) {
-                    let gain = base - brute_force_reach(&pool, &seeds, Some(v as u32), None).0;
-                    assert_eq!(
-                        est.delta[v], gain as f64,
-                        "pool seed {pool_seed}: vertex {v}"
-                    );
+                for v in (0..n).filter(|&v| !is_seed(v)) {
+                    let gain = (base - reach(Some(v), None)) as f64;
+                    assert_eq!(est.delta[v], gain, "pool seed {pool_seed}: vertex {v}");
                 }
                 let credit = with_pool_workspace(|ws| {
                     ws.stage_seeds(n, &seeds, None).unwrap();
-                    let none = HashSet::new();
-                    let deleted_src = vec![false; n];
+                    let (deleted, deleted_src) = (&HashSet::new(), &vec![false; n]);
                     let filter = DeletedEdges {
-                        deleted: &none,
-                        deleted_src: &deleted_src,
+                        deleted,
+                        deleted_src,
                     };
-                    pooled_edge_credit_with(&pool, &filter, 1, ws);
+                    edge_credit(
+                        &Rerooted {
+                            pool: &pool,
+                            filter,
+                        },
+                        1,
+                        ws,
+                    );
                     ws.edge_credit().clone()
                 });
-                for (u, v) in live {
-                    let gain = base - brute_force_reach(&pool, &seeds, None, Some((u, v))).0;
+                for &(u, v) in &live {
+                    let gain = base - reach(None, Some((u, v)));
                     let got = credit.get(&(u, v)).copied().unwrap_or(0);
                     assert_eq!(got, gain, "pool seed {pool_seed}: edge ({u}, {v})");
                 }

@@ -121,6 +121,7 @@ pub mod baseline_greedy;
 pub mod decrease;
 pub mod error;
 pub mod exact_blocker;
+mod greedy;
 pub mod greedy_replace;
 pub mod heuristics;
 pub mod intervene;

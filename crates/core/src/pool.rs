@@ -16,16 +16,26 @@
 //!   self-contained).
 //! * [`pooled_decrease_in`] answers the per-query half: a multi-source BFS
 //!   from the (unmerged) seed set over each stored realisation, skipping
-//!   blocked vertices, feeds the same Lengauer–Tarjan workspace the classic
-//!   path uses. A virtual root above the seeds plays the role of the
-//!   unified seed of §V without materialising a merged graph per query.
-//!   The same kernel, with another edge filter and credit sink, prices
-//!   edge blocking and prebunking ([`crate::intervene`]).
+//!   blocked vertices, feeds a Lengauer–Tarjan workspace. A virtual root
+//!   above the seeds plays the role of the unified seed of §V without
+//!   materialising a merged graph per query.
 //! * [`pooled_advanced_greedy_in`] / [`pooled_greedy_replace_in`] are
 //!   Algorithms 3 and 4 on top of a borrowed pool: per-query work is only
 //!   re-rooting + dominator trees, which is what makes a resident engine
 //!   answer follow-up queries orders of magnitude faster than a cold run.
+//!   Their rounds run in the one greedy driver (`greedy.rs`).
 //!
+//! ## One kernel
+//!
+//! The cascade → dominator tree → credit loop of Algorithm 2 exists once,
+//! in this module, generic at compile time over where its cascades come
+//! from — the arena view re-rooted at the seeds, or a
+//! [`crate::sampler::SpreadSampler`] drawing fresh samples for the classic
+//! entry points of [`crate::decrease`] — over an edge filter (blocked
+//! vertex, deleted edge, prebunk `α`-coin; see [`crate::intervene`]) and
+//! over a credit sink: per vertex, or per live edge whose deletion
+//! detaches its target's dominator subtree.
+
 //! ## Storage backends
 //!
 //! Live-edge storage goes through a `PoolArena`: the
@@ -40,37 +50,34 @@
 //!
 //! ## Determinism across thread counts
 //!
-//! The classic estimator derives one RNG stream per worker thread, so its
-//! output depends (statistically, not just bit-wise) on the thread count.
-//! The pooled path is stronger: samples are fixed per index, and per-sample
-//! subtree sizes are accumulated into **`u64`** sums, whose addition is
-//! associative and commutative — any sharding of samples across threads
-//! produces the same integers, hence byte-identical blocker selections at
-//! every thread count. (The classic path keeps `f64` accumulators to remain
-//! bit-compatible with its parity references.)
+//! Per-sample subtree sizes are accumulated into **`u64`** sums, whose
+//! addition is associative and commutative. The pooled path's samples are
+//! fixed per index, so any sharding of them across threads produces the
+//! same integers, hence byte-identical blocker selections at every thread
+//! count. The classic path derives one RNG stream per worker thread, so
+//! its output depends (statistically, not just bit-wise) on the thread
+//! count, but is deterministic for each.
 
 use crate::arena::{
     encode_sample, ArenaBacking, ArenaKind, Blob, CompressedArena, PoolArena, RawArena, SampleView,
     Words,
 };
 use crate::decrease::DecreaseEstimate;
+use crate::greedy::{self, Plan, VertexPricer};
+use crate::sampler::{CompactSample, SpreadSampler};
 use crate::snapshot::SnapshotError;
-use crate::types::{BlockerSelection, SelectionStats};
+use crate::types::BlockerSelection;
 use crate::{IminError, Result};
 use imin_diffusion::live_edge::indexed_sample_seed;
 use imin_domtree::{DomTree, DomTreeWorkspace};
 use imin_graph::{DiGraph, VertexId, THRESHOLD_ALWAYS};
+use imin_obs::{span, Phase};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::time::Instant;
-
-const UNMAPPED: u32 = u32::MAX;
-/// Sentinel stored at local id 0 of a re-rooted cascade: the virtual root
-/// standing in for the unified seed of §V.
-const VIRTUAL_ROOT: u32 = u32::MAX;
+use std::time::{Duration, Instant};
 
 /// A resident pool of θ live-edge realisations of one graph.
 ///
@@ -640,46 +647,6 @@ impl SamplePool {
     }
 }
 
-/// A cascade re-rooted at a query's seed set inside one stored realisation:
-/// local vertex 0 is a virtual root with one edge per seed, and the reached
-/// region is renumbered densely exactly like a rooted `CompactSample`.
-#[derive(Clone, Debug, Default)]
-struct RootedCascade {
-    /// Global id per local vertex; `vertices[0]` is [`VIRTUAL_ROOT`].
-    vertices: Vec<u32>,
-    offsets: Vec<u32>,
-    targets: Vec<u32>,
-    local_of: Vec<u32>,
-}
-
-impl RootedCascade {
-    fn reset(&mut self, n: usize) {
-        // Skip the sentinel at local 0 — it has no global id to unmap.
-        for &v in self.vertices.iter().skip(1) {
-            self.local_of[v as usize] = UNMAPPED;
-        }
-        if self.local_of.len() < n {
-            self.local_of.resize(n, UNMAPPED);
-        }
-        self.vertices.clear();
-        self.vertices.push(VIRTUAL_ROOT);
-        self.offsets.clear();
-        self.offsets.push(0);
-        self.targets.clear();
-    }
-
-    fn intern(&mut self, global: u32) -> u32 {
-        let slot = self.local_of[global as usize];
-        if slot != UNMAPPED {
-            return slot;
-        }
-        let local = self.vertices.len() as u32;
-        self.local_of[global as usize] = local;
-        self.vertices.push(global);
-        local
-    }
-}
-
 /// Per-worker scratch of the edge credit. Deleting the kept edge `(u, v)`
 /// detaches exactly `v`'s dominator subtree when every other kept edge
 /// into `v` comes from inside that subtree — from a vertex only reachable
@@ -705,10 +672,10 @@ impl EdgeCredit {
         &mut self,
         tree: &DomTree,
         sizes: &[u64],
-        cascade: &RootedCascade,
+        cascade: &CompactSample,
         edge_sum: &mut HashMap<(u32, u32), u64>,
     ) {
-        let reached = cascade.vertices.len();
+        let reached = cascade.num_reached();
         let EdgeCredit { pre, count, pred } = self;
         pre.clear();
         pre.resize(reached, 0);
@@ -725,8 +692,8 @@ impl EdgeCredit {
             count[v] = pre[v] + 1;
         }
         count.fill(0);
-        for (u, window) in cascade.offsets.windows(2).enumerate() {
-            for &v in &cascade.targets[window[0] as usize..window[1] as usize] {
+        for (u, window) in cascade.offsets().windows(2).enumerate() {
+            for &v in &cascade.targets()[window[0] as usize..window[1] as usize] {
                 let v = v as usize;
                 if pre[u].wrapping_sub(pre[v]) >= sizes[v] as u32 {
                     count[v] += 1;
@@ -734,9 +701,10 @@ impl EdgeCredit {
                 }
             }
         }
+        let globals = cascade.vertices();
         for v in 1..reached {
             if count[v] == 1 && pred[v] != 0 {
-                let edge = (cascade.vertices[pred[v] as usize], cascade.vertices[v]);
+                let edge = (globals[pred[v] as usize], globals[v]);
                 *edge_sum.entry(edge).or_insert(0) += sizes[v];
             }
         }
@@ -755,7 +723,7 @@ pub(crate) trait EdgeFilter: Sync {
 }
 
 /// Vertex blocking: drops every edge into a blocked vertex.
-struct BlockedVertices<'a>(&'a [bool]);
+pub(crate) struct BlockedVertices<'a>(pub(crate) &'a [bool]);
 
 impl EdgeFilter for BlockedVertices<'_> {
     #[inline]
@@ -764,64 +732,40 @@ impl EdgeFilter for BlockedVertices<'_> {
     }
 }
 
-/// Per-worker scratch for the pooled estimator: the re-rooted cascade
-/// buffers, the dominator-tree workspace and the integer accumulators.
-#[derive(Clone, Debug, Default)]
-struct PoolWorkerScratch {
-    cascade: RootedCascade,
-    edge_credit: EdgeCredit,
-    domtree: DomTreeWorkspace,
-    sizes: Vec<u64>,
-    /// Integer subtree-size sums per global vertex. `u64` addition is
-    /// associative, so merging per-worker sums is order- and
-    /// thread-count-independent — the determinism contract of the pool.
-    delta_sum: Vec<u64>,
-    /// Integer subtree-size sums per live edge `(pred, v)`, filled by the
-    /// edge-credit instantiation instead of `delta_sum`.
-    edge_sum: HashMap<(u32, u32), u64>,
-    reached_sum: u64,
-    /// Nanoseconds spent in the decode / bfs / domtree / credit phases of
-    /// the last `accumulate` call, estimated by profiling a prefix of the
-    /// realisations (all zero when it ran untimed). Workers fill these
-    /// plain slots; the calling thread folds them into its `imin_obs`
-    /// span after the join.
-    phase_ns: [u64; 4],
-}
+/// `phase_ns` slots of the kernel: the phase each slot feeds.
+/// The phase each lap slot of the kernel feeds.
+const KERNEL_PHASES: [Phase; 5] = [
+    Phase::Sample,
+    Phase::Decode,
+    Phase::Bfs,
+    Phase::DomTree,
+    Phase::Credit,
+];
+const PN_SAMPLE: usize = 0;
+const PN_DECODE: usize = 1;
+const PN_BFS: usize = 2;
+const PN_DOMTREE: usize = 3;
+const PN_CREDIT: usize = 4;
 
-/// `phase_ns` slot indices of [`PoolWorkerScratch`].
-const PN_DECODE: usize = 0;
-const PN_BFS: usize = 1;
-const PN_DOMTREE: usize = 2;
-const PN_CREDIT: usize = 3;
-
-/// Stride for sampled phase lapping in the runtime-branched estimator
-/// loops ([`crate::decrease`]): one sample iteration in `LAP_STRIDE`
-/// reads the clock at each phase boundary, the rest skip the laps, and
-/// [`PhaseSplit`] spreads the loop's measured wall time across the
-/// phases in the sampled proportions. The phase *total* stays exact
-/// while per-phase attribution carries only the ~1/√(θ/stride) sampling
-/// error. Power of two so the stride test compiles to a mask.
-pub(crate) const LAP_STRIDE: usize = 16;
-
-/// Number of leading samples a *timed* pooled accumulate routes through
-/// the instrumented monomorphisation to measure the phase mix; the rest
-/// run the untimed loop at full speed and [`PhaseSplit`] spreads the
-/// call's total wall time by the profiled proportions. Keeping the
-/// instrumented instance off the bulk of the work matters far more than
-/// the clock reads themselves: the extra code in the loop body was
-/// observed degrading the BFS codegen by 4–13% depending on build, while
-/// a 128-sample profile prefix bounds that to ~0.2% of a θ=10⁴ query.
+/// Number of leading cascades a *timed* accumulate routes through the
+/// instrumented monomorphisation to measure the phase mix; the rest run
+/// the untimed loop at full speed and [`Laps::split`] spreads the call's
+/// total wall time by the profiled proportions. Keeping the instrumented
+/// instance off the bulk of the work matters far more than the clock
+/// reads themselves: the extra code in the loop body was observed
+/// degrading the BFS codegen by 4–13% depending on build, while a
+/// 128-sample profile prefix bounds that to ~0.2% of a θ=10⁴ query.
 /// Phase totals stay exact by construction; per-phase attribution
 /// carries the ~1/√PROFILE_SAMPLES sampling error per round.
 const PROFILE_SAMPLES: usize = 128;
 
 /// A cheap monotonic tick source for phase lapping. On x86-64 this is a
 /// single `rdtsc` instruction — a fraction of the `clock_gettime` call
-/// behind `Instant::now`. Ticks never leave the module: [`PhaseSplit`]
+/// behind `Instant::now`. Ticks never leave the module: [`Laps::split`]
 /// only uses their *ratios*, so the TSC frequency needs no calibration;
 /// non-x86 targets fall back to `Instant`.
 #[inline]
-pub(crate) fn ticks() -> u64 {
+fn ticks() -> u64 {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: `rdtsc` has no preconditions — it only reads the
     // time-stamp counter.
@@ -837,15 +781,6 @@ pub(crate) fn ticks() -> u64 {
     }
 }
 
-/// Advances `mark` to the current tick and adds the elapsed ticks to
-/// `slot`. Chaining laps this way costs one tick read per phase boundary.
-#[inline]
-pub(crate) fn lap(mark: &mut u64, slot: &mut u64) {
-    let now = ticks();
-    *slot += now.wrapping_sub(*mark);
-    *mark = now;
-}
-
 /// `Instant`-denominated lap for coarse, once-per-request phase boundaries
 /// (the snapshot load/validate/map phases), where a full clock read per
 /// lap is noise and no tick-to-nanosecond scaling pass runs afterwards.
@@ -855,62 +790,188 @@ pub(crate) fn lap_instant(mark: &mut Instant, slot: &mut u64) {
     *mark = now;
 }
 
-/// Spreads a lapped loop's total wall time across its phase slots in the
-/// proportion of their sampled tick counts: `begin` before the loop,
-/// `split` after it. The slots then sum to the loop's measured elapsed
-/// time exactly — whatever fraction of iterations was sampled and
-/// whatever the tick frequency.
-pub(crate) struct PhaseSplit {
-    start: Instant,
+/// One worker's phase laps: ticks per [`KERNEL_PHASES`] slot while the
+/// kernel runs, nanoseconds once [`Laps::split`] has run. Chained laps
+/// cost one tick read per phase boundary, and with `TIMED` off none.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Laps {
+    mark: u64,
+    ns: [u64; 5],
 }
 
-impl PhaseSplit {
-    pub(crate) fn begin() -> Self {
-        PhaseSplit {
-            start: Instant::now(),
+impl Laps {
+    /// Adds the ticks since the previous lap to `slot`.
+    #[inline]
+    fn lap<const TIMED: bool>(&mut self, slot: usize) {
+        if TIMED {
+            let now = ticks();
+            self.ns[slot] += now.wrapping_sub(self.mark);
+            self.mark = now;
         }
     }
 
-    /// Rewrites tick-denominated `slots` in place as nanoseconds summing
-    /// to the elapsed time since `begin`. All-zero slots are left alone
-    /// (an empty loop has nothing to attribute).
-    pub(crate) fn split(&self, slots: &mut [u64]) {
-        let total: u64 = slots.iter().sum();
+    /// Rewrites the tick counts as nanoseconds summing to `elapsed`, in
+    /// their lapped proportions — whatever fraction of the iterations was
+    /// lapped and whatever the tick frequency. All-zero slots stay zero.
+    fn split(&mut self, elapsed: Duration) {
+        let total: u64 = self.ns.iter().sum();
         if total == 0 {
             return;
         }
-        let elapsed = self.start.elapsed().as_nanos() as f64;
-        for slot in slots.iter_mut() {
+        let elapsed = elapsed.as_nanos() as f64;
+        for slot in &mut self.ns {
             *slot = (*slot as f64 / total as f64 * elapsed) as u64;
         }
     }
 }
 
-impl PoolWorkerScratch {
-    /// Re-roots every realisation in `range` at the seed set, keeping the
-    /// live edges `filter` lets through, and accumulates dominator-subtree
-    /// sizes: per vertex into `self.delta_sum`, or — with `EDGE_CREDIT` —
-    /// per live edge into `self.edge_sum` (see [`EdgeCredit`]). Neighbour lists are read
-    /// straight from the pool's arena view — raw slices, varint streams and
-    /// bitset walks all feed the identical BFS, with zero steady-state
-    /// allocation.
+/// Where the kernel's cascades come from: a pool's realisations re-rooted
+/// at the seeds ([`Rerooted`]), or fresh samples ([`Sampled`]). Either way
+/// each cascade lands in a [`CompactSample`] under a virtual root with one
+/// edge per staged seed.
+pub(crate) trait CascadeSource: Sync {
+    /// A worker's position in the source: nothing for a pool, the RNG
+    /// stream for a sampler.
+    type Cursor;
+    /// Number of cascades θ one pass visits.
+    fn num_cascades(&self) -> usize;
+    /// The cursor of worker `worker` out of `workers`.
+    fn cursor(&self, worker: usize, workers: usize) -> Self::Cursor;
+    /// Fills `cascade` with cascade `idx`, lapping its phases.
+    fn fill<const TIMED: bool>(
+        &self,
+        cursor: &mut Self::Cursor,
+        idx: usize,
+        seeds: &[VertexId],
+        cascade: &mut CompactSample,
+        laps: &mut Laps,
+    );
+}
+
+/// A pool's realisations re-rooted at the seeds, keeping the live edges
+/// `filter` lets through. Neighbour lists are read straight from the
+/// arena view — raw slices, varint streams and bitset walks all feed the
+/// identical BFS, with zero steady-state allocation.
+pub(crate) struct Rerooted<'a, F> {
+    pub(crate) pool: &'a SamplePool,
+    pub(crate) filter: F,
+}
+
+impl<F: EdgeFilter> CascadeSource for Rerooted<'_, F> {
+    type Cursor = ();
+
+    fn num_cascades(&self) -> usize {
+        self.pool.theta()
+    }
+
+    fn cursor(&self, _worker: usize, _workers: usize) {}
+
+    fn fill<const TIMED: bool>(
+        &self,
+        _cursor: &mut (),
+        idx: usize,
+        seeds: &[VertexId],
+        cascade: &mut CompactSample,
+        laps: &mut Laps,
+    ) {
+        let view = self.pool.arena.view(idx);
+        laps.lap::<TIMED>(PN_DECODE);
+        cascade.root_at(self.pool.num_vertices, seeds);
+        // Multi-source BFS over the stored live edges; only the
+        // intervention filters them — the coins were flipped at build time.
+        let mut head = 1;
+        while let Some(&u) = cascade.vertices().get(head) {
+            head += 1;
+            view.for_each_live(u, |t| {
+                if self.filter.keeps(idx, u, t) {
+                    cascade.push_live(t);
+                }
+            });
+            cascade.seal_vertex();
+        }
+        laps.lap::<TIMED>(PN_BFS);
+    }
+}
+
+/// θ fresh samples of `sampler` that skip the `blocked` vertices. Worker
+/// `t` of several draws from `seed + 0x9E3779B97F4A7C15·(t + 1)`, a lone
+/// worker from `seed` itself, so a Fresh estimate depends on the thread
+/// count but is deterministic for each.
+pub(crate) struct Sampled<'a, S: ?Sized> {
+    pub(crate) sampler: &'a S,
+    pub(crate) graph: &'a DiGraph,
+    pub(crate) blocked: &'a [bool],
+    pub(crate) theta: usize,
+    pub(crate) seed: u64,
+}
+
+impl<S: SpreadSampler + ?Sized> CascadeSource for Sampled<'_, S> {
+    type Cursor = SmallRng;
+
+    fn num_cascades(&self) -> usize {
+        self.theta
+    }
+
+    fn cursor(&self, worker: usize, workers: usize) -> SmallRng {
+        let stride = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(worker as u64 + 1);
+        let offset = if workers > 1 { stride } else { 0 };
+        SmallRng::seed_from_u64(self.seed.wrapping_add(offset))
+    }
+
+    fn fill<const TIMED: bool>(
+        &self,
+        rng: &mut SmallRng,
+        _idx: usize,
+        seeds: &[VertexId],
+        cascade: &mut CompactSample,
+        laps: &mut Laps,
+    ) {
+        (self.sampler).sample_multi(self.graph, seeds, self.blocked, rng, cascade);
+        laps.lap::<TIMED>(PN_SAMPLE);
+    }
+}
+
+/// Per-worker scratch of the kernel: the cascade buffers, the
+/// dominator-tree workspace and the integer accumulators.
+#[derive(Clone, Debug, Default)]
+struct KernelScratch {
+    cascade: CompactSample,
+    edge_credit: EdgeCredit,
+    domtree: DomTreeWorkspace,
+    sizes: Vec<u64>,
+    /// Integer subtree-size sums per global vertex. `u64` addition is
+    /// associative, so merging per-worker sums is order- and
+    /// thread-count-independent — the determinism contract of the pool.
+    delta_sum: Vec<u64>,
+    /// Integer subtree-size sums per live edge `(pred, v)`, filled by the
+    /// edge-credit instantiation instead of `delta_sum`.
+    edge_sum: HashMap<(u32, u32), u64>,
+    reached_sum: u64,
+    /// Phase laps of the last `accumulate` call (all zero when it ran
+    /// untimed). Workers fill these plain slots; the calling thread folds
+    /// them into its `imin_obs` span after the join.
+    laps: Laps,
+}
+
+impl KernelScratch {
+    /// Runs the kernel over cascades `range` of `source`, accumulating
+    /// dominator-subtree sizes per vertex into `self.delta_sum`, or — with
+    /// `EDGE_CREDIT` — per live edge into `self.edge_sum` (see
+    /// [`EdgeCredit`]).
     ///
-    /// When `timed` is set, per-phase wall-clock nanoseconds are estimated
-    /// into `self.phase_ns` by prefix profiling: the first
-    /// [`PROFILE_SAMPLES`] realisations run through the instrumented
-    /// monomorphisation (which laps every phase boundary), the bulk runs
-    /// the untimed loop, and the call's total wall time is spread across
-    /// the phases in the profiled proportions. The untimed
-    /// monomorphisation compiles every clock read out, so an
-    /// uninstrumented query pays nothing. Both variants run the identical
-    /// accumulation logic, so answers are byte-identical with timing on
-    /// and off.
-    fn accumulate<const EDGE_CREDIT: bool, F: EdgeFilter>(
+    /// When `timed` is set, the first [`PROFILE_SAMPLES`] cascades run
+    /// through the instrumented monomorphisation, which laps every phase
+    /// boundary, and the call's wall time is spread across the phases in
+    /// the profiled proportions. The untimed monomorphisation compiles
+    /// every clock read out. Both run the identical accumulation logic,
+    /// and a sampler's stream continues from one into the other, so
+    /// answers are byte-identical with timing on and off.
+    fn accumulate<const EDGE_CREDIT: bool, C: CascadeSource>(
         &mut self,
-        pool: &SamplePool,
-        seeds: &[u32],
+        source: &C,
+        cursor: &mut C::Cursor,
+        seeds: &[VertexId],
         is_seed: &[bool],
-        filter: &F,
         range: Range<usize>,
         timed: bool,
     ) {
@@ -918,45 +979,33 @@ impl PoolWorkerScratch {
             self.edge_sum.clear();
         } else {
             self.delta_sum.clear();
-            self.delta_sum.resize(pool.num_vertices, 0);
+            self.delta_sum.resize(is_seed.len(), 0);
         }
         self.reached_sum = 0;
-        self.phase_ns = [0; 4];
+        self.laps = Laps::default();
+        let start = timed.then(Instant::now);
+        let profiled = range.start..range.end.min(range.start + PROFILE_SAMPLES);
+        let rest = if timed { profiled.end } else { range.start }..range.end;
         if timed {
-            let split = PhaseSplit::begin();
-            let profile_end = range.end.min(range.start + PROFILE_SAMPLES);
-            self.accumulate_impl::<true, EDGE_CREDIT, F>(
-                pool,
-                seeds,
-                is_seed,
-                filter,
-                range.start..profile_end,
-            );
-            self.accumulate_impl::<false, EDGE_CREDIT, F>(
-                pool,
-                seeds,
-                is_seed,
-                filter,
-                profile_end..range.end,
-            );
-            split.split(&mut self.phase_ns);
-        } else {
-            self.accumulate_impl::<false, EDGE_CREDIT, F>(pool, seeds, is_seed, filter, range);
+            self.accumulate_impl::<true, EDGE_CREDIT, C>(source, cursor, seeds, is_seed, profiled);
+        }
+        self.accumulate_impl::<false, EDGE_CREDIT, C>(source, cursor, seeds, is_seed, rest);
+        if let Some(start) = start {
+            self.laps.split(start.elapsed());
         }
     }
 
-    /// The one re-rooted BFS → dominator tree → credit kernel behind every
-    /// intervention family.
-    fn accumulate_impl<const TIMED: bool, const EDGE_CREDIT: bool, F: EdgeFilter>(
+    /// The one cascade → dominator tree → credit kernel (Algorithm 2)
+    /// behind every intervention family and both estimator backends.
+    fn accumulate_impl<const TIMED: bool, const EDGE_CREDIT: bool, C: CascadeSource>(
         &mut self,
-        pool: &SamplePool,
-        seeds: &[u32],
+        source: &C,
+        cursor: &mut C::Cursor,
+        seeds: &[VertexId],
         is_seed: &[bool],
-        filter: &F,
         range: Range<usize>,
     ) {
-        let n = pool.num_vertices;
-        let PoolWorkerScratch {
+        let KernelScratch {
             cascade,
             edge_credit,
             domtree,
@@ -964,85 +1013,49 @@ impl PoolWorkerScratch {
             delta_sum,
             edge_sum,
             reached_sum,
-            phase_ns,
+            laps,
         } = self;
         let only_seeds = 1 + seeds.len();
         for idx in range {
-            let mut mark = if TIMED { ticks() } else { 0 };
-            let view = pool.arena.view(idx);
             if TIMED {
-                lap(&mut mark, &mut phase_ns[PN_DECODE]);
+                laps.mark = ticks();
             }
-            cascade.reset(n);
-            // Virtual root → every seed (the unified-seed edges of §V, all
-            // with probability 1, so no coins are involved).
-            for &s in seeds {
-                let local = cascade.intern(s);
-                cascade.targets.push(local);
-            }
-            cascade.offsets.push(cascade.targets.len() as u32);
-            // Multi-source BFS over the stored live edges; only the
-            // intervention filters them — the coins were flipped at build
-            // time.
-            let mut head = 1usize;
-            while head < cascade.vertices.len() {
-                let u_global = cascade.vertices[head];
-                head += 1;
-                view.for_each_live(u_global, |t| {
-                    if !filter.keeps(idx, u_global, t) {
-                        return;
-                    }
-                    let t_local = cascade.intern(t);
-                    cascade.targets.push(t_local);
-                });
-                cascade.offsets.push(cascade.targets.len() as u32);
-            }
-            if TIMED {
-                lap(&mut mark, &mut phase_ns[PN_BFS]);
-            }
-            let reached = cascade.vertices.len();
+            source.fill::<TIMED>(cursor, idx, seeds, cascade, laps);
+            let reached = cascade.num_reached();
             // The virtual root is bookkeeping, not spread.
             *reached_sum += (reached - 1) as u64;
             if reached <= only_seeds {
                 // Nothing beyond the seeds was reached: no candidate can
-                // earn credit from this realisation.
+                // earn credit from this cascade.
                 continue;
             }
-            let tree = domtree.compute_csr(
-                reached,
-                &cascade.offsets,
-                &cascade.targets,
-                VertexId::new(0),
-            );
-            if TIMED {
-                lap(&mut mark, &mut phase_ns[PN_DOMTREE]);
-            }
+            let (offsets, targets) = (cascade.offsets(), cascade.targets());
+            let tree = domtree.compute_csr(reached, offsets, targets, VertexId::new(0));
+            laps.lap::<TIMED>(PN_DOMTREE);
             tree.subtree_sizes_into(sizes);
             if EDGE_CREDIT {
                 edge_credit.accumulate(tree, sizes, cascade, edge_sum);
             } else {
-                for (&global, &size) in cascade.vertices[1..reached].iter().zip(&sizes[1..reached])
-                {
-                    if is_seed[global as usize] {
-                        continue;
+                // Seeds earn no credit: blocking one is not allowed.
+                for (&global, &size) in cascade.vertices()[1..].iter().zip(&sizes[1..reached]) {
+                    if !is_seed[global as usize] {
+                        delta_sum[global as usize] += size;
                     }
-                    delta_sum[global as usize] += size;
                 }
             }
-            if TIMED {
-                lap(&mut mark, &mut phase_ns[PN_CREDIT]);
-            }
+            laps.lap::<TIMED>(PN_CREDIT);
         }
     }
 }
 
-/// Reusable state for the pooled estimator and the pooled greedy loops: one
-/// scratch set per worker thread plus the canonicalised-seed buffers, kept
-/// alive across rounds and across queries.
+/// Reusable state for the estimator kernel and the greedy loops on top of
+/// it, on either backend: one scratch set per worker thread plus the
+/// canonicalised-seed buffers, kept alive across rounds and across
+/// queries so that steady-state passes allocate nothing.
 #[derive(Clone, Debug, Default)]
 pub struct PoolWorkspace {
-    workers: Vec<PoolWorkerScratch>,
-    seeds: Vec<u32>,
+    workers: Vec<KernelScratch>,
+    seeds: Vec<VertexId>,
     is_seed: Vec<bool>,
 }
 
@@ -1089,7 +1102,7 @@ impl PoolWorkspace {
         // A previous query may have staged seeds for a different (larger)
         // graph; clear only the slots that still exist.
         for &v in &self.seeds {
-            if let Some(slot) = self.is_seed.get_mut(v as usize) {
+            if let Some(slot) = self.is_seed.get_mut(v.index()) {
                 *slot = false;
             }
         }
@@ -1105,12 +1118,12 @@ impl PoolWorkspace {
             if blocked.is_some_and(|blocked| blocked[s.index()]) {
                 return Err(IminError::ForbiddenSeedOverlap { vertex: s.index() });
             }
-            self.seeds.push(s.raw());
+            self.seeds.push(s);
         }
         self.seeds.sort_unstable();
         self.seeds.dedup();
         for &s in &self.seeds {
-            self.is_seed[s as usize] = true;
+            self.is_seed[s.index()] = true;
         }
         Ok(())
     }
@@ -1120,8 +1133,7 @@ impl PoolWorkspace {
         &self.is_seed
     }
 
-    /// The merged per-edge credit of the last [`pooled_edge_credit_with`]
-    /// pass.
+    /// The merged per-edge credit of the last [`edge_credit`] pass.
     pub(crate) fn edge_credit(&self) -> &HashMap<(u32, u32), u64> {
         &self.workers[0].edge_sum
     }
@@ -1140,45 +1152,49 @@ pub(crate) fn check_mask_len(pool: &SamplePool, mask: &[bool]) -> Result<()> {
     Ok(())
 }
 
-/// Runs the kernel over all θ realisations for the staged seed set,
-/// sharded across `threads` workers, and merges the per-worker integer
-/// sums into the first worker. `u64` addition is order-independent, so the
-/// merged sums are the same at every thread count. `finish` reads them
-/// inside the timed merge window; the phase laps of every worker land in
-/// the calling thread's span, if one is active.
-fn run_kernel<const EDGE_CREDIT: bool, F: EdgeFilter, R>(
-    pool: &SamplePool,
-    filter: &F,
+/// Runs the kernel over every cascade of `source` for the seed set staged
+/// in `workspace`, sharded into contiguous ranges across `threads`
+/// workers, and merges the per-worker integer sums into the first worker.
+/// `u64` addition is order-independent, so a pool's merged sums are the
+/// same at every thread count. `finish` reads them inside the timed merge
+/// window; the phase laps of every worker land in the calling thread's
+/// span, if one is active.
+fn run_kernel<const EDGE_CREDIT: bool, C: CascadeSource, R>(
+    source: &C,
     threads: usize,
     workspace: &mut PoolWorkspace,
-    finish: impl FnOnce(&PoolWorkerScratch) -> R,
+    finish: impl FnOnce(&KernelScratch) -> R,
 ) -> R {
-    let theta = pool.theta();
+    let theta = source.num_cascades();
     let threads = threads.max(1).min(theta);
     // Sampled on the calling thread: workers collect plain nanosecond
     // slots, and only the caller's span (if any) aggregates them.
     let timed = imin_obs::span::active();
     let PoolWorkspace {
         workers,
-        seeds: staged,
+        seeds,
         is_seed,
     } = workspace;
     if workers.len() < threads {
-        workers.resize_with(threads, PoolWorkerScratch::default);
+        workers.resize_with(threads, KernelScratch::default);
     }
     let workers = &mut workers[..threads];
+    let (seeds, is_seed) = (&*seeds, &*is_seed);
     if threads <= 1 {
-        workers[0].accumulate::<EDGE_CREDIT, F>(pool, staged, is_seed, filter, 0..theta, timed);
+        let cursor = &mut source.cursor(0, 1);
+        workers[0].accumulate::<EDGE_CREDIT, C>(source, cursor, seeds, is_seed, 0..theta, timed);
     } else {
         crossbeam::scope(|scope| {
-            for (worker, range) in workers.iter_mut().zip(shard_ranges(theta, threads)) {
-                let (staged, is_seed) = (&*staged, &*is_seed);
+            let shards = workers.iter_mut().zip(shard_ranges(theta, threads));
+            for (t, (worker, range)) in shards.enumerate() {
                 scope.spawn(move |_| {
-                    worker.accumulate::<EDGE_CREDIT, F>(pool, staged, is_seed, filter, range, timed)
+                    let cursor = &mut source.cursor(t, threads);
+                    worker
+                        .accumulate::<EDGE_CREDIT, C>(source, cursor, seeds, is_seed, range, timed)
                 });
             }
         })
-        .expect("pooled-estimator worker panicked");
+        .expect("estimator worker panicked");
     }
     let merge_start = timed.then(Instant::now);
     let (first, rest) = workers.split_at_mut(1);
@@ -1197,12 +1213,10 @@ fn run_kernel<const EDGE_CREDIT: bool, F: EdgeFilter, R>(
     }
     let result = finish(merged);
     if timed {
-        use imin_obs::{span, Phase};
         for worker in workers.iter() {
-            span::add_ns(Phase::Decode, worker.phase_ns[PN_DECODE]);
-            span::add_ns(Phase::Bfs, worker.phase_ns[PN_BFS]);
-            span::add_ns(Phase::DomTree, worker.phase_ns[PN_DOMTREE]);
-            span::add_ns(Phase::Credit, worker.phase_ns[PN_CREDIT]);
+            for (&phase, &ns) in KERNEL_PHASES.iter().zip(&worker.laps.ns) {
+                span::add_ns(phase, ns);
+            }
         }
         if let Some(start) = merge_start {
             // Merge + finalisation scale with n, like credit accumulation.
@@ -1212,18 +1226,16 @@ fn run_kernel<const EDGE_CREDIT: bool, F: EdgeFilter, R>(
     result
 }
 
-/// Per-vertex credit pass for the seed set already staged in `workspace`:
-/// the pooled estimate of Algorithm 2 with `filter` applied to every
-/// realisation (blocked vertices for [`pooled_decrease_in`], the `α`-coins
-/// for prebunking).
-pub(crate) fn pooled_decrease_with<F: EdgeFilter>(
-    pool: &SamplePool,
-    filter: &F,
+/// Per-vertex credit pass over `source` for the seed set already staged
+/// in `workspace`: Algorithm 2's estimate, with `delta[u]` 0 for seeds and
+/// for vertices no cascade reached.
+pub(crate) fn vertex_credit<C: CascadeSource>(
+    source: &C,
     threads: usize,
     workspace: &mut PoolWorkspace,
 ) -> DecreaseEstimate {
-    let theta = pool.theta();
-    run_kernel::<false, F, _>(pool, filter, threads, workspace, |merged| {
+    let theta = source.num_cascades();
+    run_kernel::<false, C, _>(source, threads, workspace, |merged| {
         let inv = 1.0 / theta as f64;
         DecreaseEstimate {
             delta: merged.delta_sum.iter().map(|&d| d as f64 * inv).collect(),
@@ -1233,20 +1245,17 @@ pub(crate) fn pooled_decrease_with<F: EdgeFilter>(
     })
 }
 
-/// Per-edge credit pass for the seed set already staged in `workspace`:
-/// every live edge `(pred, v)` whose deletion detaches `v` earns `v`'s
-/// dominator-subtree size (see [`EdgeCredit`]).
-/// Returns the reached count summed over the θ realisations; the merged
-/// credit is then [`PoolWorkspace::edge_credit`].
-pub(crate) fn pooled_edge_credit_with<F: EdgeFilter>(
-    pool: &SamplePool,
-    filter: &F,
+/// Per-edge credit pass over `source` for the seed set already staged in
+/// `workspace`: every live edge `(pred, v)` whose deletion detaches `v`
+/// earns `v`'s dominator-subtree size (see [`EdgeCredit`]). Returns the
+/// reached count summed over the θ cascades; the merged credit is then
+/// [`PoolWorkspace::edge_credit`].
+pub(crate) fn edge_credit<C: CascadeSource>(
+    source: &C,
     threads: usize,
     workspace: &mut PoolWorkspace,
 ) -> u64 {
-    run_kernel::<true, F, _>(pool, filter, threads, workspace, |merged| {
-        merged.reached_sum
-    })
+    run_kernel::<true, C, _>(source, threads, workspace, |merged| merged.reached_sum)
 }
 
 /// Algorithm 2 against a resident pool: estimates the spread decrease of
@@ -1272,9 +1281,9 @@ pub fn pooled_decrease_in(
 ) -> Result<DecreaseEstimate> {
     check_mask_len(pool, blocked)?;
     workspace.stage_seeds(pool.num_vertices(), seeds, Some(blocked))?;
-    Ok(pooled_decrease_with(
-        pool,
-        &BlockedVertices(blocked),
+    let filter = BlockedVertices(blocked);
+    Ok(vertex_credit(
+        &Rerooted { pool, filter },
         threads,
         workspace,
     ))
@@ -1291,22 +1300,6 @@ pub fn pooled_decrease(
     threads: usize,
 ) -> Result<DecreaseEstimate> {
     pooled_decrease_in(pool, seeds, blocked, threads, &mut PoolWorkspace::new())
-}
-
-/// `DecreaseEstimate::best_candidate` with the scan attributed to the
-/// `select` phase of the caller's span when `timed` is set.
-pub(crate) fn timed_best(
-    estimate: &DecreaseEstimate,
-    timed: bool,
-    pred: impl Fn(VertexId) -> bool,
-) -> Option<VertexId> {
-    if !timed {
-        return estimate.best_candidate(pred);
-    }
-    let start = Instant::now();
-    let chosen = estimate.best_candidate(pred);
-    imin_obs::span::add_ns(imin_obs::Phase::Select, start.elapsed().as_nanos() as u64);
-    chosen
 }
 
 /// Validates the query-shaped inputs shared by the pooled greedy loops.
@@ -1338,34 +1331,8 @@ pub fn pooled_advanced_greedy_in(
 ) -> Result<BlockerSelection> {
     let start = Instant::now();
     validate_pooled_query(pool, forbidden, budget)?;
-    let timed = imin_obs::span::active();
-    let n = pool.num_vertices();
-    let mut blocked = vec![false; n];
-    let mut blockers = Vec::with_capacity(budget);
-    let mut stats = SelectionStats::default();
-    let mut estimated_spread = None;
-    for round in 0..budget {
-        let estimate = pooled_decrease_in(pool, seeds, &blocked, threads, workspace)?;
-        stats.samples_drawn += estimate.samples;
-        let chosen = timed_best(&estimate, timed, |v| {
-            !workspace.is_seed[v.index()] && !blocked[v.index()] && !forbidden[v.index()]
-        });
-        let Some(chosen) = chosen else {
-            estimated_spread = Some(estimate.average_reached);
-            break;
-        };
-        estimated_spread = Some(estimate.average_reached - estimate.delta[chosen.index()]);
-        blocked[chosen.index()] = true;
-        blockers.push(chosen);
-        stats.rounds = round + 1;
-    }
-    stats.elapsed = start.elapsed();
-    Ok(BlockerSelection {
-        blockers,
-        estimated_spread,
-        blocked_edges: Vec::new(),
-        stats,
-    })
+    let mut pricer = VertexPricer::pooled(pool, seeds, forbidden, threads, workspace)?;
+    greedy::run(&mut pricer, budget, &Plan::advanced(), start)
 }
 
 /// GreedyReplace (Algorithm 4) against a borrowed resident pool: the
@@ -1389,92 +1356,9 @@ pub fn pooled_greedy_replace_in(
     let start = Instant::now();
     validate_pooled_query(pool, forbidden, budget)?;
     pool.ensure_matches(graph)?;
-    let timed = imin_obs::span::active();
-    let n = pool.num_vertices();
-    let mut blocked = vec![false; n];
-    let mut blockers: Vec<VertexId> = Vec::with_capacity(budget);
-    let mut stats = SelectionStats::default();
-    let mut estimated_spread: Option<f64> = None;
-
-    // Stage once to build the seed mask for candidate filtering; the
-    // estimator re-stages per round (cheap — the buffers are reused).
-    workspace.stage_seeds(n, seeds, Some(&blocked))?;
-    let eligible = |v: VertexId, blocked: &[bool], is_seed: &[bool]| {
-        !is_seed[v.index()] && !blocked[v.index()] && !forbidden[v.index()]
-    };
-
-    // ---- Phase 1: blockers among the seeds' out-neighbours ----------------
-    let mut candidate_pool: Vec<VertexId> = Vec::new();
-    for &s in &workspace.seeds {
-        for &t in graph.out_neighbors(VertexId::from_raw(s)) {
-            let v = VertexId::from_raw(t);
-            if eligible(v, &blocked, &workspace.is_seed) {
-                candidate_pool.push(v);
-            }
-        }
-    }
-    candidate_pool.sort_unstable();
-    candidate_pool.dedup();
-
-    let out_rounds = candidate_pool.len().min(budget);
-    for _ in 0..out_rounds {
-        stats.rounds += 1;
-        let estimate = pooled_decrease_in(pool, seeds, &blocked, threads, workspace)?;
-        stats.samples_drawn += estimate.samples;
-        let chosen = timed_best(&estimate, timed, |v| {
-            candidate_pool.contains(&v) && eligible(v, &blocked, &workspace.is_seed)
-        });
-        let Some(chosen) = chosen else { break };
-        estimated_spread = Some(estimate.average_reached - estimate.delta[chosen.index()]);
-        blocked[chosen.index()] = true;
-        blockers.push(chosen);
-        candidate_pool.retain(|&v| v != chosen);
-    }
-
-    // ---- Fill: spend any remaining budget on global greedy picks ----------
-    while blockers.len() < budget {
-        stats.rounds += 1;
-        let estimate = pooled_decrease_in(pool, seeds, &blocked, threads, workspace)?;
-        stats.samples_drawn += estimate.samples;
-        let chosen = timed_best(&estimate, timed, |v| {
-            eligible(v, &blocked, &workspace.is_seed)
-        });
-        let Some(chosen) = chosen else { break };
-        estimated_spread = Some(estimate.average_reached - estimate.delta[chosen.index()]);
-        blocked[chosen.index()] = true;
-        blockers.push(chosen);
-    }
-
-    // ---- Phase 2: replacement in reverse insertion order ------------------
-    for idx in (0..blockers.len()).rev() {
-        let u = blockers[idx];
-        blocked[u.index()] = false;
-        stats.rounds += 1;
-        let estimate = pooled_decrease_in(pool, seeds, &blocked, threads, workspace)?;
-        stats.samples_drawn += estimate.samples;
-        let chosen = timed_best(&estimate, timed, |v| {
-            eligible(v, &blocked, &workspace.is_seed)
-        });
-        let Some(chosen) = chosen else {
-            blocked[u.index()] = true;
-            break;
-        };
-        estimated_spread = Some(estimate.average_reached - estimate.delta[chosen.index()]);
-        blocked[chosen.index()] = true;
-        blockers[idx] = chosen;
-        if chosen == u {
-            // Early termination (Algorithm 4, lines 19–20).
-            break;
-        }
-    }
-
-    stats.elapsed = start.elapsed();
-    Ok(BlockerSelection {
-        blockers,
-        estimated_spread,
-        blocked_edges: Vec::new(),
-        stats,
-    })
+    let mut pricer = VertexPricer::pooled(pool, seeds, forbidden, threads, workspace)?;
+    let plan = Plan::replace(pricer.out_neighbours(graph, seeds));
+    greedy::run(&mut pricer, budget, &plan, start)
 }
 
 #[cfg(test)]

@@ -142,14 +142,18 @@ impl CompactSample {
         self.sealed = 0;
     }
 
-    /// Installs a virtual root as local vertex 0 of a freshly reset sample:
-    /// the stand-in for the unified seed of §V when a sample is rooted at a
-    /// whole seed set. The root has no global id ([`Self::local_id`] never
-    /// resolves to it) and must be given its seed edges and sealed by the
-    /// caller.
-    fn begin_virtual_root(&mut self) {
-        debug_assert!(self.vertices.is_empty(), "virtual root must come first");
+    /// Resets the sample for a graph with `n` vertices and roots it at a
+    /// virtual root, local vertex 0: the stand-in for the unified seed of
+    /// §V, with one deterministic edge per seed (no coins). The root has no
+    /// global id ([`Self::local_id`] never resolves to it); the caller's
+    /// BFS expands the seeds from local id 1 on.
+    pub(crate) fn root_at(&mut self, n: usize, seeds: &[VertexId]) {
+        self.reset(n);
         self.vertices.push(VIRTUAL_ROOT);
+        for &s in seeds {
+            self.push_live(s.raw());
+        }
+        self.seal_vertex();
     }
 
     /// Interns a global vertex, returning its local id (allocating one if it
@@ -166,15 +170,16 @@ impl CompactSample {
     }
 
     /// Records a live edge from the vertex currently being expanded (the
-    /// next unsealed local vertex) to `to_local`.
-    fn push_edge(&mut self, to_local: u32) {
+    /// next unsealed local vertex) to the global vertex `to`, interning it.
+    pub(crate) fn push_live(&mut self, to: u32) {
+        let to_local = self.intern(to);
         self.targets.push(to_local);
     }
 
     /// Seals the adjacency of the vertex currently being expanded. The BFS
     /// must seal vertices in local-id order, which it does for free because
     /// it expands the discovery queue front to back.
-    fn seal_vertex(&mut self) {
+    pub(crate) fn seal_vertex(&mut self) {
         debug_assert!((self.sealed as usize) < self.vertices.len());
         self.offsets.push(self.targets.len() as u32);
         self.sealed += 1;
@@ -205,9 +210,9 @@ pub trait SpreadSampler: Send + Sync {
     /// BFS proceeds from the seeds exactly as [`Self::sample`] does from the
     /// source. Callers must pass deduplicated, unblocked, in-range seeds.
     ///
-    /// Single-seed callers should keep using [`Self::sample`], whose RNG
-    /// stream and local numbering are the historical (parity-protected)
-    /// ones.
+    /// The root consumes no coins, so with one seed this draws exactly the
+    /// coins of [`Self::sample`] and yields the same cascade below the root:
+    /// every dominator subtree, hence every estimate, is the same.
     fn sample_multi(
         &self,
         graph: &DiGraph,
@@ -260,8 +265,7 @@ fn ic_expand_from(
             if !live {
                 continue;
             }
-            let t_local = out.intern(t);
-            out.push_edge(t_local);
+            out.push_live(t);
         }
         out.seal_vertex();
     }
@@ -300,15 +304,7 @@ impl SpreadSampler for IcLiveEdgeSampler {
         rng: &mut SmallRng,
         out: &mut CompactSample,
     ) {
-        out.reset(graph.num_vertices());
-        out.begin_virtual_root();
-        // Virtual root → every seed: the unified-seed edges of §V, all with
-        // probability 1, so no coins are consumed for them.
-        for &s in seeds {
-            let local = out.intern(s.raw());
-            out.push_edge(local);
-        }
-        out.seal_vertex();
+        out.root_at(graph.num_vertices(), seeds);
         ic_expand_from(graph, blocked, rng, out, 1);
     }
 }
@@ -353,14 +349,8 @@ impl<M: TriggeringModel> SpreadSampler for TriggeringSampler<M> {
         rng: &mut SmallRng,
         out: &mut CompactSample,
     ) {
-        out.reset(graph.num_vertices());
         let full = imin_diffusion::triggering::sample_triggering_live_edges(graph, &self.0, rng);
-        out.begin_virtual_root();
-        for &s in seeds {
-            let local = out.intern(s.raw());
-            out.push_edge(local);
-        }
-        out.seal_vertex();
+        out.root_at(graph.num_vertices(), seeds);
         expand_triggering_from(&full, blocked, out, 1);
     }
 }
@@ -380,8 +370,7 @@ fn expand_triggering_from(
             if blocked[t as usize] {
                 continue;
             }
-            let t_local = out.intern(t);
-            out.push_edge(t_local);
+            out.push_live(t);
         }
         out.seal_vertex();
     }

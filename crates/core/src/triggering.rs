@@ -8,7 +8,7 @@
 //! spread evaluator for the resulting blocker sets.
 
 use crate::advanced_greedy::advanced_greedy_with;
-use crate::greedy_replace::{greedy_replace_with, GreedyReplaceOptions};
+use crate::greedy_replace::greedy_replace_with;
 use crate::sampler::TriggeringSampler;
 use crate::types::{AlgorithmConfig, BlockerSelection};
 use crate::Result;
@@ -40,15 +40,7 @@ pub fn greedy_replace_triggering<M: TriggeringModel + Clone>(
     config: &AlgorithmConfig,
 ) -> Result<BlockerSelection> {
     let sampler = TriggeringSampler(model.clone());
-    greedy_replace_with(
-        &sampler,
-        graph,
-        source,
-        forbidden,
-        budget,
-        config,
-        GreedyReplaceOptions::default(),
-    )
+    greedy_replace_with(&sampler, graph, source, forbidden, budget, config)
 }
 
 /// Evaluates a blocker set under a triggering model by repeated live-edge
