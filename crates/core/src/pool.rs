@@ -35,7 +35,7 @@
 //! vertex, deleted edge, prebunk `α`-coin; see [`crate::intervene`]) and
 //! over a credit sink: per vertex, or per live edge whose deletion
 //! detaches its target's dominator subtree.
-
+//!
 //! ## Storage backends
 //!
 //! Live-edge storage goes through a `PoolArena`: the
@@ -732,7 +732,6 @@ impl EdgeFilter for BlockedVertices<'_> {
     }
 }
 
-/// `phase_ns` slots of the kernel: the phase each slot feeds.
 /// The phase each lap slot of the kernel feeds.
 const KERNEL_PHASES: [Phase; 5] = [
     Phase::Sample,
@@ -926,7 +925,13 @@ impl<S: SpreadSampler + ?Sized> CascadeSource for Sampled<'_, S> {
         cascade: &mut CompactSample,
         laps: &mut Laps,
     ) {
-        (self.sampler).sample_multi(self.graph, seeds, self.blocked, rng, cascade);
+        let Sampled {
+            sampler,
+            graph,
+            blocked,
+            ..
+        } = *self;
+        sampler.sample_multi(graph, seeds, blocked, rng, cascade);
         laps.lap::<TIMED>(PN_SAMPLE);
     }
 }

@@ -158,6 +158,7 @@ impl CompactSample {
 
     /// Interns a global vertex, returning its local id (allocating one if it
     /// has not been seen in this sample yet).
+    #[inline]
     fn intern(&mut self, global: u32) -> u32 {
         let slot = self.local_of[global as usize];
         if slot != UNMAPPED {
@@ -171,6 +172,7 @@ impl CompactSample {
 
     /// Records a live edge from the vertex currently being expanded (the
     /// next unsealed local vertex) to the global vertex `to`, interning it.
+    #[inline]
     pub(crate) fn push_live(&mut self, to: u32) {
         let to_local = self.intern(to);
         self.targets.push(to_local);
@@ -179,6 +181,7 @@ impl CompactSample {
     /// Seals the adjacency of the vertex currently being expanded. The BFS
     /// must seal vertices in local-id order, which it does for free because
     /// it expands the discovery queue front to back.
+    #[inline]
     pub(crate) fn seal_vertex(&mut self) {
         debug_assert!((self.sealed as usize) < self.vertices.len());
         self.offsets.push(self.targets.len() as u32);
