@@ -78,6 +78,7 @@ impl CompactSample {
     }
 
     /// Number of vertices reached by this sample (`σ(s, g)` of Table II).
+    #[inline]
     pub fn num_reached(&self) -> usize {
         self.vertices.len()
     }
@@ -89,17 +90,20 @@ impl CompactSample {
 
     /// Global ids of the reached vertices (local id = position; the source
     /// is first).
+    #[inline]
     pub fn vertices(&self) -> &[u32] {
         &self.vertices
     }
 
     /// CSR offsets of the live adjacency (`num_reached() + 1` entries once
     /// the sample is complete).
+    #[inline]
     pub fn offsets(&self) -> &[u32] {
         &self.offsets
     }
 
     /// Flat live-edge arena in local ids.
+    #[inline]
     pub fn targets(&self) -> &[u32] {
         &self.targets
     }
@@ -125,6 +129,7 @@ impl CompactSample {
     /// Clears the previous sample and prepares for a graph with `n`
     /// vertices. Cost is proportional to the previous sample size (plus a
     /// one-off resize if the graph grew).
+    #[inline]
     pub fn reset(&mut self, n: usize) {
         for &v in &self.vertices {
             // The virtual root of a multi-seed sample has no global slot.
@@ -147,6 +152,7 @@ impl CompactSample {
     /// §V, with one deterministic edge per seed (no coins). The root has no
     /// global id ([`Self::local_id`] never resolves to it); the caller's
     /// BFS expands the seeds from local id 1 on.
+    #[inline]
     pub(crate) fn root_at(&mut self, n: usize, seeds: &[VertexId]) {
         self.reset(n);
         self.vertices.push(VIRTUAL_ROOT);
