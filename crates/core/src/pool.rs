@@ -976,7 +976,7 @@ impl KernelScratch {
         source: &C,
         cursor: &mut C::Cursor,
         seeds: &[VertexId],
-        is_seed: &[bool],
+        n: usize,
         range: Range<usize>,
         timed: bool,
     ) {
@@ -984,7 +984,7 @@ impl KernelScratch {
             self.edge_sum.clear();
         } else {
             self.delta_sum.clear();
-            self.delta_sum.resize(is_seed.len(), 0);
+            self.delta_sum.resize(n, 0);
         }
         self.reached_sum = 0;
         self.laps = Laps::default();
@@ -992,9 +992,9 @@ impl KernelScratch {
         let profiled = range.start..range.end.min(range.start + PROFILE_SAMPLES);
         let rest = if timed { profiled.end } else { range.start }..range.end;
         if timed {
-            self.accumulate_impl::<true, EDGE_CREDIT, C>(source, cursor, seeds, is_seed, profiled);
+            self.accumulate_impl::<true, EDGE_CREDIT, C>(source, cursor, seeds, profiled);
         }
-        self.accumulate_impl::<false, EDGE_CREDIT, C>(source, cursor, seeds, is_seed, rest);
+        self.accumulate_impl::<false, EDGE_CREDIT, C>(source, cursor, seeds, rest);
         if let Some(start) = start {
             self.laps.split(start.elapsed());
         }
@@ -1007,7 +1007,6 @@ impl KernelScratch {
         source: &C,
         cursor: &mut C::Cursor,
         seeds: &[VertexId],
-        is_seed: &[bool],
         range: Range<usize>,
     ) {
         let KernelScratch {
@@ -1041,11 +1040,11 @@ impl KernelScratch {
             if EDGE_CREDIT {
                 edge_credit.accumulate(tree, sizes, cascade, edge_sum);
             } else {
-                // Seeds earn no credit: blocking one is not allowed.
-                for (&global, &size) in cascade.vertices()[1..].iter().zip(&sizes[1..reached]) {
-                    if !is_seed[global as usize] {
-                        delta_sum[global as usize] += size;
-                    }
+                // Seeds earn no credit: blocking one is not allowed. The
+                // seeds are interned first, so they are locals 1..=k.
+                let credited = cascade.vertices()[only_seeds..].iter();
+                for (&global, &size) in credited.zip(&sizes[only_seeds..reached]) {
+                    delta_sum[global as usize] += size;
                 }
             }
             laps.lap::<TIMED>(PN_CREDIT);
@@ -1184,18 +1183,17 @@ fn run_kernel<const EDGE_CREDIT: bool, C: CascadeSource, R>(
         workers.resize_with(threads, KernelScratch::default);
     }
     let workers = &mut workers[..threads];
-    let (seeds, is_seed) = (&*seeds, &*is_seed);
+    let (seeds, n) = (&*seeds, is_seed.len());
     if threads <= 1 {
         let cursor = &mut source.cursor(0, 1);
-        workers[0].accumulate::<EDGE_CREDIT, C>(source, cursor, seeds, is_seed, 0..theta, timed);
+        workers[0].accumulate::<EDGE_CREDIT, C>(source, cursor, seeds, n, 0..theta, timed);
     } else {
         crossbeam::scope(|scope| {
             let shards = workers.iter_mut().zip(shard_ranges(theta, threads));
             for (t, (worker, range)) in shards.enumerate() {
                 scope.spawn(move |_| {
                     let cursor = &mut source.cursor(t, threads);
-                    worker
-                        .accumulate::<EDGE_CREDIT, C>(source, cursor, seeds, is_seed, range, timed)
+                    worker.accumulate::<EDGE_CREDIT, C>(source, cursor, seeds, n, range, timed)
                 });
             }
         })
