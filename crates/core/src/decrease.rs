@@ -438,6 +438,31 @@ mod tests {
     }
 
     #[test]
+    fn single_seed_multi_call_is_bit_identical_to_the_classic_path() {
+        let g = imin_graph::generators::erdos_renyi(70, 0.06, 0.4, 21).unwrap();
+        let blocked = vec![false; 70];
+        for threads in [1usize, 3] {
+            let cfg = DecreaseConfig {
+                theta: 600,
+                threads,
+                seed: 17,
+            };
+            let multi = decrease_es_multi_in(
+                &IcLiveEdgeSampler,
+                &g,
+                &[vid(0)],
+                &blocked,
+                &cfg,
+                &mut DecreaseWorkspace::new(),
+            )
+            .unwrap();
+            let single = decrease_es_computation(&g, vid(0), &blocked, &cfg).unwrap();
+            assert_eq!(multi.delta, single.delta, "threads={threads}");
+            assert_eq!(multi.average_reached, single.average_reached);
+        }
+    }
+
+    #[test]
     fn multi_seed_estimator_rejects_bad_requests() {
         let g = deterministic_tree();
         let mut ws = DecreaseWorkspace::new();

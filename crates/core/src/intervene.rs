@@ -521,6 +521,16 @@ mod tests {
     }
 
     #[test]
+    fn edge_greedy_is_thread_count_invariant() {
+        let g = wc_pa(300, 11);
+        let pool = SamplePool::build(&g, 64, 9).unwrap();
+        let one = pooled_edge_greedy_in(&pool, &[vid(0), vid(5)], 4, 1, false).unwrap();
+        let four = pooled_edge_greedy_in(&pool, &[vid(0), vid(5)], 4, 4, false).unwrap();
+        assert_eq!(one.blocked_edges, four.blocked_edges);
+        assert_eq!(one.estimated_spread, four.estimated_spread);
+    }
+
+    #[test]
     fn prebunk_alpha_one_is_byte_identical_to_no_intervention() {
         let g = wc_pa(400, 7);
         let pool = SamplePool::build(&g, 128, 21).unwrap();
@@ -541,6 +551,23 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn prebunk_alpha_zero_matches_vertex_blocking_estimates() {
+        let g = wc_pa(300, 5);
+        let pool = SamplePool::build(&g, 64, 13).unwrap();
+        // alpha = 0 never keeps an edge into the treated vertex — exactly a
+        // vertex block as far as reachability is concerned.
+        let mut mask = vec![false; g.num_vertices()];
+        mask[7] = true;
+        mask[11] = true;
+        let prebunk = pooled_prebunk_decrease(&pool, &[vid(0)], &mask, 0.0, 1).unwrap();
+        let blocked = pooled_decrease(&pool, &[vid(0)], &mask, 1).unwrap();
+        assert_eq!(
+            prebunk.average_reached.to_bits(),
+            blocked.average_reached.to_bits()
+        );
     }
 
     #[test]
