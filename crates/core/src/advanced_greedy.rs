@@ -16,12 +16,12 @@
 //! The preferred entry point is the [`AdvancedGreedy`] solver behind a
 //! [`crate::ContainmentRequest`]: one call shape for any seed-set size and
 //! either evaluation backend (`Fresh` self-sampling per round, or `Pooled`
-//! re-rooting of a resident [`SamplePool`]). The free functions below are
-//! thin shims kept for source compatibility and are parity-tested
-//! byte-identical to the solver.
+//! re-rooting of a resident [`crate::SamplePool`]). The free functions
+//! below are thin shims kept for source compatibility and are
+//! parity-tested byte-identical to the solver.
 
 use crate::greedy::{self, Plan, SeedSchedule, VertexPricer};
-use crate::pool::{pooled_advanced_greedy_in, PoolWorkspace, SamplePool};
+use crate::pool::PoolWorkspace;
 use crate::request::{shim_request_from_config, ContainmentRequest};
 use crate::sampler::{IcLiveEdgeSampler, SpreadSampler};
 use crate::solver::{AlgorithmKind, BlockerSolver};
@@ -64,31 +64,6 @@ pub(crate) fn fresh_advanced_greedy_with<S: SpreadSampler + ?Sized>(
     let workspace = &mut PoolWorkspace::new();
     let mut pricer = VertexPricer::fresh(sampler, graph, request, backend, schedule, workspace)?;
     greedy::run(&mut pricer, request.budget(), &Plan::advanced(), start)
-}
-
-/// Runs AdvancedGreedy against a **borrowed resident sample pool** instead
-/// of self-sampling — the `Pooled` backend of [`AdvancedGreedy`] as a free
-/// function. Results are bit-identical at any `threads` value (see
-/// [`crate::pool`]).
-///
-/// # Errors
-/// Returns an error on a zero budget, an invalid seed set, or a
-/// wrong-length forbidden mask.
-pub fn advanced_greedy_with_pool(
-    pool: &SamplePool,
-    seeds: &[VertexId],
-    forbidden: &[bool],
-    budget: usize,
-    threads: usize,
-) -> Result<BlockerSelection> {
-    pooled_advanced_greedy_in(
-        pool,
-        seeds,
-        forbidden,
-        budget,
-        threads,
-        &mut PoolWorkspace::new(),
-    )
 }
 
 /// Runs AdvancedGreedy with the standard IC live-edge sampler — the
@@ -137,6 +112,7 @@ pub fn advanced_greedy_with<S: SpreadSampler + ?Sized>(
 mod tests {
     use super::*;
     use crate::baseline_greedy::baseline_greedy;
+    use crate::pool::{pooled_advanced_greedy_in, SamplePool};
     use crate::IminError;
 
     fn vid(i: usize) -> VertexId {
@@ -176,7 +152,8 @@ mod tests {
     fn pool_backed_entry_point_agrees_on_deterministic_graphs() {
         let g = hub_graph();
         let pool = SamplePool::build(&g, 64, 9).unwrap();
-        let pooled = advanced_greedy_with_pool(&pool, &[vid(0)], &[false; 6], 2, 1).unwrap();
+        let ws = &mut PoolWorkspace::new();
+        let pooled = pooled_advanced_greedy_in(&pool, &[vid(0)], &[false; 6], 2, 1, ws).unwrap();
         let classic = advanced_greedy(&g, vid(0), &[false; 6], 2, &config()).unwrap();
         assert_eq!(pooled.blockers, classic.blockers);
         assert!((pooled.estimated_spread.unwrap() - 1.0).abs() < 1e-9);

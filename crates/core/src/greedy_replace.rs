@@ -33,7 +33,7 @@
 //! solver.
 
 use crate::greedy::{self, Plan, SeedSchedule, VertexPricer};
-use crate::pool::{pooled_greedy_replace_in, PoolWorkspace, SamplePool};
+use crate::pool::PoolWorkspace;
 use crate::request::{shim_request_from_config, ContainmentRequest};
 use crate::sampler::{IcLiveEdgeSampler, SpreadSampler};
 use crate::solver::{AlgorithmKind, BlockerSolver};
@@ -59,37 +59,6 @@ impl BlockerSolver for GreedyReplace {
     fn solve(&self, graph: &DiGraph, request: &ContainmentRequest<'_>) -> Result<BlockerSelection> {
         greedy::solve(self.kind(), graph, request)
     }
-}
-
-/// Runs GreedyReplace against a **borrowed resident sample pool** instead
-/// of self-sampling: the out-neighbour, fill and replacement phases all
-/// price candidates by re-rooting the same θ realisations. The graph is
-/// still needed to enumerate the seeds' out-neighbours for phase 1.
-/// Results are bit-identical at any `threads` value (see [`crate::pool`]).
-///
-/// The self-sampling [`greedy_replace`] / [`greedy_replace_with`] below
-/// keep their historical per-round-redraw behaviour for one-shot callers.
-///
-/// # Errors
-/// Returns an error on a zero budget, an invalid seed set, or a
-/// wrong-length forbidden mask.
-pub fn greedy_replace_with_pool(
-    pool: &SamplePool,
-    graph: &DiGraph,
-    seeds: &[VertexId],
-    forbidden: &[bool],
-    budget: usize,
-    threads: usize,
-) -> Result<BlockerSelection> {
-    pooled_greedy_replace_in(
-        pool,
-        graph,
-        seeds,
-        forbidden,
-        budget,
-        threads,
-        &mut PoolWorkspace::new(),
-    )
 }
 
 /// Runs GreedyReplace with the standard IC live-edge sampler.
@@ -154,6 +123,7 @@ pub(crate) fn fresh_greedy_replace_with<S: SpreadSampler + ?Sized>(
 mod tests {
     use super::*;
     use crate::advanced_greedy::advanced_greedy;
+    use crate::pool::{pooled_greedy_replace_in, SamplePool};
     use crate::IminError;
 
     fn vid(i: usize) -> VertexId {
@@ -198,7 +168,8 @@ mod tests {
     fn pool_backed_entry_point_agrees_on_the_funnel() {
         let g = funnel_graph();
         let pool = SamplePool::build(&g, 64, 9).unwrap();
-        let pooled = greedy_replace_with_pool(&pool, &g, &[vid(0)], &[false; 9], 1, 1).unwrap();
+        let ws = &mut PoolWorkspace::new();
+        let pooled = pooled_greedy_replace_in(&pool, &g, &[vid(0)], &[false; 9], 1, 1, ws).unwrap();
         let classic = greedy_replace(&g, vid(0), &[false; 9], 1, &config()).unwrap();
         assert_eq!(pooled.blockers, classic.blockers);
         assert_eq!(pooled.blockers, vec![vid(3)]);

@@ -91,7 +91,7 @@
 //! [`ImninProblem`] remains the facade for the paper's unified-seed
 //! reduction (§V) and Monte-Carlo evaluation; its [`Algorithm`] enum is the
 //! same registry. The historical free functions (`advanced_greedy`,
-//! `greedy_replace_with_pool`, `random_blockers`, …) survive as thin shims
+//! `greedy_replace`, `random_blockers`, …) survive as thin shims
 //! over the request API, parity-tested byte-identical in
 //! `tests/request_api.rs`:
 //!

@@ -44,8 +44,8 @@
 //! the common suffix of the chains, computed per sketch). This is a
 //! single-path approximation — the realisation may contain other live
 //! paths — which is what buys the backend its speed; the cross-backend
-//! tests and `bench_pr9` hold its end answers against the forward pool's
-//! exact ground truth.
+//! tests in `tests/request_api.rs` hold its end answers against the
+//! forward pool's exact ground truth.
 
 use crate::request::{ContainmentRequest, EvalBackend};
 use crate::solver::{AlgorithmKind, BlockerSolver};

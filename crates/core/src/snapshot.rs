@@ -716,8 +716,8 @@ pub fn save_snapshot(
 }
 
 /// Writes the legacy version-1 layout (per-sample CSR arrays). Exposed
-/// (hidden) so the backward-compat and hostile-input tests, and the restore
-/// benchmarks, can produce genuine v1 files; new code always writes v2.
+/// (hidden) so the backward-compat and hostile-input tests can produce
+/// genuine v1 files; new code always writes v2.
 #[doc(hidden)]
 pub fn save_snapshot_v1(
     path: &Path,

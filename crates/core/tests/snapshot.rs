@@ -3,7 +3,9 @@
 //! indistinguishable — arena bytes and blocker selections at any thread
 //! count — from a pool freshly built at θ = 10k.
 
-use imin_core::pool::{pooled_advanced_greedy_in, pooled_decrease, PoolWorkspace};
+use imin_core::pool::{
+    pooled_advanced_greedy_in, pooled_decrease, pooled_greedy_replace_in, PoolWorkspace,
+};
 use imin_core::snapshot::{
     load_snapshot, map_snapshot, peek_header, pool_digest, save_snapshot, save_snapshot_v1,
     SnapshotError, FORMAT_VERSION,
@@ -355,6 +357,7 @@ fn mapped_snapshots_serve_byte_identical_queries() {
     let forbidden = vec![false; graph.num_vertices()];
     let mut ws = PoolWorkspace::new();
     let reference = pooled_advanced_greedy_in(&raw, &seeds, &forbidden, 4, 1, &mut ws).unwrap();
+    let gr_ref = pooled_greedy_replace_in(&raw, &graph, &seeds, &forbidden, 4, 1, &mut ws).unwrap();
     for (tag, pool, kind) in [
         ("map-raw", &raw, ArenaKind::MappedRaw),
         ("map-compressed", &compressed, ArenaKind::MappedCompressed),
@@ -370,6 +373,12 @@ fn mapped_snapshots_serve_byte_identical_queries() {
                     .unwrap();
             assert_eq!(sel.blockers, reference.blockers, "{tag} threads={threads}");
             assert_eq!(sel.estimated_spread, reference.estimated_spread);
+            // GreedyReplace's fill and replacement phases on the mapped arena.
+            let (mapped, g) = (&restored.pool, &restored.graph);
+            let gr = pooled_greedy_replace_in(mapped, g, &seeds, &forbidden, 4, threads, &mut ws)
+                .unwrap();
+            assert_eq!(gr.blockers, gr_ref.blockers, "GR {tag} threads={threads}");
+            assert_eq!(gr.estimated_spread, gr_ref.estimated_spread);
         }
     }
 }

@@ -8,11 +8,11 @@
 //! `dominator_tree_from_adjacency`) and to the brute-force
 //! `naive_immediate_dominators` oracle.
 
-use imin_core::advanced_greedy::{advanced_greedy, advanced_greedy_with_pool};
+use imin_core::advanced_greedy::advanced_greedy;
 use imin_core::decrease::{decrease_es_computation, DecreaseConfig, DecreaseEstimate};
-use imin_core::greedy_replace::greedy_replace_with_pool;
+use imin_core::pool::{pooled_advanced_greedy_in, pooled_greedy_replace_in};
 use imin_core::sampler::{CompactSample, IcLiveEdgeSampler, SpreadSampler};
-use imin_core::{AlgorithmConfig, SamplePool};
+use imin_core::{AlgorithmConfig, PoolWorkspace, SamplePool};
 use imin_diffusion::live_edge::sample_live_edges_indexed;
 use imin_diffusion::ProbabilityModel;
 use imin_domtree::dominator_tree_from_adjacency;
@@ -282,20 +282,22 @@ fn pooled_selections_are_byte_identical_across_thread_counts() {
     let seed_sets: [&[VertexId]; 2] = [&[vid(0)], &[vid(2), vid(9)]];
     // The sequential seed-path: pool built and queried with one thread.
     let pool_seq = SamplePool::build_with_threads(&graph, 500, 99, 1).unwrap();
+    let ws = &mut PoolWorkspace::new();
     for seeds in seed_sets {
-        let ag_ref = advanced_greedy_with_pool(&pool_seq, seeds, &forbidden, 4, 1).unwrap();
-        let gr_ref = greedy_replace_with_pool(&pool_seq, &graph, seeds, &forbidden, 3, 1).unwrap();
+        let ag_ref = pooled_advanced_greedy_in(&pool_seq, seeds, &forbidden, 4, 1, ws).unwrap();
+        let gr_ref =
+            pooled_greedy_replace_in(&pool_seq, &graph, seeds, &forbidden, 3, 1, ws).unwrap();
         for threads in [2usize, 8] {
             // Both the pool build *and* the query run at `threads`.
             let pool = SamplePool::build_with_threads(&graph, 500, 99, threads).unwrap();
-            let ag = advanced_greedy_with_pool(&pool, seeds, &forbidden, 4, threads).unwrap();
+            let ag = pooled_advanced_greedy_in(&pool, seeds, &forbidden, 4, threads, ws).unwrap();
             assert_eq!(
                 ag.blockers, ag_ref.blockers,
                 "AG seeds={seeds:?} threads={threads}"
             );
             assert_eq!(ag.estimated_spread, ag_ref.estimated_spread);
             let gr =
-                greedy_replace_with_pool(&pool, &graph, seeds, &forbidden, 3, threads).unwrap();
+                pooled_greedy_replace_in(&pool, &graph, seeds, &forbidden, 3, threads, ws).unwrap();
             assert_eq!(
                 gr.blockers, gr_ref.blockers,
                 "GR seeds={seeds:?} threads={threads}"

@@ -1,12 +1,12 @@
 //! The unified `ContainmentRequest` / `BlockerSolver` API: builder
 //! validation, byte-identical parity between the legacy free-function
-//! shims and the solver registry on both backends, and multi-seed
-//! agreement between the `Fresh` and `Pooled` backends on a large graph.
+//! shims and the solver registry, and multi-seed agreement between the
+//! `Fresh` and `Pooled` backends on a large graph.
 
-use imin_core::advanced_greedy::{advanced_greedy, advanced_greedy_with_pool};
+use imin_core::advanced_greedy::advanced_greedy;
 use imin_core::baseline_greedy::baseline_greedy;
 use imin_core::exact_blocker::{exact_blocker_search, ExactSearchConfig, SpreadEvaluator};
-use imin_core::greedy_replace::{greedy_replace, greedy_replace_with_pool};
+use imin_core::greedy_replace::greedy_replace;
 use imin_core::heuristics::{
     degree_blockers, out_degree_blockers, out_neighbor_blockers, pagerank_blockers, random_blockers,
 };
@@ -231,51 +231,6 @@ fn baseline_and_exact_shims_are_byte_identical_to_the_request_api() {
         .unwrap();
         let solved_exact = AlgorithmKind::Exact.solver().solve(&g, &request).unwrap();
         assert_same_selection(AlgorithmKind::Exact, threads, &legacy_exact, &solved_exact);
-    }
-}
-
-#[test]
-fn pooled_shims_are_byte_identical_to_the_request_api() {
-    let g = wc_graph();
-    let n = g.num_vertices();
-    let pool = SamplePool::build(&g, 400, 23).unwrap();
-    let seeds = [vid(0), vid(4)];
-    let mut forbidden = vec![false; n];
-    forbidden[9] = true;
-    let budget = 4;
-    for threads in [1usize, 2, 8] {
-        let request = ContainmentRequest::builder(&g)
-            .seeds(seeds)
-            .budget(budget)
-            .forbid_mask(forbidden.clone())
-            .pooled_with_threads(&pool, threads)
-            .build()
-            .unwrap();
-        let legacy_ag =
-            advanced_greedy_with_pool(&pool, &seeds, &forbidden, budget, threads).unwrap();
-        let solved_ag = AlgorithmKind::AdvancedGreedy
-            .solver()
-            .solve(&g, &request)
-            .unwrap();
-        assert_same_selection(
-            AlgorithmKind::AdvancedGreedy,
-            threads,
-            &legacy_ag,
-            &solved_ag,
-        );
-
-        let legacy_gr =
-            greedy_replace_with_pool(&pool, &g, &seeds, &forbidden, budget, threads).unwrap();
-        let solved_gr = AlgorithmKind::GreedyReplace
-            .solver()
-            .solve(&g, &request)
-            .unwrap();
-        assert_same_selection(
-            AlgorithmKind::GreedyReplace,
-            threads,
-            &legacy_gr,
-            &solved_gr,
-        );
     }
 }
 
