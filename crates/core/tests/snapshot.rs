@@ -373,7 +373,7 @@ fn mapped_snapshots_serve_byte_identical_queries() {
                     .unwrap();
             assert_eq!(sel.blockers, reference.blockers, "{tag} threads={threads}");
             assert_eq!(sel.estimated_spread, reference.estimated_spread);
-            // GreedyReplace's fill and replacement phases on the mapped arena.
+            // Every GreedyReplace phase reads the mapped arena too.
             let (mapped, g) = (&restored.pool, &restored.graph);
             let gr = pooled_greedy_replace_in(mapped, g, &seeds, &forbidden, 4, threads, &mut ws)
                 .unwrap();
