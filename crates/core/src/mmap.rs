@@ -14,7 +14,8 @@
 //!
 //! * The mapping is **private and read-only**; the kernel delivers `SIGBUS`
 //!   only if the file shrinks underneath us — callers keep snapshot files
-//!   immutable while mapped (the engine never rewrites a restored path).
+//!   immutable while mapped. The engine's own saves write a new file and
+//!   rename it over the old path, so the mapped inode is never truncated.
 //! * [`Mmap`] owns the region for its whole lifetime and unmaps on drop;
 //!   every borrowed slice is tied to that lifetime, so no view can outlive
 //!   the mapping.
@@ -29,7 +30,6 @@
 
 use std::fs::File;
 use std::io;
-use std::path::Path;
 
 #[cfg(unix)]
 mod sys {
@@ -67,15 +67,14 @@ unsafe impl Send for Mmap {}
 unsafe impl Sync for Mmap {}
 
 impl Mmap {
-    /// Maps the whole file at `path` read-only.
+    /// Maps the whole of `file` read-only.
     ///
     /// # Errors
-    /// Propagates `open`/`metadata` failures and the `mmap(2)` errno; an
-    /// empty file is rejected (`mmap` of length 0 is unspecified, and no
-    /// valid snapshot is empty). On non-unix targets this always fails with
+    /// Propagates a `metadata` failure and the `mmap(2)` errno; an empty
+    /// file is rejected (`mmap` of length 0 is unspecified, and no valid
+    /// snapshot is empty). On non-unix targets this always fails with
     /// [`io::ErrorKind::Unsupported`].
-    pub fn map_file(path: &Path) -> io::Result<Mmap> {
-        let file = File::open(path)?;
+    pub fn map(file: &File) -> io::Result<Mmap> {
         let len = file.metadata()?.len();
         if len == 0 {
             return Err(io::Error::new(
@@ -89,7 +88,7 @@ impl Mmap {
                 "file exceeds the addressable size",
             )
         })?;
-        Self::map_fd(&file, len)
+        Self::map_fd(file, len)
     }
 
     #[cfg(unix)]
@@ -204,7 +203,7 @@ mod tests {
             .unwrap()
             .write_all(&bytes)
             .unwrap();
-        let map = Mmap::map_file(&path).unwrap();
+        let map = Mmap::map(&File::open(&path).unwrap()).unwrap();
         assert_eq!(map.len(), bytes.len());
         assert_eq!(map.bytes(), &bytes[..]);
         if cfg!(target_endian = "little") {
@@ -222,7 +221,7 @@ mod tests {
             .unwrap()
             .write_all(&[0u8; 64])
             .unwrap();
-        let map = Mmap::map_file(&path).unwrap();
+        let map = Mmap::map(&File::open(&path).unwrap()).unwrap();
         assert!(u32_slice(&map, 1, 1).is_none(), "misaligned start");
         assert!(u32_slice(&map, 0, 17).is_none(), "past the end");
         assert!(u32_slice(&map, 64, 1).is_none(), "starts at the end");
@@ -236,7 +235,7 @@ mod tests {
     fn rejects_empty_files() {
         let path = temp_path("empty");
         std::fs::File::create(&path).unwrap();
-        assert!(Mmap::map_file(&path).is_err());
+        assert!(Mmap::map(&File::open(&path).unwrap()).is_err());
         std::fs::remove_file(&path).ok();
     }
 }

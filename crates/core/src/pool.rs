@@ -40,8 +40,7 @@
 //!
 //! Live-edge storage goes through a `PoolArena`: the
 //! sampling write path fills one consolidated raw-u32 CSR (two allocations
-//! for the whole pool), [`SamplePool::compress`] /
-//! [`SamplePool::build_compressed_with_threads`] re-encode it as
+//! for the whole pool), [`SamplePool::compress`] re-encodes it as
 //! delta-varint or per-sample bitset blobs at a fraction of the bytes, and
 //! [`crate::snapshot::map_snapshot`] serves either layout zero-copy out of
 //! a mapped snapshot file. Queries are **byte-identical across every
@@ -139,47 +138,51 @@ fn fill_sample(
     }
 }
 
-/// Draws `count` consecutive realisations starting at `first_index` into
-/// `offsets_region` (`count × (n + 1)` words), sharded across up to
-/// `threads` workers. Returns each shard's concatenated targets in shard
-/// order; each sample owns its RNG stream, so the result is bit-identical
-/// for every `threads` value. Shared by the initial build and
-/// [`SamplePool::extend_to`].
-fn fill_raw_region(
+/// Draws the realisations `first..first + count` of the pool
+/// `(graph, seed)` into `offsets` (`count × (n + 1)` zeroed words),
+/// sharded across up to `threads` workers, and appends their live targets
+/// to `targets` and their end positions to `target_start`. Each sample owns
+/// its RNG stream, so the result is bit-identical for every `threads`
+/// value. The initial build and [`SamplePool::extend_to`] both draw here.
+fn append_samples(
     graph: &DiGraph,
     seed: u64,
-    first_index: usize,
-    offsets_region: &mut [u32],
+    first: usize,
+    offsets: &mut [u32],
+    targets: &mut Vec<u32>,
+    target_start: &mut Vec<u64>,
     threads: usize,
-) -> Vec<Vec<u32>> {
+) {
     let stride = graph.num_vertices() + 1;
-    let count = offsets_region.len() / stride;
-    let threads = threads.max(1).min(count.max(1));
-    if threads <= 1 {
-        let mut targets = Vec::new();
-        for (i, chunk) in offsets_region.chunks_exact_mut(stride).enumerate() {
-            fill_sample(graph, seed, (first_index + i) as u64, chunk, &mut targets);
+    let shards: Vec<Range<usize>> = shard_ranges(offsets.len() / stride, threads).collect();
+    let mut parts: Vec<Vec<u32>> = vec![Vec::new(); shards.len()];
+    let fill = |range: &Range<usize>, region: &mut [u32], part: &mut Vec<u32>| {
+        for (i, sample) in region.chunks_exact_mut(stride).enumerate() {
+            fill_sample(graph, seed, (first + range.start + i) as u64, sample, part);
         }
-        return vec![targets];
+    };
+    if let [range] = shards.as_slice() {
+        fill(range, offsets, &mut parts[0]);
+    } else {
+        crossbeam::scope(|scope| {
+            let mut rest: &mut [u32] = offsets;
+            for (range, part) in shards.iter().zip(parts.iter_mut()) {
+                let (region, tail) = rest.split_at_mut(range.len() * stride);
+                rest = tail;
+                scope.spawn(move |_| fill(range, region, part));
+            }
+        })
+        .expect("sample-pool build worker panicked");
     }
-    let shards: Vec<Range<usize>> = shard_ranges(count, threads).collect();
-    let mut parts: Vec<Vec<u32>> = Vec::new();
-    parts.resize_with(shards.len(), Vec::new);
-    crossbeam::scope(|scope| {
-        let mut rest: &mut [u32] = offsets_region;
-        for (range, part) in shards.iter().zip(parts.iter_mut()) {
-            let (chunk, tail) = rest.split_at_mut(range.len() * stride);
-            rest = tail;
-            let chunk_start = first_index + range.start;
-            scope.spawn(move |_| {
-                for (i, sub) in chunk.chunks_exact_mut(stride).enumerate() {
-                    fill_sample(graph, seed, (chunk_start + i) as u64, sub, part);
-                }
-            });
-        }
-    })
-    .expect("sample-pool build worker panicked");
-    parts
+    targets.reserve(parts.iter().map(Vec::len).sum());
+    for part in parts {
+        targets.extend_from_slice(&part);
+    }
+    let mut end = *target_start.last().expect("target_start begins at 0");
+    for sample in offsets.chunks_exact(stride) {
+        end += u64::from(sample[stride - 1]);
+        target_start.push(end);
+    }
 }
 
 /// Copies the graph's out-CSR (the slot space of bitset-encoded samples).
@@ -274,20 +277,21 @@ impl SamplePool {
         }
         let n = graph.num_vertices();
         let stride = n + 1;
+        // Zeroed by the allocator, so no thread pre-touches the pages the
+        // workers then fill.
         let mut offsets = vec![0u32; theta * stride];
-        let parts = fill_raw_region(graph, seed, 0, &mut offsets, threads);
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        let mut targets = Vec::with_capacity(total);
-        for part in parts {
-            targets.extend_from_slice(&part);
-        }
+        let mut targets = Vec::new();
         let mut target_start = Vec::with_capacity(theta + 1);
         target_start.push(0u64);
-        let mut acc = 0u64;
-        for i in 0..theta {
-            acc += u64::from(offsets[(i + 1) * stride - 1]);
-            target_start.push(acc);
-        }
+        append_samples(
+            graph,
+            seed,
+            0,
+            &mut offsets,
+            &mut targets,
+            &mut target_start,
+            threads,
+        );
         let arena = RawArena {
             stride,
             target_start,
@@ -299,70 +303,6 @@ impl SamplePool {
             num_graph_edges: graph.num_edges(),
             pool_seed: seed,
             arena: PoolArena::raw(n, theta, arena),
-        })
-    }
-
-    /// Materialises a pool directly in the compressed arena layout, without
-    /// ever holding more than one worker's raw realisation at a time — the
-    /// peak-memory-friendly build for graphs whose raw pool would not fit.
-    ///
-    /// Bit-identical in content to [`SamplePool::build_with_threads`]
-    /// followed by [`SamplePool::compress`]: each worker draws a sample into
-    /// private scratch and encodes it immediately.
-    ///
-    /// # Errors
-    /// Returns [`IminError::ZeroSamples`] if `theta` is zero.
-    pub fn build_compressed_with_threads(
-        graph: &DiGraph,
-        theta: usize,
-        seed: u64,
-        threads: usize,
-    ) -> Result<Self> {
-        if theta == 0 {
-            return Err(IminError::ZeroSamples);
-        }
-        let n = graph.num_vertices();
-        let (gr_offsets, gr_targets) = graph_csr_copy(graph);
-        let threads = threads.max(1).min(theta.max(1));
-        let shards: Vec<Range<usize>> = shard_ranges(theta, threads).collect();
-        let mut parts: Vec<CompressedPart> = Vec::new();
-        parts.resize_with(shards.len(), CompressedPart::default);
-        let encode_range = |range: &Range<usize>, part: &mut CompressedPart| {
-            let mut offsets = vec![0u32; n + 1];
-            let mut targets: Vec<u32> = Vec::new();
-            for idx in range.clone() {
-                targets.clear();
-                fill_sample(graph, seed, idx as u64, &mut offsets, &mut targets);
-                match encode_sample(&offsets, &targets, &gr_offsets, &gr_targets, &mut part.blob) {
-                    Ok((mode, sz)) => {
-                        part.modes.push(mode);
-                        part.lens.push(targets.len() as u64);
-                        part.sizes.push(sz as u64);
-                    }
-                    Err(reason) => {
-                        part.error = Some(format!("sample {idx}: {reason}"));
-                        return;
-                    }
-                }
-            }
-        };
-        if threads <= 1 {
-            encode_range(&shards[0], &mut parts[0]);
-        } else {
-            crossbeam::scope(|scope| {
-                for (range, part) in shards.iter().zip(parts.iter_mut()) {
-                    scope.spawn(|_| encode_range(range, part));
-                }
-            })
-            .expect("compressed-pool build worker panicked");
-        }
-        let arena = assemble_compressed(parts, gr_offsets, gr_targets)
-            .map_err(|reason| IminError::Snapshot(SnapshotError::Corrupt { reason }))?;
-        Ok(SamplePool {
-            num_vertices: n,
-            num_graph_edges: graph.num_edges(),
-            pool_seed: seed,
-            arena: PoolArena::compressed(n, theta, arena),
         })
     }
 
@@ -484,23 +424,15 @@ impl SamplePool {
             unreachable!("is_extendable implies owned words");
         };
         offsets.resize(new_theta * stride, 0);
-        let parts = fill_raw_region(
+        append_samples(
             graph,
             self.pool_seed,
             old_theta,
             &mut offsets[old_theta * stride..],
+            targets,
+            &mut raw.target_start,
             threads,
         );
-        let added: usize = parts.iter().map(|p| p.len()).sum();
-        targets.reserve(added);
-        for part in parts {
-            targets.extend_from_slice(&part);
-        }
-        let mut acc = raw.target_start[old_theta];
-        for i in old_theta..new_theta {
-            acc += u64::from(offsets[(i + 1) * stride - 1]);
-            raw.target_start.push(acc);
-        }
         self.arena.theta = new_theta;
         Ok(new_theta - old_theta)
     }
@@ -1402,10 +1334,6 @@ mod tests {
             SamplePool::build(&g, 0, 1),
             Err(IminError::ZeroSamples)
         ));
-        assert!(matches!(
-            SamplePool::build_compressed_with_threads(&g, 0, 1, 2),
-            Err(IminError::ZeroSamples)
-        ));
     }
 
     #[test]
@@ -1455,11 +1383,6 @@ mod tests {
         assert_eq!(pool_digest(&compressed), pool_digest(&raw));
         for i in 0..raw.theta() {
             assert_eq!(compressed.sample_csr(i), raw.sample_csr(i), "sample {i}");
-        }
-        // Direct compressed build matches compress-after-build bit for bit.
-        for threads in [1usize, 3] {
-            let direct = SamplePool::build_compressed_with_threads(&g, 40, 77, threads).unwrap();
-            assert_eq!(pool_digest(&direct), pool_digest(&raw), "threads={threads}");
         }
     }
 

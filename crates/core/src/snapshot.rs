@@ -64,41 +64,54 @@
 //! pads** (a 4-lane multiply–rotate word hash, boundary-independent and
 //! fast enough to keep restores bandwidth-bound).
 //!
-//! Two restore paths read v2 files:
+//! # Reading and writing
 //!
-//! * [`load_snapshot`] — bulk copy into heap arenas, full checksum and
-//!   eager structural validation (and the only reader of v1 files);
-//! * [`map_snapshot`] — maps the file and serves the bulk arrays zero-copy
-//!   out of the page cache. It validates the header, graph fingerprint and
-//!   directory tables eagerly but **skips the payload checksum** (hashing
-//!   the payload would fault in every page, defeating the point);
-//!   per-sample structural validation runs lazily on first touch, and a
-//!   corrupt sample surfaces as a diagnostic panic the serving layer
-//!   converts to a typed internal error.
+//! Two restores read v2 files, and they share one parse: the same header
+//! read and size check, the same label and graph section reader, and the
+//! same v2 section reader, which reads the directory tables, computes the
+//! page-aligned positions of the bulk arrays and checks the exact file
+//! length. They differ only in where the bulk arrays go:
 //!
-//! Every reader path is hardened: corrupt lengths are cross-checked
-//! against the exact file size *before* any allocation, so truncated,
-//! oversized or bit-flipped files produce [`SnapshotError`]s, never panics
-//! or absurd allocations.
+//! * [`load_snapshot`] streams the file through the checksum and copies
+//!   them into heap arenas, then verifies the checksum and validates every
+//!   sample eagerly (it is also the only reader of v1 files);
+//! * [`map_snapshot`] parses through a cursor over the mapped file and
+//!   serves them zero-copy out of the page cache. It **skips the payload
+//!   checksum** (hashing the payload would fault in every page, defeating
+//!   the point); per-sample structural validation runs lazily on first
+//!   touch, and a corrupt sample surfaces as a diagnostic panic the
+//!   serving layer converts to a typed internal error.
+//!
+//! Both are hardened alike: corrupt lengths are cross-checked against the
+//! exact file size *before* any allocation, so truncated, oversized or
+//! bit-flipped files produce the same [`SnapshotError`]s from either
+//! reader, never panics or absurd allocations.
+//!
+//! One writer emits both versions. It writes to a sibling temp file
+//! (`<name>.tmp<pid>-<n>`) and renames it over the target, so saving over
+//! the file a mapped pool is served from leaves the mapped pages intact,
+//! concurrent saves to one path never interleave, and a failed save leaves
+//! the previous file in place. There is no fsync: a crash can lose the new
+//! file or leave a temp file behind, never a torn snapshot under the
+//! target name.
 //!
 //! Restore phases (`snap_read`, `snap_validate`, `snap_map`) are reported
 //! through the `imin_obs` span layer, so a serving engine surfaces them in
-//! its `METRICS` histograms and access log. Setting the
-//! `IMIN_SNAPSHOT_TRACE` environment variable additionally prints the same
-//! breakdown to stderr from [`load_snapshot`] / [`map_snapshot`] — the
-//! quickest way to tell a slow disk from slow memory provisioning when a
-//! restore underperforms.
+//! its `METRICS` histograms and access log.
 
 use crate::arena::{ArenaBacking, Blob, CompressedArena, PoolArena, RawArena, Words, MODE_BITSET};
 use crate::mmap::Mmap;
-use crate::pool::{graph_csr_copy, SamplePool};
+use crate::pool::{graph_csr_copy, lap_instant, SamplePool};
 use crate::{IminError, Result};
 use imin_graph::{binfmt, DiGraph};
+use imin_obs::{span, Phase};
 use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Magic bytes at offset 0 of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"IMINSNAP";
@@ -405,16 +418,11 @@ impl<R: Read> ChecksumReader<R> {
         }
     }
 
-    /// Absolute file offset of the next unread payload byte.
-    fn abs(&self) -> u64 {
-        HEADER_BYTES + self.sum.total
-    }
-
-    /// Consumes (and checksums) the zero pad up to the next page boundary.
-    fn skip_pad(&mut self) -> std::result::Result<(), SnapshotError> {
-        let pad = pad_len(self.abs());
-        let mut buf = [0u8; PAGE as usize];
-        self.read_exact(&mut buf[..pad])?;
+    /// Consumes (and checksums) the zero pad up to the absolute file
+    /// offset `at`, the page boundary after the next unread byte.
+    fn skip_to(&mut self, at: u64) -> std::result::Result<(), SnapshotError> {
+        let mut pad = [0u8; PAGE as usize];
+        self.read_exact(&mut pad[..(at - HEADER_BYTES - self.sum.total) as usize])?;
         Ok(())
     }
 }
@@ -651,11 +659,77 @@ fn check_label(label: &str) -> Result<()> {
     Ok(())
 }
 
+/// The payload stream a pool-section writer appends to.
+type PayloadWriter = ChecksumWriter<BufWriter<File>>;
+
+/// Numbers the temp files of one process's saves, so two concurrent saves
+/// to one path never share a temp file.
+static SAVE_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Writes one snapshot of `version`: the header, then the checksummed
+/// payload — label, graph section and the pool section `write_pool` emits —
+/// then the checksum trailer. The bytes go to a sibling temp file that is
+/// renamed over `path` once complete, so a pool still mapped from the old
+/// file keeps its pages, concurrent saves never interleave in one file,
+/// and a failed save removes the temp file and leaves `path` as it was.
+fn write_snapshot(
+    path: &Path,
+    graph: &DiGraph,
+    pool: &SamplePool,
+    label: &str,
+    version: u32,
+    write_pool: impl FnOnce(&mut PayloadWriter) -> std::io::Result<()>,
+) -> Result<SnapshotSummary> {
+    pool.ensure_matches(graph)?;
+    check_label(label)?;
+    let fingerprint = graph.fingerprint();
+    let header = encode_file_header(version, graph, pool, label, fingerprint);
+    let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
+    tmp_name.push(format!(
+        ".tmp{}-{}",
+        std::process::id(),
+        SAVE_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = path.with_file_name(tmp_name);
+    let written = write_file(&tmp, &header, label, graph, write_pool)
+        .and_then(|bytes| std::fs::rename(&tmp, path).map(|()| bytes));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    Ok(SnapshotSummary {
+        bytes_written: written.map_err(SnapshotError::Io)?,
+        theta: pool.theta(),
+        graph_fingerprint: fingerprint,
+    })
+}
+
+/// Creates `path` and writes one whole snapshot file into it, returning
+/// its size.
+fn write_file(
+    path: &Path,
+    header: &[u8; HEADER_BYTES as usize],
+    label: &str,
+    graph: &DiGraph,
+    write_pool: impl FnOnce(&mut PayloadWriter) -> std::io::Result<()>,
+) -> std::io::Result<u64> {
+    let mut file = BufWriter::with_capacity(4 << 20, File::create(path)?);
+    file.write_all(header)?;
+    let mut payload = ChecksumWriter::new(file);
+    payload.write_all(label.as_bytes())?;
+    graph.write_binary(&mut payload)?;
+    write_pool(&mut payload)?;
+    let trailer = payload.sum.value().to_le_bytes();
+    payload.inner.write_all(&trailer)?;
+    payload.inner.flush()?;
+    Ok(HEADER_BYTES + payload.written + 8)
+}
+
 /// Writes `graph` and its resident `pool` (plus the engine-facing `label`)
-/// as one version-2 snapshot file at `path`, overwriting any existing file.
-/// The pool section mirrors the pool's arena: a raw pool is written as
-/// page-aligned consolidated CSR arrays (mappable zero-copy on restore), a
-/// compressed pool as its directory plus blobs.
+/// as one version-2 snapshot file at `path`, replacing any existing file
+/// by rename (see the module docs). The pool section mirrors the pool's
+/// arena: a raw pool is written as page-aligned consolidated CSR arrays
+/// (mappable zero-copy on restore), a compressed pool as its directory
+/// plus blobs.
 ///
 /// # Errors
 /// Returns [`IminError::PoolGraphMismatch`] when the pool was not built
@@ -667,51 +741,27 @@ pub fn save_snapshot(
     pool: &SamplePool,
     label: &str,
 ) -> Result<SnapshotSummary> {
-    pool.ensure_matches(graph)?;
-    check_label(label)?;
-    let fingerprint = graph.fingerprint();
-    let file = File::create(path).map_err(SnapshotError::Io)?;
-    let mut writer = BufWriter::with_capacity(4 << 20, file);
-    let header = encode_file_header(FORMAT_VERSION, graph, pool, label, fingerprint);
-    writer.write_all(&header).map_err(SnapshotError::Io)?;
-
-    let mut payload = ChecksumWriter::new(writer);
-    let io_err = SnapshotError::Io;
-    payload.write_all(label.as_bytes()).map_err(io_err)?;
-    graph.write_binary(&mut payload).map_err(io_err)?;
-    match &pool.arena().backing {
-        ArenaBacking::Raw(raw) => {
-            payload
-                .write_all(&SECTION_RAW.to_le_bytes())
-                .and_then(|()| payload.write_all(&0u32.to_le_bytes()))
-                .map_err(io_err)?;
-            write_u64s(&mut payload, &raw.target_start).map_err(io_err)?;
-            payload.pad_to_page().map_err(io_err)?;
-            binfmt::write_u32s(&mut payload, raw.offsets.as_slice()).map_err(io_err)?;
-            payload.pad_to_page().map_err(io_err)?;
-            binfmt::write_u32s(&mut payload, raw.targets.as_slice()).map_err(io_err)?;
+    write_snapshot(path, graph, pool, label, FORMAT_VERSION, |w| {
+        // Each section header is the arena kind (u32) and 4 reserved zero
+        // bytes: one little-endian u64.
+        match &pool.arena().backing {
+            ArenaBacking::Raw(raw) => {
+                w.write_all(&u64::from(SECTION_RAW).to_le_bytes())?;
+                write_u64s(w, &raw.target_start)?;
+                w.pad_to_page()?;
+                binfmt::write_u32s(w, raw.offsets.as_slice())?;
+                w.pad_to_page()?;
+                binfmt::write_u32s(w, raw.targets.as_slice())
+            }
+            ArenaBacking::Compressed(c) => {
+                w.write_all(&u64::from(SECTION_COMPRESSED).to_le_bytes())?;
+                write_u64s(w, &c.lens)?;
+                w.write_all(&c.modes)?;
+                write_u64s(w, &c.starts)?;
+                w.pad_to_page()?;
+                w.write_all(c.data.as_slice())
+            }
         }
-        ArenaBacking::Compressed(c) => {
-            payload
-                .write_all(&SECTION_COMPRESSED.to_le_bytes())
-                .and_then(|()| payload.write_all(&0u32.to_le_bytes()))
-                .map_err(io_err)?;
-            write_u64s(&mut payload, &c.lens).map_err(io_err)?;
-            payload.write_all(&c.modes).map_err(io_err)?;
-            write_u64s(&mut payload, &c.starts).map_err(io_err)?;
-            payload.pad_to_page().map_err(io_err)?;
-            payload.write_all(c.data.as_slice()).map_err(io_err)?;
-        }
-    }
-    let checksum = payload.sum.value();
-    let payload_bytes = payload.written;
-    let mut writer = payload.inner;
-    writer.write_all(&checksum.to_le_bytes()).map_err(io_err)?;
-    writer.flush().map_err(io_err)?;
-    Ok(SnapshotSummary {
-        bytes_written: HEADER_BYTES + payload_bytes + 8,
-        theta: pool.theta(),
-        graph_fingerprint: fingerprint,
     })
 }
 
@@ -725,39 +775,17 @@ pub fn save_snapshot_v1(
     pool: &SamplePool,
     label: &str,
 ) -> Result<SnapshotSummary> {
-    pool.ensure_matches(graph)?;
-    check_label(label)?;
-    let fingerprint = graph.fingerprint();
-    let file = File::create(path).map_err(SnapshotError::Io)?;
-    let mut writer = BufWriter::with_capacity(4 << 20, file);
-    let header = encode_file_header(1, graph, pool, label, fingerprint);
-    writer.write_all(&header).map_err(SnapshotError::Io)?;
-
-    let mut payload = ChecksumWriter::new(writer);
-    let io_err = SnapshotError::Io;
-    payload.write_all(label.as_bytes()).map_err(io_err)?;
-    graph.write_binary(&mut payload).map_err(io_err)?;
-    let theta = pool.theta();
-    for i in 0..theta {
-        payload
-            .write_all(&pool.arena().sample_len(i).to_le_bytes())
-            .map_err(io_err)?;
-    }
-    let (mut offsets, mut targets) = (Vec::new(), Vec::new());
-    for i in 0..theta {
-        pool.sample_csr_into(i, &mut offsets, &mut targets);
-        binfmt::write_u32s(&mut payload, &offsets).map_err(io_err)?;
-        binfmt::write_u32s(&mut payload, &targets).map_err(io_err)?;
-    }
-    let checksum = payload.sum.value();
-    let payload_bytes = payload.written;
-    let mut writer = payload.inner;
-    writer.write_all(&checksum.to_le_bytes()).map_err(io_err)?;
-    writer.flush().map_err(io_err)?;
-    Ok(SnapshotSummary {
-        bytes_written: HEADER_BYTES + payload_bytes + 8,
-        theta,
-        graph_fingerprint: fingerprint,
+    write_snapshot(path, graph, pool, label, 1, |w| {
+        for i in 0..pool.theta() {
+            w.write_all(&pool.arena().sample_len(i).to_le_bytes())?;
+        }
+        let (mut offsets, mut targets) = (Vec::new(), Vec::new());
+        for i in 0..pool.theta() {
+            pool.sample_csr_into(i, &mut offsets, &mut targets);
+            binfmt::write_u32s(w, &offsets)?;
+            binfmt::write_u32s(w, &targets)?;
+        }
+        Ok(())
     })
 }
 
@@ -786,68 +814,84 @@ pub struct RestoredSnapshot {
 /// Same header-validation errors as [`load_snapshot`].
 pub fn peek_header(path: &Path) -> Result<SnapshotHeader> {
     let mut file = File::open(path).map_err(SnapshotError::Io)?;
-    let header_bytes = read_header_bytes(&mut file, path)?;
-    let (mut header, label_len) = decode_header(&header_bytes)?;
-    let mut label = vec![0u8; label_len as usize];
-    read_exact_sized(&mut file, &mut label, path)?;
-    header.label = String::from_utf8_lossy(&label).into_owned();
+    let (mut header, label_len, _) = read_header(&mut file)?;
+    read_label(&mut file, &mut header, label_len)?;
     Ok(header)
 }
 
-/// Reads the fixed 64-byte header. A file too short to hold one is
-/// reported as [`SnapshotError::BadMagic`] when even its leading bytes are
-/// not the magic (it is not a snapshot at all), and as
+/// Reads and decodes the fixed header at the start of `file`, returning it
+/// with the label length and the file size. A file too short to hold a
+/// header is [`SnapshotError::BadMagic`] when even its leading bytes are
+/// not the magic (it is not a snapshot at all), and
 /// [`SnapshotError::Truncated`] when they are.
-fn read_header_bytes(
-    file: &mut File,
-    path: &Path,
-) -> std::result::Result<[u8; HEADER_BYTES as usize], SnapshotError> {
-    let mut buf = [0u8; HEADER_BYTES as usize];
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        match file.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(err) if err.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(err) => return Err(SnapshotError::Io(err)),
-        }
-    }
-    if filled < buf.len() {
-        let probe = filled.min(MAGIC.len());
-        if buf[..probe] != MAGIC[..probe] {
+fn read_header(file: &mut File) -> std::result::Result<(SnapshotHeader, u64, u64), SnapshotError> {
+    let file_len = file.metadata()?.len();
+    let mut bytes = Vec::with_capacity(HEADER_BYTES as usize);
+    Read::by_ref(file)
+        .take(HEADER_BYTES)
+        .read_to_end(&mut bytes)?;
+    let Ok(head) = <[u8; HEADER_BYTES as usize]>::try_from(bytes.as_slice()) else {
+        let probe = bytes.len().min(MAGIC.len());
+        if bytes[..probe] != MAGIC[..probe] {
             return Err(SnapshotError::BadMagic);
         }
         return Err(SnapshotError::Truncated {
             expected: HEADER_BYTES,
-            actual: std::fs::metadata(path)
-                .map(|m| m.len())
-                .unwrap_or(filled as u64),
+            actual: file_len,
         });
-    }
-    Ok(buf)
+    };
+    let (header, label_len) = decode_header(&head)?;
+    Ok((header, label_len, file_len))
 }
 
-/// `read_exact` with EOF reported as [`SnapshotError::Truncated`] carrying
-/// the actual file size.
-fn read_exact_sized(
-    file: &mut File,
-    buf: &mut [u8],
-    path: &Path,
-) -> std::result::Result<(), SnapshotError> {
-    file.read_exact(buf).map_err(|err| {
-        if err.kind() == std::io::ErrorKind::UnexpectedEof {
-            SnapshotError::Truncated {
-                expected: buf.len() as u64,
-                actual: std::fs::metadata(path).map(|m| m.len()).unwrap_or(0),
-            }
-        } else {
-            SnapshotError::Io(err)
-        }
-    })
+/// Opens the snapshot at `path`, reads its header and rejects a file too
+/// short for the sections the header announces, before anything is
+/// allocated. Returns the file positioned after the header, the header,
+/// the label length and the file size. Both restores start here.
+fn open_snapshot(path: &Path) -> Result<(File, SnapshotHeader, u64, u64)> {
+    let mut file = File::open(path).map_err(SnapshotError::Io)?;
+    let (header, label_len, file_len) = read_header(&mut file)?;
+    let min_len = min_file_size(
+        header.version,
+        header.num_vertices,
+        header.num_edges,
+        header.theta,
+        label_len,
+    );
+    if u128::from(file_len) < min_len {
+        return Err(truncated(min_len, file_len));
+    }
+    Ok((file, header, label_len, file_len))
+}
+
+fn truncated(expected: u128, actual: u64) -> IminError {
+    SnapshotError::Truncated {
+        expected: expected.min(u64::MAX as u128) as u64,
+        actual,
+    }
+    .into()
+}
+
+fn check_exact_len(file_len: u64, exact: u128) -> Result<()> {
+    if u128::from(file_len) != exact {
+        return Err(truncated(exact, file_len));
+    }
+    Ok(())
 }
 
 fn corrupt(reason: String) -> IminError {
     IminError::Snapshot(SnapshotError::Corrupt { reason })
+}
+
+fn read_label<R: Read>(
+    r: &mut R,
+    header: &mut SnapshotHeader,
+    label_len: u64,
+) -> std::result::Result<(), SnapshotError> {
+    let mut label = vec![0u8; label_len as usize];
+    r.read_exact(&mut label)?;
+    header.label = String::from_utf8_lossy(&label).into_owned();
+    Ok(())
 }
 
 /// Reads and cross-checks the label + graph sections shared by both
@@ -857,11 +901,7 @@ fn read_graph_section<R: Read>(
     header: &mut SnapshotHeader,
     label_len: u64,
 ) -> Result<DiGraph> {
-    let mut label = vec![0u8; label_len as usize];
-    payload
-        .read_exact(&mut label)
-        .map_err(SnapshotError::from)?;
-    header.label = String::from_utf8_lossy(&label).into_owned();
+    read_label(payload, header, label_len)?;
     let graph = DiGraph::read_binary(payload).map_err(|err| match err {
         imin_graph::GraphError::Io(io) => IminError::Snapshot(SnapshotError::from(io)),
         other => corrupt(other.to_string()),
@@ -935,113 +975,134 @@ fn check_compressed_directory(lens: &[u64], modes: &[u8], starts: &[u64], m: u64
     Ok(())
 }
 
-fn check_exact_len(file_len: u64, exact: u128) -> Result<()> {
-    if u128::from(file_len) != exact {
-        return Err(SnapshotError::Truncated {
-            expected: exact.min(u64::MAX as u128) as u64,
-            actual: file_len,
-        }
-        .into());
-    }
-    Ok(())
+/// A payload stream that also decides where a v2 pool section's bulk
+/// arrays go: [`load_snapshot`]'s checksummed file stream copies them into
+/// owned arenas, [`map_snapshot`]'s cursor points at them inside the
+/// mapping.
+trait PayloadSource: Read {
+    /// The `len` words at absolute file offset `at`.
+    fn words(&mut self, at: u64, len: usize) -> std::result::Result<Words, SnapshotError>;
+    /// The `len` bytes at absolute file offset `at`.
+    fn blob(&mut self, at: u64, len: usize) -> std::result::Result<Blob, SnapshotError>;
 }
 
-/// Loads the snapshot at `path` into heap arenas: validates the header,
-/// bulk-loads the graph and pool sections, verifies the payload checksum
-/// and the graph fingerprint, and structurally validates every sample.
-/// Reads both format versions; a v1 file comes back as a consolidated raw
-/// arena bit-identical to the historical layout.
-///
-/// # Errors
-/// Every failure mode is a typed [`SnapshotError`] wrapped in
-/// [`IminError::Snapshot`]: missing/unreadable file, bad magic, unsupported
-/// version, truncation, checksum mismatch, fingerprint mismatch, or
-/// structurally impossible sections. Corrupt input never panics.
-pub fn load_snapshot(path: &Path) -> Result<RestoredSnapshot> {
-    let mut file = File::open(path).map_err(SnapshotError::Io)?;
-    let file_len = file.metadata().map_err(SnapshotError::Io)?.len();
+impl<R: Read> PayloadSource for ChecksumReader<R> {
+    fn words(&mut self, at: u64, len: usize) -> std::result::Result<Words, SnapshotError> {
+        self.skip_to(at)?;
+        Ok(Words::Owned(read_u32s(self, len)?))
+    }
 
-    let header_bytes = read_header_bytes(&mut file, path)?;
-    let (mut header, label_len) = decode_header(&header_bytes)?;
-    let (n, m, theta) = (
-        header.num_vertices as usize,
-        header.num_edges as usize,
-        header.theta as usize,
-    );
+    fn blob(&mut self, at: u64, len: usize) -> std::result::Result<Blob, SnapshotError> {
+        self.skip_to(at)?;
+        Ok(Blob::Owned(read_bytes(self, len)?))
+    }
+}
 
-    // Every section length below derives from the header; reject files that
-    // cannot possibly hold them before allocating anything.
-    let min_len = min_file_size(
-        header.version,
-        header.num_vertices,
-        header.num_edges,
-        header.theta,
-        label_len,
-    );
-    if (file_len as u128) < min_len {
-        return Err(SnapshotError::Truncated {
-            expected: min_len.min(u64::MAX as u128) as u64,
-            actual: file_len,
+/// A read cursor over a mapped snapshot file.
+struct MapCursor {
+    map: Arc<Mmap>,
+    /// Absolute file offset of the next unread byte.
+    pos: usize,
+}
+
+impl Read for MapCursor {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self
+            .map
+            .bytes()
+            .get(self.pos..)
+            .unwrap_or_default()
+            .read(buf)?;
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+impl PayloadSource for MapCursor {
+    // `read_v2_section` checked `at + len` against the mapping's length.
+    fn words(&mut self, at: u64, len: usize) -> std::result::Result<Words, SnapshotError> {
+        let (map, start) = (self.map.clone(), at as usize);
+        Ok(Words::Mapped { map, start, len })
+    }
+
+    fn blob(&mut self, at: u64, len: usize) -> std::result::Result<Blob, SnapshotError> {
+        let (map, start) = (self.map.clone(), at as usize);
+        Ok(Blob::Mapped { map, start, len })
+    }
+}
+
+/// Reads a v2 pool section starting at absolute file offset `at`: the
+/// section header and directory tables, then the page-aligned positions of
+/// the bulk arrays, checked against the exact `file_len` before `src`
+/// places them.
+fn read_v2_section<S: PayloadSource>(
+    src: &mut S,
+    graph: &DiGraph,
+    theta: usize,
+    at: u128,
+    file_len: u64,
+) -> Result<PoolArena> {
+    let n = graph.num_vertices();
+    let m = graph.num_edges() as u64;
+    let mut section = [0u8; 8];
+    src.read_exact(&mut section).map_err(SnapshotError::from)?;
+    let kind = u32::from_le_bytes(section[0..4].try_into().expect("4-byte kind"));
+    let reserved = u32::from_le_bytes(section[4..8].try_into().expect("4-byte reserved"));
+    if reserved != 0 {
+        return Err(corrupt(format!(
+            "reserved pool-section field is {reserved}, expected 0"
+        )));
+    }
+    let page_up = |abs: u128| abs + pad_len(abs.min(u64::MAX as u128) as u64) as u128;
+    let (at, theta_u) = (at + 8, theta as u128);
+    match kind {
+        SECTION_RAW => {
+            let stride = n + 1;
+            let target_start = read_u64s(src, theta + 1)?;
+            check_target_start(&target_start, m)?;
+            let total = target_start[theta];
+            let offsets_at = page_up(at + (theta_u + 1) * 8);
+            let targets_at = page_up(offsets_at + theta_u * stride as u128 * 4);
+            check_exact_len(file_len, targets_at + u128::from(total) * 4 + 8)?;
+            let offsets = src.words(offsets_at as u64, theta * stride)?;
+            let targets = src.words(targets_at as u64, total as usize)?;
+            let raw = RawArena {
+                stride,
+                target_start,
+                offsets,
+                targets,
+            };
+            Ok(PoolArena::raw(n, theta, raw))
         }
-        .into());
+        SECTION_COMPRESSED => {
+            let lens = read_u64s(src, theta)?;
+            let mut modes = vec![0u8; theta];
+            src.read_exact(&mut modes).map_err(SnapshotError::from)?;
+            let starts = read_u64s(src, theta + 1)?;
+            check_compressed_directory(&lens, &modes, &starts, m)?;
+            let data_len = starts[theta];
+            let data_at = page_up(at + theta_u * 17 + 8);
+            check_exact_len(file_len, data_at + u128::from(data_len) + 8)?;
+            let data = src.blob(data_at as u64, data_len as usize)?;
+            let (gr_offsets, gr_targets) = graph_csr_copy(graph);
+            let compressed = CompressedArena {
+                lens,
+                modes,
+                starts,
+                data,
+                gr_offsets,
+                gr_targets,
+            };
+            Ok(PoolArena::compressed(n, theta, compressed))
+        }
+        other => Err(corrupt(format!("unknown pool-section arena kind {other}"))),
     }
-
-    // Restore phases feed the observability span (restores are rare, so
-    // the two clock reads are always taken); `IMIN_SNAPSHOT_TRACE` prints
-    // the same breakdown to stderr for quick command-line diagnosis.
-    let trace = std::env::var_os("IMIN_SNAPSHOT_TRACE").is_some();
-    let (mut read_ns, mut validate_ns) = (0u64, 0u64);
-    let mut mark = std::time::Instant::now();
-    let mut payload = ChecksumReader::new(&mut file);
-    let graph = read_graph_section(&mut payload, &mut header, label_len)?;
-    let prefix = common_prefix_size(header.num_vertices, header.num_edges, label_len);
-
-    let arena = if header.version == 1 {
-        load_v1_pool_section(&mut payload, &graph, theta, file_len, prefix)?
-    } else {
-        load_v2_pool_section(&mut payload, &graph, theta, file_len, prefix)?
-    };
-    crate::pool::lap_instant(&mut mark, &mut read_ns);
-    if let Err((i, reason)) = arena.validate_all() {
-        return Err(corrupt(format!("sample {i}: {reason}")));
-    }
-
-    let computed = payload.sum.value();
-    let mut trailer = [0u8; 8];
-    read_exact_sized(&mut file, &mut trailer, path)?;
-    let stored = u64::from_le_bytes(trailer);
-    if stored != computed {
-        return Err(SnapshotError::ChecksumMismatch { stored, computed }.into());
-    }
-    crate::pool::lap_instant(&mut mark, &mut validate_ns);
-    imin_obs::span::add_ns(imin_obs::Phase::SnapRead, read_ns);
-    imin_obs::span::add_ns(imin_obs::Phase::SnapValidate, validate_ns);
-    if trace {
-        imin_obs::trace_line(
-            "snapshot",
-            &format!(
-                "read {:.3}s validate {:.3}s ({} bytes, v{})",
-                read_ns as f64 / 1e9,
-                validate_ns as f64 / 1e9,
-                file_len,
-                header.version
-            ),
-        );
-    }
-
-    let pool = SamplePool::from_arena(n, m, header.pool_seed, arena);
-    Ok(RestoredSnapshot {
-        graph,
-        pool,
-        label: header.label.clone(),
-        header,
-    })
 }
 
 /// Reads a legacy v1 pool section (per-sample CSR arrays) into a
 /// consolidated raw arena.
 fn load_v1_pool_section<R: Read>(
-    payload: &mut ChecksumReader<R>,
+    payload: &mut R,
     graph: &DiGraph,
     theta: usize,
     file_len: u64,
@@ -1109,122 +1170,74 @@ fn load_v1_pool_section<R: Read>(
     ))
 }
 
-/// Reads a v2 pool section (either arena kind) into heap arenas.
-fn load_v2_pool_section<R: Read>(
-    payload: &mut ChecksumReader<R>,
-    graph: &DiGraph,
-    theta: usize,
-    file_len: u64,
-    prefix: u128,
-) -> Result<PoolArena> {
-    let n = graph.num_vertices();
-    let m = graph.num_edges() as u64;
-    let mut section = [0u8; 8];
-    payload
-        .read_exact(&mut section)
-        .map_err(SnapshotError::from)?;
-    let kind = u32::from_le_bytes(section[0..4].try_into().expect("4-byte kind"));
-    let reserved = u32::from_le_bytes(section[4..8].try_into().expect("4-byte reserved"));
-    if reserved != 0 {
-        return Err(corrupt(format!(
-            "reserved pool-section field is {reserved}, expected 0"
-        )));
-    }
-    match kind {
-        SECTION_RAW => {
-            let stride = n + 1;
-            let target_start = read_u64s(payload, theta + 1)?;
-            check_target_start(&target_start, m)?;
-            let total = target_start[theta];
-            let tables_end = prefix + 8 + (theta as u128 + 1) * 8;
-            let pad1 = pad_len(tables_end.min(u64::MAX as u128) as u64) as u128;
-            let offsets_bytes = theta as u128 * stride as u128 * 4;
-            let targets_at = tables_end + pad1 + offsets_bytes;
-            let pad2 = pad_len(targets_at.min(u64::MAX as u128) as u64) as u128;
-            let exact = targets_at + pad2 + total as u128 * 4 + 8;
-            check_exact_len(file_len, exact)?;
-            payload.skip_pad()?;
-            let offsets = read_u32s(payload, theta * stride)?;
-            payload.skip_pad()?;
-            let targets = read_u32s(payload, total as usize)?;
-            Ok(PoolArena::raw(
-                n,
-                theta,
-                RawArena {
-                    stride,
-                    target_start,
-                    offsets: Words::Owned(offsets),
-                    targets: Words::Owned(targets),
-                },
-            ))
-        }
-        SECTION_COMPRESSED => {
-            let lens = read_u64s(payload, theta)?;
-            let mut modes = vec![0u8; theta];
-            payload
-                .read_exact(&mut modes)
-                .map_err(SnapshotError::from)?;
-            let starts = read_u64s(payload, theta + 1)?;
-            check_compressed_directory(&lens, &modes, &starts, m)?;
-            let data_len = starts[theta];
-            let data_at = prefix + 8 + theta as u128 * 17 + 8;
-            let pad = pad_len(data_at.min(u64::MAX as u128) as u64) as u128;
-            let exact = data_at + pad + data_len as u128 + 8;
-            check_exact_len(file_len, exact)?;
-            payload.skip_pad()?;
-            let data = read_bytes(payload, data_len as usize)?;
-            let (gr_offsets, gr_targets) = graph_csr_copy(graph);
-            Ok(PoolArena::compressed(
-                n,
-                theta,
-                CompressedArena {
-                    lens,
-                    modes,
-                    starts,
-                    data: Blob::Owned(data),
-                    gr_offsets,
-                    gr_targets,
-                },
-            ))
-        }
-        other => Err(corrupt(format!("unknown pool-section arena kind {other}"))),
+/// Reassembles a restored graph and arena into the reader's result.
+fn restored(graph: DiGraph, header: SnapshotHeader, arena: PoolArena) -> RestoredSnapshot {
+    let (n, m) = (graph.num_vertices(), graph.num_edges());
+    RestoredSnapshot {
+        pool: SamplePool::from_arena(n, m, header.pool_seed, arena),
+        graph,
+        label: header.label.clone(),
+        header,
     }
 }
 
-/// Bounds-checked slice of the mapped file.
-fn take(bytes: &[u8], at: usize, len: usize) -> std::result::Result<&[u8], SnapshotError> {
-    let end = at.checked_add(len).ok_or(SnapshotError::Truncated {
-        expected: u64::MAX,
-        actual: bytes.len() as u64,
-    })?;
-    if end > bytes.len() {
-        return Err(SnapshotError::Truncated {
-            expected: end as u64,
-            actual: bytes.len() as u64,
-        });
+/// Loads the snapshot at `path` into heap arenas: validates the header,
+/// bulk-loads the graph and pool sections, verifies the payload checksum
+/// and the graph fingerprint, and structurally validates every sample.
+/// Reads both format versions; a v1 file comes back as a consolidated raw
+/// arena bit-identical to the historical layout.
+///
+/// # Errors
+/// Every failure mode is a typed [`SnapshotError`] wrapped in
+/// [`IminError::Snapshot`]: missing/unreadable file, bad magic, unsupported
+/// version, truncation, checksum mismatch, fingerprint mismatch, or
+/// structurally impossible sections. Corrupt input never panics.
+pub fn load_snapshot(path: &Path) -> Result<RestoredSnapshot> {
+    let (mut file, mut header, label_len, file_len) = open_snapshot(path)?;
+    // Restore phases feed the observability span (restores are rare, so
+    // the clock reads are always taken).
+    let (mut read_ns, mut validate_ns) = (0u64, 0u64);
+    let mut mark = Instant::now();
+    let mut payload = ChecksumReader::new(&mut file);
+    let graph = read_graph_section(&mut payload, &mut header, label_len)?;
+    let prefix = common_prefix_size(header.num_vertices, header.num_edges, label_len);
+    let theta = header.theta as usize;
+    let arena = if header.version == 1 {
+        load_v1_pool_section(&mut payload, &graph, theta, file_len, prefix)?
+    } else {
+        read_v2_section(&mut payload, &graph, theta, prefix, file_len)?
+    };
+    lap_instant(&mut mark, &mut read_ns);
+    if let Err((i, reason)) = arena.validate_all() {
+        return Err(corrupt(format!("sample {i}: {reason}")));
     }
-    Ok(&bytes[at..end])
-}
 
-fn decode_u64_table(bytes: &[u8]) -> Vec<u64> {
-    bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte word")))
-        .collect()
+    let computed = payload.sum.value();
+    let mut trailer = [0u8; 8];
+    file.read_exact(&mut trailer).map_err(SnapshotError::from)?;
+    let stored = u64::from_le_bytes(trailer);
+    if stored != computed {
+        return Err(SnapshotError::ChecksumMismatch { stored, computed }.into());
+    }
+    lap_instant(&mut mark, &mut validate_ns);
+    span::add_ns(Phase::SnapRead, read_ns);
+    span::add_ns(Phase::SnapValidate, validate_ns);
+    Ok(restored(graph, header, arena))
 }
 
 /// Opens the version-2 snapshot at `path` as a **memory-mapped** pool: the
-/// graph and directory tables are deserialised eagerly (with the same
-/// header, fingerprint and exact-size validation as [`load_snapshot`]), but
-/// the bulk arrays stay in the mapping and are served zero-copy, so the
-/// restore cost is independent of pool size.
+/// header, graph and directory tables go through the same parse as
+/// [`load_snapshot`] (header, fingerprint and exact-size validation
+/// included), but the bulk arrays stay in the mapping and are served
+/// zero-copy, so the restore cost is independent of pool size.
 ///
 /// The payload checksum is **not** verified — hashing the payload would
 /// fault in every page, which is exactly what mapping avoids. Instead every
 /// sample is structurally validated on its first use; a corrupt sample
 /// raises a diagnostic panic that the serving layer converts to a typed
-/// internal error. Callers must keep the file unmodified while the pool is
-/// alive.
+/// internal error. Callers must not truncate or rewrite the file in place
+/// while the pool is alive ([`save_snapshot`] replaces files by rename,
+/// which is safe).
 ///
 /// # Errors
 /// As [`load_snapshot`], plus [`SnapshotError::Corrupt`] for v1 files
@@ -1237,26 +1250,8 @@ pub fn map_snapshot(path: &Path) -> Result<RestoredSnapshot> {
         ));
     }
     let (mut map_ns, mut validate_ns) = (0u64, 0u64);
-    let mut mark = std::time::Instant::now();
-    let map = Arc::new(Mmap::map_file(path).map_err(SnapshotError::Io)?);
-    crate::pool::lap_instant(&mut mark, &mut map_ns);
-    let bytes = map.bytes();
-    let file_len = bytes.len() as u64;
-    if bytes.len() < HEADER_BYTES as usize {
-        let probe = bytes.len().min(MAGIC.len());
-        if bytes[..probe] != MAGIC[..probe] {
-            return Err(SnapshotError::BadMagic.into());
-        }
-        return Err(SnapshotError::Truncated {
-            expected: HEADER_BYTES,
-            actual: file_len,
-        }
-        .into());
-    }
-    let header_bytes: [u8; HEADER_BYTES as usize] = bytes[..HEADER_BYTES as usize]
-        .try_into()
-        .expect("64 header bytes");
-    let (mut header, label_len) = decode_header(&header_bytes)?;
+    let mut mark = Instant::now();
+    let (file, mut header, label_len, _) = open_snapshot(path)?;
     if header.version < 2 {
         return Err(corrupt(format!(
             "version-{} snapshots have no page-aligned sections and cannot be memory-mapped; \
@@ -1264,160 +1259,23 @@ pub fn map_snapshot(path: &Path) -> Result<RestoredSnapshot> {
             header.version
         )));
     }
-    let (n, m, theta) = (
-        header.num_vertices as usize,
-        header.num_edges,
-        header.theta as usize,
-    );
-    let min_len = min_file_size(
-        header.version,
-        header.num_vertices,
-        header.num_edges,
-        header.theta,
-        label_len,
-    );
-    if (file_len as u128) < min_len {
-        return Err(SnapshotError::Truncated {
-            expected: min_len.min(u64::MAX as u128) as u64,
-            actual: file_len,
-        }
-        .into());
-    }
-
-    // Label + graph: parsed out of the mapping through the ordinary binary
-    // reader (the graph is tiny next to the pool; its derived arrays have
-    // to be rebuilt on the heap anyway).
-    let label_bytes = take(bytes, HEADER_BYTES as usize, label_len as usize)?;
-    header.label = String::from_utf8_lossy(label_bytes).into_owned();
-    let graph_at = HEADER_BYTES as usize + label_len as usize;
-    let mut cursor = &bytes[graph_at..];
-    let before = cursor.len();
-    let graph = DiGraph::read_binary(&mut cursor).map_err(|err| match err {
-        imin_graph::GraphError::Io(io) => IminError::Snapshot(SnapshotError::from(io)),
-        other => corrupt(other.to_string()),
-    })?;
-    let graph_size = before - cursor.len();
-    if graph.num_vertices() != n || graph.num_edges() as u64 != m {
-        return Err(corrupt(format!(
-            "graph section is {}v/{}e but the header says {n}v/{m}e",
-            graph.num_vertices(),
-            graph.num_edges()
-        )));
-    }
-    let computed_fingerprint = graph.fingerprint();
-    if computed_fingerprint != header.graph_fingerprint {
-        return Err(SnapshotError::FingerprintMismatch {
-            stored: header.graph_fingerprint,
-            computed: computed_fingerprint,
-        }
-        .into());
-    }
-
-    let mut at = graph_at + graph_size;
-    let section = take(bytes, at, 8)?;
-    let kind = u32::from_le_bytes(section[0..4].try_into().expect("4-byte kind"));
-    let reserved = u32::from_le_bytes(section[4..8].try_into().expect("4-byte reserved"));
-    if reserved != 0 {
-        return Err(corrupt(format!(
-            "reserved pool-section field is {reserved}, expected 0"
-        )));
-    }
-    at += 8;
-    let arena = match kind {
-        SECTION_RAW => {
-            let stride = n + 1;
-            let target_start = decode_u64_table(take(bytes, at, (theta + 1) * 8)?);
-            at += (theta + 1) * 8;
-            check_target_start(&target_start, m)?;
-            let total = target_start[theta];
-            at += pad_len(at as u64);
-            let offsets_at = at;
-            let offsets_bytes = theta as u128 * stride as u128 * 4;
-            let targets_at_u128 = offsets_at as u128 + offsets_bytes;
-            let pad2 = pad_len(targets_at_u128.min(u64::MAX as u128) as u64) as u128;
-            let exact = targets_at_u128 + pad2 + total as u128 * 4 + 8;
-            check_exact_len(file_len, exact)?;
-            let targets_at = (targets_at_u128 + pad2) as usize;
-            PoolArena::raw(
-                n,
-                theta,
-                RawArena {
-                    stride,
-                    target_start,
-                    offsets: Words::Mapped {
-                        map: map.clone(),
-                        start: offsets_at,
-                        len: theta * stride,
-                    },
-                    targets: Words::Mapped {
-                        map: map.clone(),
-                        start: targets_at,
-                        len: total as usize,
-                    },
-                },
-            )
-        }
-        SECTION_COMPRESSED => {
-            let lens = decode_u64_table(take(bytes, at, theta * 8)?);
-            at += theta * 8;
-            let modes = take(bytes, at, theta)?.to_vec();
-            at += theta;
-            let starts = decode_u64_table(take(bytes, at, (theta + 1) * 8)?);
-            at += (theta + 1) * 8;
-            check_compressed_directory(&lens, &modes, &starts, m)?;
-            let data_len = starts[theta];
-            at += pad_len(at as u64);
-            let exact = at as u128 + data_len as u128 + 8;
-            check_exact_len(file_len, exact)?;
-            let (gr_offsets, gr_targets) = graph_csr_copy(&graph);
-            PoolArena::compressed(
-                n,
-                theta,
-                CompressedArena {
-                    lens,
-                    modes,
-                    starts,
-                    data: Blob::Mapped {
-                        map: map.clone(),
-                        start: at,
-                        len: data_len as usize,
-                    },
-                    gr_offsets,
-                    gr_targets,
-                },
-            )
-        }
-        other => return Err(corrupt(format!("unknown pool-section arena kind {other}"))),
+    let mut cursor = MapCursor {
+        map: Arc::new(Mmap::map(&file).map_err(SnapshotError::Io)?),
+        pos: HEADER_BYTES as usize,
     };
-    // Header decode, graph parse, fingerprint and directory checks: the
-    // eager part of a mapped restore (per-sample validation is lazy).
-    crate::pool::lap_instant(&mut mark, &mut validate_ns);
-    imin_obs::span::add_ns(imin_obs::Phase::SnapMap, map_ns);
-    imin_obs::span::add_ns(imin_obs::Phase::SnapValidate, validate_ns);
-    if std::env::var_os("IMIN_SNAPSHOT_TRACE").is_some() {
-        imin_obs::trace_line(
-            "snapshot",
-            &format!(
-                "map {:.3}s validate {:.3}s ({} bytes, v{}, lazy samples)",
-                map_ns as f64 / 1e9,
-                validate_ns as f64 / 1e9,
-                file_len,
-                header.version
-            ),
-        );
-    }
-    let pool = SamplePool::from_arena(
-        n,
-        graph.num_edges(),
-        header.pool_seed,
-        arena.with_lazy_validation(),
-    );
-    Ok(RestoredSnapshot {
-        graph,
-        pool,
-        label: header.label.clone(),
-        header,
-    })
+    lap_instant(&mut mark, &mut map_ns);
+    // Sections are bounded by the mapping's own length, so no mapped slice
+    // can run past it.
+    let map_len = cursor.map.len() as u64;
+    let graph = read_graph_section(&mut cursor, &mut header, label_len)?;
+    let prefix = common_prefix_size(header.num_vertices, header.num_edges, label_len);
+    let arena = read_v2_section(&mut cursor, &graph, header.theta as usize, prefix, map_len)?;
+    // Graph parse, fingerprint and directory checks: the eager part of a
+    // mapped restore (per-sample validation is lazy).
+    lap_instant(&mut mark, &mut validate_ns);
+    span::add_ns(Phase::SnapMap, map_ns);
+    span::add_ns(Phase::SnapValidate, validate_ns);
+    Ok(restored(graph, header, arena.with_lazy_validation()))
 }
 
 /// The checksum of a payload byte slice, exactly as the trailer stores it.

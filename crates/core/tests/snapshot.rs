@@ -10,10 +10,10 @@ use imin_core::snapshot::{
     load_snapshot, map_snapshot, peek_header, pool_digest, save_snapshot, save_snapshot_v1,
     SnapshotError, FORMAT_VERSION,
 };
-use imin_core::{ArenaKind, IminError, SamplePool};
+use imin_core::{ArenaKind, IminError, RestoredSnapshot, SamplePool};
 use imin_diffusion::ProbabilityModel;
 use imin_graph::{generators, DiGraph, VertexId};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn wc_pa(n: usize, seed: u64) -> DiGraph {
     ProbabilityModel::WeightedCascade
@@ -119,20 +119,49 @@ fn save_rejects_a_pool_graph_mismatch() {
     ));
 }
 
-fn expect_snapshot_err(
+type Reader = fn(&Path) -> imin_core::Result<RestoredSnapshot>;
+
+/// Writes `bytes` to a temp file and requires every reader to refuse it
+/// with a snapshot error that passes `check`.
+fn expect_err_from(
+    readers: &[(&str, Reader)],
     bytes: Vec<u8>,
     tag: &str,
-    check: impl FnOnce(&SnapshotError) -> bool,
+    check: impl Fn(&SnapshotError) -> bool,
     what: &str,
 ) {
     let tmp = TempSnap::new(tag);
     std::fs::write(&tmp.0, bytes).unwrap();
-    match load_snapshot(&tmp.0) {
-        Err(IminError::Snapshot(err)) => {
-            assert!(check(&err), "{what}: unexpected snapshot error {err:?}")
+    for (name, read) in readers {
+        match read(&tmp.0) {
+            Err(IminError::Snapshot(err)) => {
+                assert!(
+                    check(&err),
+                    "{what} ({name}): unexpected snapshot error {err:?}"
+                )
+            }
+            other => panic!("{what} ({name}): expected a snapshot error, got {other:?}"),
         }
-        other => panic!("{what}: expected a snapshot error, got {other:?}"),
     }
+}
+
+/// A defect in the header, graph section or directory: both readers must
+/// refuse it with the same typed error.
+fn expect_snapshot_err(
+    bytes: Vec<u8>,
+    tag: &str,
+    check: impl Fn(&SnapshotError) -> bool,
+    what: &str,
+) {
+    let readers: [(&str, Reader); 2] = [("load", load_snapshot), ("map", map_snapshot)];
+    expect_err_from(&readers, bytes, tag, check, what);
+}
+
+/// A checksum or per-sample defect: only the bulk loader checks these up
+/// front; the map path defers them to first touch by design
+/// (`mapped_corruption_panics_with_a_diagnostic_on_first_touch`).
+fn expect_load_err(bytes: Vec<u8>, tag: &str, check: impl Fn(&SnapshotError) -> bool, what: &str) {
+    expect_err_from(&[("load", load_snapshot)], bytes, tag, check, what);
 }
 
 #[test]
@@ -189,8 +218,9 @@ fn version_mismatch_is_rejected() {
 fn truncation_at_every_region_is_detected() {
     let (_, _, tmp) = saved_snapshot("trunc-src");
     let bytes = std::fs::read(&tmp.0).unwrap();
-    // Mid-header, mid-graph-section, mid-arena, and a chopped trailer.
-    for cut in [10, 63, 200, bytes.len() / 2, bytes.len() - 3] {
+    // Empty, mid-header, mid-graph-section, mid-arena, and a chopped
+    // trailer.
+    for cut in [0, 10, 63, 200, bytes.len() / 2, bytes.len() - 3] {
         expect_snapshot_err(
             bytes[..cut].to_vec(),
             &format!("trunc-{cut}"),
@@ -217,7 +247,7 @@ fn payload_corruption_fails_the_checksum() {
     let mut corrupt = bytes.clone();
     let at = bytes.len() - 64;
     corrupt[at] ^= 0x01;
-    expect_snapshot_err(
+    expect_load_err(
         corrupt,
         "checksum",
         |e| matches!(e, SnapshotError::ChecksumMismatch { .. }),
@@ -227,7 +257,7 @@ fn payload_corruption_fails_the_checksum() {
     let mut corrupt = bytes;
     let last = corrupt.len() - 1;
     corrupt[last] ^= 0x80;
-    expect_snapshot_err(
+    expect_load_err(
         corrupt,
         "trailer",
         |e| matches!(e, SnapshotError::ChecksumMismatch { .. }),
@@ -270,7 +300,7 @@ fn checksum_valid_but_malformed_arenas_are_typed_errors_not_panics() {
     let mut forged = bytes.clone();
     forged[last_target_at..last_target_at + 4].copy_from_slice(&(n as u32).to_le_bytes());
     reseal(&mut forged);
-    expect_snapshot_err(
+    expect_load_err(
         forged,
         "forged-target",
         |e| matches!(e, SnapshotError::Corrupt { .. }),
@@ -285,7 +315,7 @@ fn checksum_valid_but_malformed_arenas_are_typed_errors_not_panics() {
     let mut forged = bytes;
     forged[offsets_at..offsets_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
     reseal(&mut forged);
-    expect_snapshot_err(
+    expect_load_err(
         forged,
         "forged-offsets",
         |e| matches!(e, SnapshotError::Corrupt { .. }),
@@ -380,6 +410,21 @@ fn mapped_snapshots_serve_byte_identical_queries() {
             assert_eq!(gr.blockers, gr_ref.blockers, "GR {tag} threads={threads}");
             assert_eq!(gr.estimated_spread, gr_ref.estimated_spread);
         }
+        // Saving the mapped pool over the file it is served from replaces
+        // the file by rename: the mapped pages stay valid, so the pool
+        // still answers, and the new file maps to the same realisations.
+        save_snapshot(&tmp.0, &restored.graph, &restored.pool, "pa-150/wc").unwrap();
+        let sel =
+            pooled_advanced_greedy_in(&restored.pool, &seeds, &forbidden, 4, 2, &mut ws).unwrap();
+        assert_eq!(sel.blockers, reference.blockers, "{tag} after SAVE");
+        assert_eq!(sel.estimated_spread, reference.estimated_spread);
+        let remapped = map_snapshot(&tmp.0).unwrap();
+        assert_eq!(remapped.pool.arena_kind(), kind, "{tag} remapped");
+        assert_eq!(
+            pool_digest(&remapped.pool),
+            pool_digest(&raw),
+            "{tag} remapped"
+        );
     }
 }
 
@@ -433,7 +478,7 @@ fn corrupt_compressed_directories_are_typed_errors_not_panics() {
     let lens0 = u64::from_le_bytes(forged[lens_at..lens_at + 8].try_into().unwrap());
     forged[lens_at..lens_at + 8].copy_from_slice(&(lens0 + 1).to_le_bytes());
     reseal(&mut forged);
-    expect_snapshot_err(
+    expect_load_err(
         forged,
         "compressed-lens",
         |e| matches!(e, SnapshotError::Corrupt { .. }),

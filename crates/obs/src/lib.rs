@@ -37,5 +37,5 @@ pub mod log;
 pub mod span;
 
 pub use hist::{Histogram, HistogramSnapshot, BUCKETS};
-pub use log::{trace_line, AccessLog, AccessRecord, LogFormat};
+pub use log::{AccessLog, AccessRecord, LogFormat};
 pub use span::{Phase, PhaseBreakdown, PHASE_COUNT, QUERY_PHASES, SNAPSHOT_PHASES};

@@ -189,13 +189,6 @@ fn render_json(ts_ms: u64, record: &AccessRecord<'_>, phases: Option<&PhaseBreak
     line
 }
 
-/// Prints a `component trace: message` line to stderr — the structured
-/// replacement for ad-hoc `IMIN_SNAPSHOT_TRACE` prints, kept greppable
-/// under the historical prefix format.
-pub fn trace_line(component: &str, message: &str) {
-    eprintln!("{component} trace: {message}");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
