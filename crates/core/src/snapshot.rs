@@ -148,7 +148,7 @@ fn pad_len(abs: u64) -> usize {
 /// Errors produced while writing or reading snapshot files.
 #[derive(Debug)]
 pub enum SnapshotError {
-    /// An underlying I/O failure (open, read, write, create, map).
+    /// An underlying I/O failure (open, read, write, create, rename, map).
     Io(std::io::Error),
     /// The file is shorter than its own header/section sizes demand (or
     /// longer — trailing garbage is rejected too).
