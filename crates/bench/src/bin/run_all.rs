@@ -1,16 +1,36 @@
-//! Runs every experiment in sequence (toy table, exact comparison, θ sweep,
-//! heuristics table, timing figures, budget/seed scalability, triggering
-//! extension). Intended for `IMIN_SCALE=tiny` smoke runs; at larger scales
-//! prefer running the individual binaries.
+//! Regenerates the paper's evaluation (§VI): paper-style tables on stdout
+//! and CSVs under `target/experiments/`.
+//!
+//! `run_all <artefact>...` runs each named table or figure on its full
+//! grid; the names are those of `imin_bench::experiments::ARTEFACTS`, and
+//! an unknown one is refused before anything runs. With no argument it
+//! runs every experiment in sequence (toy table, exact comparison, θ
+//! sweep, heuristics table, timing figures, budget/seed scalability,
+//! triggering extension) on smaller budget and seed grids, intended for
+//! `IMIN_SCALE=tiny` smoke runs.
 //!
 //! `IMIN_ALGS` selects the heuristics-table columns by registry name, as
-//! in `table7_heuristics`.
+//! in `run_all table7_heuristics`.
 use imin_bench::experiments::TABLE7_DEFAULT_ALGS;
 use imin_bench::{algorithms_from_env, paper_models, BenchSettings};
 use imin_datasets::Dataset;
 use imin_diffusion::ProbabilityModel;
 fn main() {
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    let artefacts = imin_bench::experiments::artefacts_named(&names).unwrap_or_else(|err| {
+        eprintln!("run_all: {err}");
+        std::process::exit(2);
+    });
     let settings = BenchSettings::from_env();
+    if !artefacts.is_empty() {
+        for (_, run) in artefacts {
+            run(&settings, &mut |heading, csv, table| {
+                println!("{heading}");
+                table.emit(csv);
+            });
+        }
+        return;
+    }
     let algorithms = algorithms_from_env("IMIN_ALGS", TABLE7_DEFAULT_ALGS);
     println!("settings: {settings:?}\n");
     imin_bench::experiments::table3_toy().emit("table3_toy");

@@ -1,8 +1,11 @@
-//! Shared experiment runners. Every `src/bin/*` binary is a thin wrapper
-//! around one of these functions, so the logic that regenerates a table or
-//! figure lives in exactly one place and is unit-testable.
+//! The paper's experiments. Each function below regenerates one table or
+//! figure of §VI, and [`ARTEFACTS`] names the grids `run_all <name>` runs
+//! them on. An artefact writes no file: it hands each finished table to a
+//! [`Sink`], and `run_all` prints and writes what it receives.
 
-use crate::{draw_seeds, fmt_secs, prepare_instance, BenchSettings, Table};
+use crate::{
+    algorithms_from_env, draw_seeds, fmt_secs, paper_models, prepare_instance, BenchSettings, Table,
+};
 use imin_core::exact_blocker::{exact_blocker_search, ExactSearchConfig, SpreadEvaluator};
 use imin_core::triggering::{evaluate_triggering_spread, greedy_replace_triggering};
 use imin_core::{Algorithm, AlgorithmConfig, ImninProblem};
@@ -12,6 +15,128 @@ use imin_datasets::{Dataset, DatasetScale};
 use imin_diffusion::triggering::LtTriggering;
 use imin_diffusion::ProbabilityModel;
 use std::time::Instant;
+
+/// Receives each finished table with the heading line printed above it
+/// and its CSV file stem (`run_all` writes `target/experiments/<csv>.csv`).
+pub type Sink<'a> = &'a mut dyn FnMut(&str, &str, Table);
+
+/// Runs one artefact's grid, handing each table to the sink.
+pub type Run = fn(&BenchSettings, Sink);
+
+/// Every artefact `run_all <name>` regenerates, by name, in paper order.
+pub const ARTEFACTS: &[(&str, Run)] = &[
+    ("table3_toy", |_, sink| {
+        let heading = "== Table III: toy graph of Figure 1 ==";
+        sink(heading, "table3_toy", table3_toy())
+    }),
+    ("table5_exact_tr", |s, sink| {
+        let heading = "== Table V: Exact vs GreedyReplace (TR model) ==";
+        sink(heading, "table5_exact_tr", exact_vs_gr(tr(s), s))
+    }),
+    ("table6_exact_wc", |s, sink| {
+        let heading = "== Table VI: Exact vs GreedyReplace (WC model) ==";
+        sink(heading, "table6_exact_wc", exact_vs_gr(WC, s))
+    }),
+    ("table7_heuristics", table7_heuristics),
+    ("fig5_theta_effectiveness", |s, sink| {
+        let heading = "== Figure 5: spread vs number of sampled graphs θ ==";
+        let table = theta_sweep(s, &default_thetas(s), 20);
+        sink(heading, "fig5_theta_effectiveness", table)
+    }),
+    // The same sweep as Figure 5: its time column is this figure.
+    ("fig6_theta_time", |s, sink| {
+        let heading = "== Figure 6: running time vs number of sampled graphs θ ==";
+        let table = theta_sweep(s, &default_thetas(s), 20);
+        sink(heading, "fig6_theta_time", table)
+    }),
+    ("fig7_time_tr", |s, sink| {
+        let heading = "== Figure 7: time cost of BG / AG / GR (TR model, b = 10) ==";
+        sink(heading, "fig7_time_tr", time_comparison(tr(s), s))
+    }),
+    ("fig8_time_wc", |s, sink| {
+        let heading = "== Figure 8: time cost of BG / AG / GR (WC model, b = 10) ==";
+        sink(heading, "fig8_time_wc", time_comparison(WC, s))
+    }),
+    ("fig9_budget", fig9_budget),
+    ("fig10_seeds_tr", |s, sink| {
+        let heading = "== Figure 10: running time vs number of seeds (TR model) ==";
+        let table = seeds_scalability(tr(s), &[1, 10, 100, 1000], s);
+        sink(heading, "fig10_seeds_tr", table)
+    }),
+    ("fig11_seeds_wc", |s, sink| {
+        let heading = "== Figure 11: running time vs number of seeds (WC model) ==";
+        let table = seeds_scalability(WC, &[1, 10, 100, 1000], s);
+        sink(heading, "fig11_seeds_wc", table)
+    }),
+    ("ext_triggering", |s, sink| {
+        let heading = "== Extension (§V-E): GreedyReplace under the LT triggering model ==";
+        sink(heading, "ext_triggering", triggering_extension(s))
+    }),
+];
+
+/// Looks up every name in [`ARTEFACTS`], in order, so that a bad name is
+/// refused before anything runs.
+///
+/// # Errors
+/// Names the first unknown argument and lists every valid name.
+pub fn artefacts_named(names: &[String]) -> Result<Vec<(&'static str, Run)>, String> {
+    names
+        .iter()
+        .map(|name| {
+            let found = ARTEFACTS.iter().find(|(known, _)| known == name);
+            found.copied().ok_or_else(|| {
+                let valid: Vec<&str> = ARTEFACTS.iter().map(|(known, _)| *known).collect();
+                let valid = valid.join(", ");
+                format!("unknown artefact `{name}`; valid names: {valid}")
+            })
+        })
+        .collect()
+}
+
+const WC: ProbabilityModel = ProbabilityModel::WeightedCascade;
+
+fn tr(settings: &BenchSettings) -> ProbabilityModel {
+    ProbabilityModel::Trivalency {
+        seed: settings.seed,
+    }
+}
+
+/// Table VII on every dataset under both models. `IMIN_ALGS` picks the
+/// columns by any spelling the [`Algorithm`] registry accepts (default
+/// RA / OD / AG / GR, e.g. `IMIN_ALGS=ra,pagerank,degree,gr`), and
+/// `IMIN_BUDGETS` the comma-separated budgets (default 20..=100 in steps
+/// of 20).
+fn table7_heuristics(settings: &BenchSettings, sink: Sink) {
+    let algorithms = algorithms_from_env("IMIN_ALGS", TABLE7_DEFAULT_ALGS);
+    let budgets: Vec<usize> = std::env::var("IMIN_BUDGETS")
+        .ok()
+        .map(|s| s.split(',').filter_map(|t| t.trim().parse().ok()).collect())
+        .unwrap_or_else(|| vec![20, 40, 60, 80, 100]);
+    let labels = algorithms.iter().map(|a| a.label()).collect::<Vec<_>>();
+    for model in paper_models(settings.seed) {
+        let m = model.label();
+        let heading = format!("== Table VII ({m} model): {} ==", labels.join(" / "));
+        let csv = format!("table7_heuristics_{}", m.to_lowercase());
+        let table = heuristics_comparison(model, &budgets, &algorithms, settings);
+        sink(&heading, &csv, table);
+    }
+}
+
+/// Figure 9 on the Facebook and DBLP stand-ins under both models.
+fn fig9_budget(settings: &BenchSettings, sink: Sink) {
+    for model in paper_models(settings.seed) {
+        for (dataset, budgets) in [
+            (Dataset::Facebook, &[1, 100, 200, 300, 400][..]),
+            (Dataset::Dblp, &[1, 20, 40, 60, 80, 100][..]),
+        ] {
+            let (name, abbrev, m) = (dataset.spec().name, dataset.spec().abbrev, model.label());
+            let heading = format!("== Figure 9: running time vs budget ({name} under {m}) ==");
+            let csv = format!("fig9_budget_{}_{}", abbrev.to_lowercase(), m.to_lowercase());
+            let table = budget_sweep(dataset, model, budgets, settings);
+            sink(&heading, &csv, table);
+        }
+    }
+}
 
 /// Table III: the toy graph of Figure 1 — Greedy (AG), OutNeighbors and
 /// GreedyReplace for budgets 1 and 2, with exactly computed spreads.
@@ -354,8 +479,8 @@ pub fn triggering_extension(settings: &BenchSettings) -> Table {
     table
 }
 
-/// Convenience wrapper used by `fig5`/`fig6`: GreedyReplace under TR, the
-/// paper's three θ values scaled down by default.
+/// The θ grid of Figures 5 and 6: a tenth of, equal to, and ten times the
+/// configured θ.
 pub fn default_thetas(settings: &BenchSettings) -> Vec<usize> {
     vec![
         (settings.theta / 10).max(10),
@@ -412,6 +537,61 @@ mod tests {
         let rendered = table.render();
         assert!(rendered.contains("figure1-toy"));
         assert!(rendered.contains("LT"));
+    }
+
+    /// The names of the per-artefact binaries `run_all <name>` replaced.
+    const RETIRED_BINARIES: [&str; 12] = [
+        "table3_toy",
+        "table5_exact_tr",
+        "table6_exact_wc",
+        "table7_heuristics",
+        "fig5_theta_effectiveness",
+        "fig6_theta_time",
+        "fig7_time_tr",
+        "fig8_time_wc",
+        "fig9_budget",
+        "fig10_seeds_tr",
+        "fig11_seeds_wc",
+        "ext_triggering",
+    ];
+
+    #[test]
+    fn artefact_names_are_unique_and_those_of_the_retired_binaries() {
+        let mut names: Vec<&str> = ARTEFACTS.iter().map(|(name, _)| *name).collect();
+        let mut retired = RETIRED_BINARIES.to_vec();
+        names.sort_unstable();
+        names.dedup();
+        retired.sort_unstable();
+        assert_eq!(names.len(), ARTEFACTS.len(), "duplicate artefact name");
+        assert_eq!(names, retired);
+    }
+
+    #[test]
+    fn names_resolve_in_order_and_an_unknown_one_lists_them_all() {
+        let args = |names: &[&str]| names.iter().map(|n| n.to_string()).collect::<Vec<_>>();
+        let found = artefacts_named(&args(&["fig9_budget", "table3_toy"])).unwrap();
+        let found: Vec<&str> = found.iter().map(|(name, _)| *name).collect();
+        assert_eq!(found, ["fig9_budget", "table3_toy"]);
+        assert!(artefacts_named(&[]).unwrap().is_empty());
+
+        let err = artefacts_named(&args(&["table3_toy", "no_such_artefact"])).err();
+        let err = err.expect("an unknown name is refused");
+        assert!(err.contains("`no_such_artefact`"), "{err}");
+        for name in RETIRED_BINARIES {
+            assert!(err.contains(name), "{name} missing from: {err}");
+        }
+    }
+
+    #[test]
+    fn table3_entry_renders_the_toy_table() {
+        let (_, run) = artefacts_named(&["table3_toy".to_string()]).unwrap()[0];
+        let mut outputs = Vec::new();
+        run(&tiny_settings(), &mut |heading, csv, table| {
+            outputs.push((heading.to_string(), csv.to_string(), table.render()))
+        });
+        let heading = "== Table III: toy graph of Figure 1 ==".to_string();
+        let expected = (heading, "table3_toy".to_string(), table3_toy().render());
+        assert_eq!(outputs, [expected]);
     }
 
     #[test]

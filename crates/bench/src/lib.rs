@@ -1,9 +1,11 @@
 //! # imin-bench
 //!
 //! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (§VI). Each binary in `src/bin/` corresponds to one artefact
-//! (see DESIGN.md for the full index) and prints a paper-style table to
-//! stdout while also writing a CSV under `target/experiments/`.
+//! evaluation (§VI). Its one binary, `run_all`, runs the artefacts of
+//! [`experiments::ARTEFACTS`] by name (`run_all table3_toy`), printing
+//! each paper-style table to stdout while also writing a CSV under
+//! `target/experiments/`. The dataset stand-ins are described in the
+//! `imin_datasets::catalog` docs.
 //!
 //! ## Knobs (environment variables)
 //!
@@ -13,8 +15,11 @@
 //! | `IMIN_THETA` | θ, sampled graphs per greedy round | 2000 (tiny: 500) |
 //! | `IMIN_MCS_ROUNDS` | Monte-Carlo rounds for evaluation | 2000 |
 //! | `IMIN_SEEDS` | number of random misinformation seeds | 10 |
+//! | `IMIN_SEED` | base RNG seed for seed sets, TR weights and algorithms | 20230227 |
 //! | `IMIN_TIMEOUT_SECS` | per-algorithm-run soft timeout | 120 |
 //! | `IMIN_DATA_DIR` | directory with real SNAP edge lists | unset (synthetic) |
+//! | `IMIN_ALGS` | Table VII columns, any registry spelling | `ra,od,ag,gr` |
+//! | `IMIN_BUDGETS` | Table VII budgets (`table7_heuristics` only) | `20,40,60,80,100` |
 //!
 //! The defaults are deliberately smaller than the paper's θ = r = 10⁴ /
 //! 24-hour budget so the whole suite finishes on a laptop; pass

@@ -93,9 +93,12 @@ pub struct SamplePool {
 }
 
 /// Splits `0..total` into at most `workers` contiguous near-equal ranges
-/// (the first `total % workers` ranges get one extra item). The pool build,
-/// the pooled estimator and the engine's batch fan-out all shard through
-/// this one helper, so their work distribution can never drift apart.
+/// (the first `total % workers` ranges get one extra item). The pool build
+/// and [`SamplePool::extend_to`], [`SamplePool::compress`], the pooled
+/// estimator and the sketch build
+/// ([`SketchPool::build_with_threads`](crate::ris::SketchPool::build_with_threads))
+/// all shard through this one helper, so their work distribution can never
+/// drift apart.
 pub fn shard_ranges(total: usize, workers: usize) -> impl Iterator<Item = Range<usize>> {
     let workers = workers.clamp(1, total.max(1));
     let base = total / workers;

@@ -14,9 +14,8 @@
 //! The SNAP files themselves cannot be redistributed, so every dataset can be
 //! **synthesised**: a preferential-attachment graph with the same vertex
 //! count, edge count, orientation and a matching heavy-tailed degree skew,
-//! generated deterministically from the dataset name. The substitution is
-//! discussed in DESIGN.md; the experiment harness records which source
-//! (synthetic or real file) was used.
+//! generated deterministically from the dataset name. The experiment
+//! harness records which source (synthetic or real file) was used.
 //!
 //! Real data: place the SNAP edge list at `$IMIN_DATA_DIR/<name>.txt`
 //! (e.g. `email-core.txt`) and [`Dataset::load_or_generate`] will parse it

@@ -7,9 +7,9 @@
 //!   large part of the test suite.
 //! * [`catalog`] — the eight SNAP datasets of Table IV. The original files
 //!   are not redistributable, so each dataset has a deterministic synthetic
-//!   stand-in matching its size, direction and degree skew (see DESIGN.md,
-//!   "Substitutions"). Real SNAP edge lists are loaded instead whenever a
-//!   file is found under the `IMIN_DATA_DIR` directory.
+//!   stand-in matching its size, direction and degree skew (the module docs
+//!   describe the substitution). Real SNAP edge lists are loaded instead
+//!   whenever a file is found under the `IMIN_DATA_DIR` directory.
 //! * [`extract`] — the ~100-vertex extraction procedure used for the
 //!   Exact-vs-GreedyReplace comparison (Tables V and VI).
 

@@ -27,8 +27,8 @@ pub enum EngineError {
     /// The concurrent-query admission budget is exhausted: the server is
     /// already computing its maximum number of in-flight queries. The
     /// client should back off for roughly `retry_after_ms` milliseconds
-    /// (the server's running average compute latency) and retry — nothing
-    /// about the request itself is wrong.
+    /// (the p95 of the server's compute latency) and retry — nothing about
+    /// the request itself is wrong.
     Busy {
         /// Suggested client backoff in milliseconds before retrying.
         retry_after_ms: u64,

@@ -3,8 +3,9 @@
 //! The paper evaluates on eight SNAP social networks (Table IV). Those exact
 //! files cannot be redistributed with this repository, so the dataset crate
 //! synthesises stand-ins with matching size and degree skew using the
-//! generators below (see DESIGN.md, "Substitutions"). The same generators
-//! drive the property-based tests and the scaling micro-benchmarks.
+//! generators below (see the `imin_datasets::catalog` docs). The same
+//! generators drive the property-based tests and the scaling
+//! micro-benchmarks.
 //!
 //! All generators are deterministic given the `seed` argument, produce
 //! simple directed graphs (no parallel edges; self loops dropped) and assign
@@ -14,7 +15,6 @@
 
 use crate::{DiGraph, GraphBuilder, GraphError, Result, VertexId};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 fn vid(i: usize) -> VertexId {
@@ -66,48 +66,6 @@ pub fn erdos_renyi(n: usize, p_edge: f64, probability: f64, seed: u64) -> Result
             v += 1; // skip the diagonal
         }
         builder.add_edge(vid(u), vid(v), probability)?;
-    }
-    Ok(builder.build())
-}
-
-/// Directed `G(n, m)` graph: exactly `m` distinct ordered pairs chosen
-/// uniformly at random (self loops excluded).
-pub fn gnm_random(n: usize, m: usize, probability: f64, seed: u64) -> Result<DiGraph> {
-    let max_edges = n.saturating_mul(n.saturating_sub(1));
-    if m > max_edges {
-        return Err(GraphError::InvalidGeneratorArgument {
-            message: format!("{m} edges requested but at most {max_edges} are possible"),
-        });
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut builder = GraphBuilder::with_capacity(n, m);
-    let mut chosen = std::collections::HashSet::with_capacity(m * 2);
-    // Rejection sampling is fine while m is well below the maximum; fall back
-    // to a shuffle of all pairs when the graph is dense.
-    if m * 3 < max_edges || max_edges > 50_000_000 {
-        while chosen.len() < m {
-            let u = rng.gen_range(0..n);
-            let v = rng.gen_range(0..n);
-            if u == v {
-                continue;
-            }
-            if chosen.insert((u as u32, v as u32)) {
-                builder.add_edge(vid(u), vid(v), probability)?;
-            }
-        }
-    } else {
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(max_edges);
-        for u in 0..n as u32 {
-            for v in 0..n as u32 {
-                if u != v {
-                    pairs.push((u, v));
-                }
-            }
-        }
-        pairs.shuffle(&mut rng);
-        for &(u, v) in pairs.iter().take(m) {
-            builder.add_edge(VertexId::from_raw(u), VertexId::from_raw(v), probability)?;
-        }
     }
     Ok(builder.build())
 }
@@ -252,49 +210,6 @@ pub fn power_law_digraph(
     Ok(builder.build())
 }
 
-/// Directed Watts–Strogatz small-world graph: a ring lattice where each
-/// vertex points to its `k` clockwise neighbours, with each edge's target
-/// rewired uniformly at random with probability `rewire`.
-pub fn watts_strogatz(
-    n: usize,
-    k: usize,
-    rewire: f64,
-    probability: f64,
-    seed: u64,
-) -> Result<DiGraph> {
-    if n > 0 && k >= n {
-        return Err(GraphError::InvalidGeneratorArgument {
-            message: format!("k ({k}) must be smaller than n ({n})"),
-        });
-    }
-    if !(0.0..=1.0).contains(&rewire) {
-        return Err(GraphError::InvalidGeneratorArgument {
-            message: format!("rewire probability {rewire} must be in [0, 1]"),
-        });
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut builder = GraphBuilder::new(n);
-    for u in 0..n {
-        for offset in 1..=k {
-            let mut v = (u + offset) % n;
-            if rng.gen_bool(rewire) {
-                // Rewire to a uniform random target distinct from u.
-                let mut guard = 0;
-                loop {
-                    let cand = rng.gen_range(0..n);
-                    if cand != u || guard > 20 {
-                        v = cand;
-                        break;
-                    }
-                    guard += 1;
-                }
-            }
-            builder.add_edge(vid(u), vid(v), probability)?;
-        }
-    }
-    Ok(builder.build())
-}
-
 /// Complete directed graph on `n` vertices (every ordered pair, no loops).
 pub fn complete(n: usize, probability: f64) -> Result<DiGraph> {
     let mut builder = GraphBuilder::new(n);
@@ -304,15 +219,6 @@ pub fn complete(n: usize, probability: f64) -> Result<DiGraph> {
                 builder.add_edge(vid(u), vid(v), probability)?;
             }
         }
-    }
-    Ok(builder.build())
-}
-
-/// Out-star: vertex 0 points to every other vertex.
-pub fn out_star(n: usize, probability: f64) -> Result<DiGraph> {
-    let mut builder = GraphBuilder::new(n);
-    for v in 1..n {
-        builder.add_edge(vid(0), vid(v), probability)?;
     }
     Ok(builder.build())
 }
@@ -338,81 +244,6 @@ pub fn cycle(n: usize, probability: f64) -> Result<DiGraph> {
     Ok(builder.build())
 }
 
-/// Complete `arity`-ary out-tree with `depth` levels below the root
-/// (depth 0 = a single vertex). Edges point from parents to children.
-pub fn balanced_tree(arity: usize, depth: usize, probability: f64) -> Result<DiGraph> {
-    if arity == 0 {
-        return DiGraph::from_edges(1, Vec::new());
-    }
-    // Number of vertices: (arity^(depth+1) - 1) / (arity - 1), or depth+1 for arity 1.
-    let n: usize = if arity == 1 {
-        depth + 1
-    } else {
-        (arity.pow(depth as u32 + 1) - 1) / (arity - 1)
-    };
-    let mut builder = GraphBuilder::new(n);
-    for parent in 0..n {
-        for c in 0..arity {
-            let child = parent * arity + c + 1;
-            if child < n {
-                builder.add_edge(vid(parent), vid(child), probability)?;
-            }
-        }
-    }
-    Ok(builder.build())
-}
-
-/// Layered DAG: `layers` layers of `width` vertices each; every vertex of
-/// layer `i` points to each vertex of layer `i+1` independently with
-/// probability `density`.
-pub fn layered_dag(
-    layers: usize,
-    width: usize,
-    density: f64,
-    probability: f64,
-    seed: u64,
-) -> Result<DiGraph> {
-    if !(0.0..=1.0).contains(&density) {
-        return Err(GraphError::InvalidGeneratorArgument {
-            message: format!("density {density} must be in [0, 1]"),
-        });
-    }
-    let n = layers * width;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut builder = GraphBuilder::new(n);
-    for layer in 0..layers.saturating_sub(1) {
-        for a in 0..width {
-            for b in 0..width {
-                if rng.gen_bool(density) {
-                    let u = layer * width + a;
-                    let v = (layer + 1) * width + b;
-                    builder.add_edge(vid(u), vid(v), probability)?;
-                }
-            }
-        }
-    }
-    Ok(builder.build())
-}
-
-/// Two-dimensional directed grid (`rows × cols`): each cell points right and
-/// down. A simple planar topology used by tests and examples.
-pub fn grid(rows: usize, cols: usize, probability: f64) -> Result<DiGraph> {
-    let n = rows * cols;
-    let mut builder = GraphBuilder::new(n);
-    for r in 0..rows {
-        for c in 0..cols {
-            let u = r * cols + c;
-            if c + 1 < cols {
-                builder.add_edge(vid(u), vid(u + 1), probability)?;
-            }
-            if r + 1 < rows {
-                builder.add_edge(vid(u), vid(u + cols), probability)?;
-            }
-        }
-    }
-    Ok(builder.build())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,17 +262,6 @@ mod tests {
         assert_eq!(erdos_renyi(0, 0.5, 0.1, 0).unwrap().num_vertices(), 0);
         assert_eq!(erdos_renyi(10, 0.0, 0.1, 0).unwrap().num_edges(), 0);
         assert_eq!(erdos_renyi(5, 1.0, 0.1, 0).unwrap().num_edges(), 20);
-    }
-
-    #[test]
-    fn gnm_has_exact_edge_count() {
-        let g = gnm_random(100, 500, 0.5, 3).unwrap();
-        assert_eq!(g.num_edges(), 500);
-        assert!(g.validate().is_ok());
-        assert!(gnm_random(3, 100, 0.5, 3).is_err());
-        // Dense case goes through the shuffle path.
-        let dense = gnm_random(20, 300, 0.5, 3).unwrap();
-        assert_eq!(dense.num_edges(), 300);
     }
 
     #[test]
@@ -490,24 +310,9 @@ mod tests {
     }
 
     #[test]
-    fn watts_strogatz_degree_structure() {
-        let g = watts_strogatz(100, 4, 0.1, 0.2, 23).unwrap();
-        assert!(g.validate().is_ok());
-        // Each vertex issues exactly k out-edges (minus merged duplicates).
-        assert!(g.num_edges() <= 400);
-        assert!(g.num_edges() > 350);
-        assert!(watts_strogatz(10, 10, 0.1, 0.2, 0).is_err());
-        assert!(watts_strogatz(10, 2, 1.5, 0.2, 0).is_err());
-    }
-
-    #[test]
     fn deterministic_structures() {
         let c = complete(4, 1.0).unwrap();
         assert_eq!(c.num_edges(), 12);
-
-        let s = out_star(5, 1.0).unwrap();
-        assert_eq!(s.num_edges(), 4);
-        assert_eq!(s.out_degree(VertexId::new(0)), 4);
 
         let p = path(5, 1.0).unwrap();
         assert_eq!(p.num_edges(), 4);
@@ -517,31 +322,5 @@ mod tests {
         assert_eq!(cy.num_edges(), 5);
         assert_eq!(reachable_count(&cy, &[VertexId::new(2)]), 5);
         assert_eq!(cycle(1, 1.0).unwrap().num_edges(), 0);
-
-        let t = balanced_tree(2, 3, 1.0).unwrap();
-        assert_eq!(t.num_vertices(), 15);
-        assert_eq!(t.num_edges(), 14);
-        assert_eq!(reachable_count(&t, &[VertexId::new(0)]), 15);
-        assert_eq!(balanced_tree(1, 4, 1.0).unwrap().num_vertices(), 5);
-        assert_eq!(balanced_tree(0, 4, 1.0).unwrap().num_vertices(), 1);
-
-        let g = grid(3, 4, 1.0).unwrap();
-        assert_eq!(g.num_vertices(), 12);
-        assert_eq!(g.num_edges(), 3 * 3 + 2 * 4);
-        assert_eq!(reachable_count(&g, &[VertexId::new(0)]), 12);
-    }
-
-    #[test]
-    fn layered_dag_is_acyclic_and_layered() {
-        let g = layered_dag(4, 5, 0.5, 1.0, 9).unwrap();
-        assert_eq!(g.num_vertices(), 20);
-        assert!(crate::traversal::topological_order(&g).is_some());
-        // No edges within a layer or skipping layers.
-        for e in g.edges() {
-            assert_eq!(e.target.index() / 5, e.source.index() / 5 + 1);
-        }
-        assert!(layered_dag(3, 3, 1.5, 1.0, 0).is_err());
-        let full = layered_dag(3, 3, 1.0, 1.0, 0).unwrap();
-        assert_eq!(full.num_edges(), 2 * 9);
     }
 }
