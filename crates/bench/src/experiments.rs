@@ -105,19 +105,16 @@ fn tr(settings: &BenchSettings) -> ProbabilityModel {
 /// columns by any spelling the [`Algorithm`] registry accepts (default
 /// RA / OD / AG / GR, e.g. `IMIN_ALGS=ra,pagerank,degree,gr`), and
 /// `IMIN_BUDGETS` the comma-separated budgets (default 20..=100 in steps
-/// of 20).
+/// of 20; see [`BenchSettings::budgets`]).
 fn table7_heuristics(settings: &BenchSettings, sink: Sink) {
     let algorithms = algorithms_from_env("IMIN_ALGS", TABLE7_DEFAULT_ALGS);
-    let budgets: Vec<usize> = std::env::var("IMIN_BUDGETS")
-        .ok()
-        .map(|s| s.split(',').filter_map(|t| t.trim().parse().ok()).collect())
-        .unwrap_or_else(|| vec![20, 40, 60, 80, 100]);
+    let budgets = &settings.budgets;
     let labels = algorithms.iter().map(|a| a.label()).collect::<Vec<_>>();
     for model in paper_models(settings.seed) {
         let m = model.label();
         let heading = format!("== Table VII ({m} model): {} ==", labels.join(" / "));
         let csv = format!("table7_heuristics_{}", m.to_lowercase());
-        let table = heuristics_comparison(model, &budgets, &algorithms, settings);
+        let table = heuristics_comparison(model, budgets, &algorithms, settings);
         sink(&heading, &csv, table);
     }
 }
@@ -502,6 +499,7 @@ mod tests {
             num_seeds: 2,
             timeout: Duration::from_secs(5),
             seed: 11,
+            budgets: vec![1, 2],
         }
     }
 

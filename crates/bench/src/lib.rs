@@ -21,6 +21,10 @@
 //! | `IMIN_ALGS` | Table VII columns, any registry spelling | `ra,od,ag,gr` |
 //! | `IMIN_BUDGETS` | Table VII budgets (`table7_heuristics` only) | `20,40,60,80,100` |
 //!
+//! A knob set to a value it cannot parse is refused, naming the knob and
+//! the value, before anything runs (`run_all` exits 2); an empty value
+//! counts as unset.
+//!
 //! The defaults are deliberately smaller than the paper's θ = r = 10⁴ /
 //! 24-hour budget so the whole suite finishes on a laptop; pass
 //! `IMIN_SCALE=full IMIN_THETA=10000 IMIN_MCS_ROUNDS=10000` to reproduce the
@@ -57,6 +61,8 @@ pub struct BenchSettings {
     pub timeout: Duration,
     /// Base RNG seed for seed-set selection and algorithms.
     pub seed: u64,
+    /// Table VII budgets (`table7_heuristics`).
+    pub budgets: Vec<usize>,
 }
 
 impl Default for BenchSettings {
@@ -66,33 +72,63 @@ impl Default for BenchSettings {
 }
 
 impl BenchSettings {
-    /// Reads settings from the `IMIN_*` environment variables.
+    /// Reads settings from the `IMIN_*` environment variables. A value
+    /// that does not parse aborts the binary with exit code 2 and a
+    /// message naming the knob and the value, instead of silently running
+    /// a different experiment.
     pub fn from_env() -> Self {
-        let scale = match std::env::var("IMIN_SCALE").unwrap_or_default().as_str() {
-            "tiny" => DatasetScale::Tiny,
-            "full" => DatasetScale::Full,
-            "" | "bench" => DatasetScale::Bench,
-            other => match other.parse::<f64>() {
-                Ok(f) if f > 0.0 && f <= 1.0 => DatasetScale::Scaled(f),
-                _ => DatasetScale::Bench,
+        Self::from_lookup(|name| std::env::var(name).ok()).unwrap_or_else(|err| {
+            eprintln!("{err}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Reads settings through `lookup`, which returns a knob's value or
+    /// `None` when it is unset; an empty value counts as unset.
+    ///
+    /// # Errors
+    /// A message naming the first knob whose value does not parse, and
+    /// the value.
+    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        let knob = |name: &str| lookup(name).filter(|value| !value.trim().is_empty());
+        let number = |name: &str, default: u64| match knob(name) {
+            None => Ok(default),
+            Some(value) => value
+                .trim()
+                .parse()
+                .map_err(|_| format!("{name}={value:?} is not a non-negative integer")),
+        };
+        let scale = match knob("IMIN_SCALE") {
+            None => DatasetScale::Bench,
+            Some(value) => match value.trim() {
+                "tiny" => DatasetScale::Tiny,
+                "full" => DatasetScale::Full,
+                "bench" => DatasetScale::Bench,
+                other => match other.parse::<f64>() {
+                    Ok(f) if f > 0.0 && f <= 1.0 => DatasetScale::Scaled(f),
+                    _ => {
+                        return Err(format!(
+                            "IMIN_SCALE={value:?} is not tiny, bench, full or a fraction in (0, 1]"
+                        ))
+                    }
+                },
             },
         };
-        let theta = env_usize(
-            "IMIN_THETA",
-            if matches!(scale, DatasetScale::Tiny) {
-                500
-            } else {
-                2_000
-            },
-        );
-        BenchSettings {
+        let tiny = matches!(scale, DatasetScale::Tiny);
+        let budgets = match knob("IMIN_BUDGETS") {
+            None => vec![20, 40, 60, 80, 100],
+            Some(value) => parse_budgets(&value)
+                .map_err(|token| format!("IMIN_BUDGETS={value:?}: {token:?} is not a budget"))?,
+        };
+        Ok(BenchSettings {
             scale,
-            theta,
-            mcs_rounds: env_usize("IMIN_MCS_ROUNDS", 2_000),
-            num_seeds: env_usize("IMIN_SEEDS", 10),
-            timeout: Duration::from_secs(env_usize("IMIN_TIMEOUT_SECS", 120) as u64),
-            seed: env_usize("IMIN_SEED", 20230227) as u64,
-        }
+            theta: number("IMIN_THETA", if tiny { 500 } else { 2_000 })? as usize,
+            mcs_rounds: number("IMIN_MCS_ROUNDS", 2_000)? as usize,
+            num_seeds: number("IMIN_SEEDS", 10)? as usize,
+            timeout: Duration::from_secs(number("IMIN_TIMEOUT_SECS", 120)?),
+            seed: number("IMIN_SEED", 20230227)?,
+            budgets,
+        })
     }
 
     /// The [`AlgorithmConfig`] derived from these settings.
@@ -104,11 +140,12 @@ impl BenchSettings {
     }
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Parses a comma-separated budget list (`"20, 40,60"`); the error is the
+/// first token that is not a non-negative integer.
+fn parse_budgets(spec: &str) -> Result<Vec<usize>, String> {
+    spec.split(',')
+        .map(|token| token.trim().parse().map_err(|_| token.trim().to_string()))
+        .collect()
 }
 
 /// Parses a comma-separated algorithm list (`"ra,od,ag,gr"`, any spelling
@@ -351,6 +388,57 @@ mod tests {
         assert_eq!(cfg.theta, s.theta);
     }
 
+    /// Settings read from a fixed table of knobs, not the process
+    /// environment, so tests running in parallel cannot race.
+    fn settings(knobs: &[(&str, &str)]) -> Result<BenchSettings, String> {
+        let knobs: std::collections::HashMap<String, String> = knobs
+            .iter()
+            .map(|&(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        BenchSettings::from_lookup(|name| knobs.get(name).cloned())
+    }
+
+    #[test]
+    fn knobs_parse_or_are_refused_by_name() {
+        let s = settings(&[]).unwrap();
+        assert!(matches!(s.scale, DatasetScale::Bench));
+        assert_eq!((s.theta, s.mcs_rounds, s.num_seeds), (2_000, 2_000, 10));
+        assert_eq!((s.timeout.as_secs(), s.seed), (120, 20230227));
+        assert_eq!(s.budgets, vec![20, 40, 60, 80, 100]);
+        let s = settings(&[
+            ("IMIN_SCALE", "tiny"),
+            ("IMIN_MCS_ROUNDS", " 300 "),
+            ("IMIN_SEED", "18446744073709551615"),
+            ("IMIN_BUDGETS", "20, 40,60"),
+            ("IMIN_SEEDS", ""),
+        ])
+        .unwrap();
+        assert!(matches!(s.scale, DatasetScale::Tiny));
+        assert_eq!((s.theta, s.mcs_rounds, s.num_seeds), (500, 300, 10));
+        assert_eq!((s.seed, s.budgets), (u64::MAX, vec![20, 40, 60]));
+        assert!(matches!(
+            settings(&[("IMIN_SCALE", "0.25")]).unwrap().scale,
+            DatasetScale::Scaled(f) if f == 0.25
+        ));
+        for (knob, value) in [
+            ("IMIN_SCALE", "huge"),
+            ("IMIN_SCALE", "1.5"),
+            ("IMIN_THETA", "2k"),
+            ("IMIN_MCS_ROUNDS", "-1"),
+            ("IMIN_SEEDS", "ten"),
+            ("IMIN_TIMEOUT_SECS", "1.5"),
+            ("IMIN_SEED", "0x5EED"),
+            ("IMIN_BUDGETS", "20, 40,x"),
+            ("IMIN_BUDGETS", "20,,40"),
+        ] {
+            let err = settings(&[(knob, value)]).unwrap_err();
+            assert!(
+                err.contains(knob) && err.contains(value),
+                "{knob}={value}: {err}"
+            );
+        }
+    }
+
     #[test]
     fn seed_drawing_prefers_spreaders() {
         let g = Dataset::EmailCore.generate(DatasetScale::Tiny).unwrap();
@@ -372,6 +460,7 @@ mod tests {
             num_seeds: 2,
             timeout: Duration::from_secs(10),
             seed: 3,
+            budgets: vec![1],
         };
         let instance = prepare_instance(
             Dataset::EmailCore,

@@ -215,7 +215,9 @@ pub fn decrease_es_multi_in<S: SpreadSampler + ?Sized>(
         theta: config.theta,
         seed: config.seed,
     };
-    Ok(vertex_credit(&source, config.threads, workspace))
+    let mut estimate = DecreaseEstimate::default();
+    vertex_credit(&source, config.threads, workspace, &mut estimate);
+    Ok(estimate)
 }
 
 /// The number of samples Theorem 5 prescribes for an `(ε, n^{-l})`

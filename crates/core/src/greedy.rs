@@ -13,6 +13,14 @@
 //! preference, the replacement sweep and prebunking's final pass
 //! ([`Plan`]). The edge family stops once no edge earns credit because its
 //! pricer offers credited edges only.
+//!
+//! A pass need not re-price from scratch. [`Pricer::set`] tells the pricer
+//! what each pick or replacement changed, and the pooled pricers hand that
+//! to the ledger of the kernel (`pool.rs`), so every pass after the first
+//! rebuilds only the realisations the change can affect. [`Priced`]
+//! reports both counts: `stats.samples_drawn` keeps counting θ per pass,
+//! as the replies' `samples=` always has, and `stats.samples_rebuilt`
+//! counts the realisations actually rebuilt.
 
 use crate::advanced_greedy::fresh_advanced_greedy_with;
 use crate::decrease::{decrease_es_multi_in, DecreaseConfig, DecreaseEstimate};
@@ -85,20 +93,30 @@ pub(crate) fn solve(
     }
 }
 
+/// What one estimator pass cost: the θ cascades its estimate stands on,
+/// and how many of them it rebuilt (all of them, unless a ledger kept the
+/// rest from the previous pass).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Priced {
+    pub(crate) samples: usize,
+    pub(crate) rebuilt: usize,
+}
+
 /// One estimator pass under the current treatment, and the candidates it
 /// prices.
 pub(crate) trait Pricer {
     /// A vertex, or an edge `(u, v)`.
     type Candidate: Copy + Ord;
-    /// Prices every candidate; returns the number of cascades visited.
-    fn price(&mut self) -> Result<usize>;
+    /// Prices every candidate.
+    fn price(&mut self) -> Result<Priced>;
     /// Visits every candidate the last pass offers, with its score.
     fn offers(&self, visit: impl FnMut(Self::Candidate, f64));
     /// Spread estimate of the last pass.
     fn spread(&self) -> f64;
     /// Spread estimate of the last pass once `c` is treated too.
     fn spread_after(&self, c: Self::Candidate) -> f64;
-    /// Adds `c` to the treatment, or takes it out.
+    /// Adds `c` to the treatment, or takes it out, and records the change
+    /// for the next pass.
     fn set(&mut self, c: Self::Candidate, treated: bool);
     /// A selection holding `picks` as its blockers or blocked edges.
     fn selection(picks: Vec<Self::Candidate>) -> BlockerSelection;
@@ -192,6 +210,14 @@ struct Greedy<C> {
 }
 
 impl<C: Copy + Ord> Greedy<C> {
+    /// One estimator pass, counted in the stats.
+    fn price<P: Pricer<Candidate = C>>(&mut self, pricer: &mut P) -> Result<()> {
+        let priced = pricer.price()?;
+        self.stats.samples_drawn += priced.samples;
+        self.stats.samples_rebuilt += priced.rebuilt;
+        Ok(())
+    }
+
     /// One pick: a pass, then the best candidate `allow` accepts.
     fn pick<P: Pricer<Candidate = C>>(
         &mut self,
@@ -201,7 +227,7 @@ impl<C: Copy + Ord> Greedy<C> {
     ) -> Result<Option<C>> {
         let calls = plan.rounds == Rounds::Calls;
         self.stats.rounds += usize::from(calls);
-        self.stats.samples_drawn += pricer.price()?;
+        self.price(pricer)?;
         let Some(c) = best(pricer, plan.prefer, allow) else {
             if !calls {
                 self.spread = Some(pricer.spread());
@@ -246,7 +272,7 @@ pub(crate) fn run<P: Pricer>(
             let old = run.picks[idx];
             pricer.set(old, false);
             run.stats.rounds += 1;
-            run.stats.samples_drawn += pricer.price()?;
+            run.price(pricer)?;
             let Some(c) = best(pricer, plan.prefer, |_| true) else {
                 pricer.set(old, true);
                 break;
@@ -260,7 +286,7 @@ pub(crate) fn run<P: Pricer>(
         }
     }
     if plan.final_pass {
-        run.stats.samples_drawn += pricer.price()?;
+        run.price(pricer)?;
         run.spread = Some(pricer.spread());
     }
     let elapsed = start.elapsed();
@@ -292,13 +318,17 @@ impl SeedSchedule {
     }
 }
 
-/// One vertex-mask estimator pass: treated vertices in, Algorithm 2 out.
-type VertexPass<'a> = Box<dyn FnMut(&[bool], &mut PoolWorkspace) -> Result<DecreaseEstimate> + 'a>;
+/// One vertex-mask estimator pass: treated vertices in, Algorithm 2 written
+/// into the estimate, the number of cascades rebuilt out.
+type VertexPass<'a> =
+    Box<dyn FnMut(&[bool], &mut PoolWorkspace, &mut DecreaseEstimate) -> Result<usize> + 'a>;
 
 /// Prices vertices — blockers or prebunk targets — with a per-vertex
 /// credit pass. Seeds, forbidden and treated vertices are never offered;
 /// every other vertex is, even at zero credit, so the paper's greedy
-/// spends its budget while any candidate is left.
+/// spends its budget while any candidate is left. On a pool the pricer
+/// keeps a ledger ([`VertexPricer::ledgered`]): every pass after the first
+/// rebuilds only the realisations a treatment change can affect.
 pub(crate) struct VertexPricer<'a> {
     workspace: &'a mut PoolWorkspace,
     forbidden: &'a [bool],
@@ -335,17 +365,19 @@ impl<'a> VertexPricer<'a> {
         threads: usize,
         workspace: &'a mut PoolWorkspace,
     ) -> Result<Self> {
-        let pass = move |blocked: &[bool], ws: &mut PoolWorkspace| {
+        let pass = move |blocked: &[bool], ws: &mut PoolWorkspace, est: &mut DecreaseEstimate| {
             let filter = BlockedVertices(blocked);
-            Ok(vertex_credit(&Rerooted { pool, filter }, threads, ws))
+            Ok(vertex_credit(&Rerooted { pool, filter }, threads, ws, est))
         };
-        Self::new(
-            workspace,
-            pool.num_vertices(),
-            seeds,
-            forbidden,
-            Box::new(pass),
-        )
+        let n = pool.num_vertices();
+        Ok(Self::new(workspace, n, seeds, forbidden, Box::new(pass))?.ledgered())
+    }
+
+    /// Keeps a ledger for the staged query. Only for passes that re-root
+    /// one pool through one filter family.
+    pub(crate) fn ledgered(self) -> Self {
+        self.workspace.start_ledger();
+        self
     }
 
     /// Vertex blocking on θ fresh samples of `sampler` per call, seeded by
@@ -359,7 +391,7 @@ impl<'a> VertexPricer<'a> {
         workspace: &'a mut PoolWorkspace,
     ) -> Result<Self> {
         let mut calls = 0;
-        let pass = move |blocked: &[bool], ws: &mut PoolWorkspace| {
+        let pass = move |blocked: &[bool], ws: &mut PoolWorkspace, est: &mut DecreaseEstimate| {
             let seed = schedule.seed(seed, calls);
             calls += 1;
             let config = DecreaseConfig {
@@ -367,7 +399,8 @@ impl<'a> VertexPricer<'a> {
                 threads,
                 seed,
             };
-            decrease_es_multi_in(sampler, graph, request.seeds(), blocked, &config, ws)
+            *est = decrease_es_multi_in(sampler, graph, request.seeds(), blocked, &config, ws)?;
+            Ok(theta)
         };
         let (n, seeds, forbidden) = (graph.num_vertices(), request.seeds(), request.forbidden());
         Self::new(workspace, n, seeds, forbidden.mask(), Box::new(pass))
@@ -392,9 +425,12 @@ impl<'a> VertexPricer<'a> {
 impl Pricer for VertexPricer<'_> {
     type Candidate = VertexId;
 
-    fn price(&mut self) -> Result<usize> {
-        self.estimate = (self.pass)(&self.treated, self.workspace)?;
-        Ok(self.estimate.samples)
+    fn price(&mut self) -> Result<Priced> {
+        let rebuilt = (self.pass)(&self.treated, self.workspace, &mut self.estimate)?;
+        Ok(Priced {
+            samples: self.estimate.samples,
+            rebuilt,
+        })
     }
 
     fn offers(&self, mut visit: impl FnMut(VertexId, f64)) {
@@ -415,6 +451,7 @@ impl Pricer for VertexPricer<'_> {
 
     fn set(&mut self, v: VertexId, treated: bool) {
         self.treated[v.index()] = treated;
+        self.workspace.mark_changed(v.raw());
     }
 
     fn selection(picks: Vec<VertexId>) -> BlockerSelection {

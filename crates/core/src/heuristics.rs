@@ -229,6 +229,7 @@ impl BlockerSolver for OutNeighbors {
         let mut sel = BlockerSelection::new(neighbors);
         sel.stats = SelectionStats {
             samples_drawn: estimate.samples,
+            samples_rebuilt: estimate.samples,
             rounds: 1,
             elapsed: start.elapsed(),
             ..Default::default()

@@ -34,7 +34,7 @@
 //! phase and a final evaluation pass for prebunking.
 
 use crate::decrease::DecreaseEstimate;
-use crate::greedy::{self, Plan, Pricer, VertexPricer};
+use crate::greedy::{self, Plan, Priced, Pricer, VertexPricer};
 use crate::pool::{
     check_mask_len, edge_credit, vertex_credit, with_pool_workspace, EdgeFilter, PoolWorkspace,
     Rerooted, SamplePool,
@@ -249,27 +249,51 @@ pub fn pooled_prebunk_decrease(
         // does not remove the vertex.
         ws.stage_seeds(pool.num_vertices(), seeds, None)?;
         let filter = PrebunkCoins::new(pool, prebunked, alpha);
-        Ok(vertex_credit(&Rerooted { pool, filter }, threads, ws))
+        let mut estimate = DecreaseEstimate::default();
+        vertex_credit(&Rerooted { pool, filter }, threads, ws, &mut estimate);
+        Ok(estimate)
     })
 }
 
 /// Prices edges by their exact dominator credit (see
 /// [`crate::pool::edge_credit`]) under the edges deleted so far. Only
 /// edges with positive credit are offered, so the greedy stops once no
-/// deletion would change anything.
+/// deletion would change anything. Like the vertex pricer it keeps a
+/// ledger: deleting `(u, v)` rebuilds only the realisations whose BFS
+/// scanned `v`.
 struct EdgePricer<'a> {
     pool: &'a SamplePool,
     threads: usize,
     workspace: &'a mut PoolWorkspace,
     deleted: HashSet<(u32, u32)>,
     deleted_src: Vec<bool>,
-    reached: u64,
+}
+
+impl<'a> EdgePricer<'a> {
+    /// Stages `seeds` into `workspace` and starts the query's ledger.
+    fn new(
+        pool: &'a SamplePool,
+        seeds: &[VertexId],
+        threads: usize,
+        workspace: &'a mut PoolWorkspace,
+    ) -> Result<Self> {
+        let n = pool.num_vertices();
+        workspace.stage_seeds(n, seeds, None)?;
+        workspace.start_ledger();
+        Ok(EdgePricer {
+            pool,
+            threads,
+            workspace,
+            deleted: HashSet::new(),
+            deleted_src: vec![false; n],
+        })
+    }
 }
 
 impl Pricer for EdgePricer<'_> {
     type Candidate = (u32, u32);
 
-    fn price(&mut self) -> Result<usize> {
+    fn price(&mut self) -> Result<Priced> {
         let (deleted, deleted_src) = (&self.deleted, &self.deleted_src);
         let filter = DeletedEdges {
             deleted,
@@ -279,8 +303,11 @@ impl Pricer for EdgePricer<'_> {
             pool: self.pool,
             filter,
         };
-        self.reached = edge_credit(&source, self.threads, self.workspace);
-        Ok(self.pool.theta())
+        let rebuilt = edge_credit(&source, self.threads, self.workspace);
+        Ok(Priced {
+            samples: self.pool.theta(),
+            rebuilt,
+        })
     }
 
     fn offers(&self, mut visit: impl FnMut((u32, u32), f64)) {
@@ -290,7 +317,7 @@ impl Pricer for EdgePricer<'_> {
     }
 
     fn spread(&self) -> f64 {
-        self.reached as f64 / self.pool.theta() as f64
+        self.workspace.reached() as f64 / self.pool.theta() as f64
     }
 
     fn spread_after(&self, edge: (u32, u32)) -> f64 {
@@ -305,6 +332,7 @@ impl Pricer for EdgePricer<'_> {
             self.deleted.remove(&edge);
         }
         self.deleted_src[edge.0 as usize] = self.deleted.iter().any(|&(u, _)| u == edge.0);
+        self.workspace.mark_changed(edge.1);
     }
 
     fn selection(picks: Vec<(u32, u32)>) -> BlockerSelection {
@@ -343,22 +371,13 @@ pub fn pooled_edge_greedy_in(
     if budget == 0 {
         return Err(IminError::ZeroBudget);
     }
-    let n = pool.num_vertices();
     let leaves_a_seed = |(u, _): (u32, u32)| seeds.contains(&VertexId::from_raw(u));
     let plan = Plan {
         prefer: seed_first.then_some(&leaves_a_seed as &dyn Fn(_) -> bool),
         ..Plan::advanced()
     };
     with_pool_workspace(|workspace| {
-        workspace.stage_seeds(n, seeds, None)?;
-        let mut pricer = EdgePricer {
-            pool,
-            threads,
-            workspace,
-            deleted: HashSet::new(),
-            deleted_src: vec![false; n],
-            reached: 0,
-        };
+        let mut pricer = EdgePricer::new(pool, seeds, threads, workspace)?;
         greedy::run(&mut pricer, budget, &plan, start)
     })
 }
@@ -392,20 +411,38 @@ pub fn pooled_prebunk_greedy_in(
     }
     check_mask_len(pool, forbidden)?;
     Intervention::Prebunk { alpha }.validate()?;
-    let plan = Plan {
+    with_pool_workspace(|workspace| {
+        let mut pricer = prebunk_pricer(pool, seeds, forbidden, alpha, threads, workspace)?;
+        greedy::run(&mut pricer, budget, &prebunk_plan(replace), start)
+    })
+}
+
+/// Prices prebunk targets by their blocking credit under the `α`-coins of
+/// the vertices prebunked so far, keeping a ledger.
+fn prebunk_pricer<'a>(
+    pool: &'a SamplePool,
+    seeds: &[VertexId],
+    forbidden: &'a [bool],
+    alpha: f64,
+    threads: usize,
+    workspace: &'a mut PoolWorkspace,
+) -> Result<VertexPricer<'a>> {
+    let pass = move |prebunked: &[bool], ws: &mut PoolWorkspace, est: &mut DecreaseEstimate| {
+        let filter = PrebunkCoins::new(pool, prebunked, alpha);
+        Ok(vertex_credit(&Rerooted { pool, filter }, threads, ws, est))
+    };
+    let n = pool.num_vertices();
+    Ok(VertexPricer::new(workspace, n, seeds, forbidden, Box::new(pass))?.ledgered())
+}
+
+/// Prebunking's plan: an optional replacement sweep, then one pass under
+/// the final treatment that reports the spread.
+fn prebunk_plan<'a>(replace: bool) -> Plan<'a, VertexId> {
+    Plan {
         replace,
         final_pass: true,
         ..Plan::advanced()
-    };
-    with_pool_workspace(|workspace| {
-        let pass = move |prebunked: &[bool], ws: &mut PoolWorkspace| {
-            let filter = PrebunkCoins::new(pool, prebunked, alpha);
-            Ok(vertex_credit(&Rerooted { pool, filter }, threads, ws))
-        };
-        let n = pool.num_vertices();
-        let mut pricer = VertexPricer::new(workspace, n, seeds, forbidden, Box::new(pass))?;
-        greedy::run(&mut pricer, budget, &plan, start)
-    })
+    }
 }
 
 /// Guard for vertex-only solvers: passes vertex-blocking requests through
@@ -429,7 +466,7 @@ pub(crate) fn require_vertex(
 mod tests {
     use super::*;
     use crate::decrease::{decrease_es_multi_in, DecreaseConfig, DecreaseWorkspace};
-    use crate::pool::pooled_decrease;
+    use crate::pool::{pooled_decrease, LEDGER_CAP_BYTES};
     use crate::request::ContainmentRequest;
     use crate::sampler::IcLiveEdgeSampler;
     use crate::triggering::{advanced_greedy_triggering, greedy_replace_triggering};
@@ -437,6 +474,7 @@ mod tests {
     use imin_diffusion::triggering::LtTriggering;
     use imin_graph::traversal::reachable_count_blocked;
     use imin_graph::{generators, DiGraph};
+    use std::collections::BTreeSet;
 
     fn vid(i: usize) -> VertexId {
         VertexId::new(i)
@@ -994,6 +1032,240 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A pricer that, after every pass, prices the same treatment from
+    /// scratch and requires the offers and the spread bit for bit.
+    struct Checked<P: Pricer, R> {
+        inner: P,
+        treatment: BTreeSet<P::Candidate>,
+        reference: R,
+        label: String,
+    }
+
+    /// A from-scratch pass: the offers and the spread bits under a
+    /// treatment.
+    type Scored<C> = (Vec<(C, u64)>, u64);
+
+    impl<P, R> Pricer for Checked<P, R>
+    where
+        P: Pricer,
+        R: FnMut(&BTreeSet<P::Candidate>) -> Scored<P::Candidate>,
+    {
+        type Candidate = P::Candidate;
+
+        fn price(&mut self) -> Result<Priced> {
+            let priced = self.inner.price()?;
+            let mut offers = Vec::new();
+            self.inner
+                .offers(|c, score| offers.push((c, score.to_bits())));
+            offers.sort_unstable();
+            let (mut expected, spread) = (self.reference)(&self.treatment);
+            expected.sort_unstable();
+            let label = &self.label;
+            assert!(offers == expected, "{label}: offers differ from scratch");
+            assert_eq!(self.inner.spread().to_bits(), spread, "{label}: spread");
+            assert!(priced.rebuilt <= priced.samples, "{label}");
+            Ok(priced)
+        }
+
+        fn offers(&self, visit: impl FnMut(P::Candidate, f64)) {
+            self.inner.offers(visit);
+        }
+
+        fn spread(&self) -> f64 {
+            self.inner.spread()
+        }
+
+        fn spread_after(&self, c: P::Candidate) -> f64 {
+            self.inner.spread_after(c)
+        }
+
+        fn set(&mut self, c: P::Candidate, treated: bool) {
+            if treated {
+                self.treatment.insert(c);
+            } else {
+                self.treatment.remove(&c);
+            }
+            self.inner.set(c, treated);
+        }
+
+        fn selection(picks: Vec<P::Candidate>) -> BlockerSelection {
+            P::selection(picks)
+        }
+    }
+
+    /// Runs `pricer` under `plan` with every pass checked against
+    /// `reference`; returns the stats of the selection.
+    fn checked_run<P: Pricer>(
+        inner: P,
+        reference: impl FnMut(&BTreeSet<P::Candidate>) -> Scored<P::Candidate>,
+        budget: usize,
+        plan: &Plan<'_, P::Candidate>,
+        label: String,
+    ) -> crate::SelectionStats {
+        let mut pricer = Checked {
+            inner,
+            treatment: BTreeSet::new(),
+            reference,
+            label,
+        };
+        greedy::run(&mut pricer, budget, plan, Instant::now())
+            .unwrap()
+            .stats
+    }
+
+    /// The vertex offers and spread of a from-scratch estimate: every
+    /// vertex but the seeds, the forbidden and the treated ones.
+    fn vertex_offers(
+        est: &DecreaseEstimate,
+        seeds: &[VertexId],
+        forbidden: &[bool],
+        treated: &BTreeSet<VertexId>,
+    ) -> Scored<VertexId> {
+        let offers = (0..est.delta.len())
+            .map(vid)
+            .filter(|v| !seeds.contains(v) && !forbidden[v.index()] && !treated.contains(v))
+            .map(|v| (v, est.delta[v.index()].to_bits()))
+            .collect();
+        (offers, est.average_reached.to_bits())
+    }
+
+    /// The ledger gate: every pooled pricer — vertex AdvancedGreedy and
+    /// GreedyReplace (whose replacement sweep unblocks vertices), prebunk
+    /// at α ∈ {0, 0.2, 1} in both flavours, and both edge flavours — is
+    /// driven round by round on raw, compressed and mapped arenas at 1, 2
+    /// and 4 threads, and after every pass its ledger-updated offers and
+    /// spread must equal a from-scratch pass under the same treatment, bit
+    /// for bit. The ledger must save work on these questions, and one
+    /// question whose ledger outgrows [`LEDGER_CAP_BYTES`] must rebuild
+    /// every realisation of every pass and still match.
+    #[test]
+    fn ledger_rounds_match_from_scratch_passes() {
+        let g = wc_pa(600, 23);
+        let n = g.num_vertices();
+        let raw = SamplePool::build_with_threads(&g, 128, 91, 2).unwrap();
+        let compressed = raw.compress(&g, 2).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "imin-ledger-parity-{}.iminsnap",
+            std::process::id()
+        ));
+        crate::snapshot::save_snapshot(&path, &g, &raw, "ledger").unwrap();
+        let mapped = crate::snapshot::map_snapshot(&path).unwrap().pool;
+        let mut forbidden = vec![false; n];
+        forbidden[4] = true;
+        let (mut drawn, mut rebuilt) = (0, 0);
+        let (small, hub) = ([vid(2), vid(40)], [vid(0), vid(77)]);
+        for (arena, pool) in [
+            ("raw", &raw),
+            ("compressed", &compressed),
+            ("mapped", &mapped),
+        ] {
+            for (threads, seeds) in [(1, small), (1, hub), (2, small), (4, hub)] {
+                let label = |family: &str| format!("{family} {arena} threads={threads} {seeds:?}");
+                let mut stats = Vec::new();
+                let blocked = |treated: &BTreeSet<VertexId>| {
+                    let mut mask = vec![false; n];
+                    treated.iter().for_each(|v| mask[v.index()] = true);
+                    let est = pooled_decrease(pool, &seeds, &mask, 1).unwrap();
+                    vertex_offers(&est, &seeds, &forbidden, treated)
+                };
+                for replace in [false, true] {
+                    let ws = &mut PoolWorkspace::new();
+                    let pricer =
+                        VertexPricer::pooled(pool, &seeds, &forbidden, threads, ws).unwrap();
+                    let plan = if replace {
+                        Plan::replace(pricer.out_neighbours(&g, &seeds))
+                    } else {
+                        Plan::advanced()
+                    };
+                    stats.push(checked_run(pricer, blocked, 4, &plan, label("vertex")));
+                }
+                for alpha in [0.0, 0.2, 1.0] {
+                    let prebunked = |treated: &BTreeSet<VertexId>| {
+                        let mut mask = vec![false; n];
+                        treated.iter().for_each(|v| mask[v.index()] = true);
+                        let est = pooled_prebunk_decrease(pool, &seeds, &mask, alpha, 1).unwrap();
+                        vertex_offers(&est, &seeds, &forbidden, treated)
+                    };
+                    for replace in [false, true] {
+                        let ws = &mut PoolWorkspace::new();
+                        let pricer =
+                            prebunk_pricer(pool, &seeds, &forbidden, alpha, threads, ws).unwrap();
+                        let plan = prebunk_plan(replace);
+                        let family = format!("prebunk:{alpha}");
+                        stats.push(checked_run(pricer, prebunked, 3, &plan, label(&family)));
+                    }
+                }
+                let deleted = |treated: &BTreeSet<(u32, u32)>| {
+                    let ws = &mut PoolWorkspace::new();
+                    ws.stage_seeds(n, &seeds, None).unwrap();
+                    let deleted: HashSet<(u32, u32)> = treated.iter().copied().collect();
+                    let mut deleted_src = vec![false; n];
+                    deleted
+                        .iter()
+                        .for_each(|&(u, _)| deleted_src[u as usize] = true);
+                    let (deleted, deleted_src) = (&deleted, &deleted_src);
+                    let filter = DeletedEdges {
+                        deleted,
+                        deleted_src,
+                    };
+                    edge_credit(&Rerooted { pool, filter }, 1, ws);
+                    let offers = ws.edge_credit().iter();
+                    let offers = offers.map(|(&e, &c)| (e, (c as f64).to_bits())).collect();
+                    (
+                        offers,
+                        (ws.reached() as f64 / pool.theta() as f64).to_bits(),
+                    )
+                };
+                let leaves_a_seed = |(u, _): (u32, u32)| seeds.contains(&VertexId::from_raw(u));
+                for seed_first in [false, true] {
+                    let plan = Plan {
+                        prefer: seed_first.then_some(&leaves_a_seed as &dyn Fn(_) -> bool),
+                        ..Plan::advanced()
+                    };
+                    let ws = &mut PoolWorkspace::new();
+                    let pricer = EdgePricer::new(pool, &seeds, threads, ws).unwrap();
+                    stats.push(checked_run(pricer, deleted, 3, &plan, label("edge")));
+                }
+                drawn += stats.iter().map(|s| s.samples_drawn).sum::<usize>();
+                rebuilt += stats.iter().map(|s| s.samples_rebuilt).sum::<usize>();
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+        assert!(
+            2 * rebuilt < drawn,
+            "the ledger must save work: rebuilt {rebuilt} of {drawn}"
+        );
+
+        // Every vertex of this deterministic graph is reached in every
+        // realisation, so 64 realisations need records for 64 × 19,999
+        // credited vertices: over the cap.
+        let big = 20_000;
+        let edges = (1..big).flat_map(|v| {
+            let tree = (vid((v - 1) / 2), vid(v), 1.0);
+            let cross = (v >= 4).then(|| (vid(v - 3), vid(v), 1.0));
+            std::iter::once(tree).chain(cross)
+        });
+        let g = DiGraph::from_edges(big, edges).unwrap();
+        let pool = SamplePool::build_with_threads(&g, 64, 5, 2).unwrap();
+        assert!(64 * (big - 1) * 16 > LEDGER_CAP_BYTES);
+        let (seeds, forbidden) = ([vid(0)], vec![false; big]);
+        let blocked = |treated: &BTreeSet<VertexId>| {
+            let mut mask = vec![false; big];
+            treated.iter().for_each(|v| mask[v.index()] = true);
+            let est = pooled_decrease(&pool, &seeds, &mask, 2).unwrap();
+            vertex_offers(&est, &seeds, &forbidden, treated)
+        };
+        let ws = &mut PoolWorkspace::new();
+        let pricer = VertexPricer::pooled(&pool, &seeds, &forbidden, 2, ws).unwrap();
+        let stats = checked_run(pricer, blocked, 2, &Plan::advanced(), "over the cap".into());
+        assert_eq!(stats.samples_drawn, 2 * 64);
+        assert_eq!(
+            stats.samples_rebuilt,
+            2 * 64,
+            "over the cap, every pass is full"
+        );
     }
 
     #[test]

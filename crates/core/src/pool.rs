@@ -22,8 +22,10 @@
 //! * [`pooled_advanced_greedy_in`] / [`pooled_greedy_replace_in`] are
 //!   Algorithms 3 and 4 on top of a borrowed pool: per-query work is only
 //!   re-rooting + dominator trees, which is what makes a resident engine
-//!   answer follow-up queries orders of magnitude faster than a cold run.
-//!   Their rounds run in the one greedy driver (`greedy.rs`).
+//!   answer follow-up queries orders of magnitude faster than a cold run —
+//!   and only the first round re-roots all θ realisations (see
+//!   [Incremental rounds](#incremental-rounds)). Their rounds run in the
+//!   one greedy driver (`greedy.rs`).
 //!
 //! ## One kernel
 //!
@@ -34,7 +36,27 @@
 //! entry points of [`crate::decrease`] — over an edge filter (blocked
 //! vertex, deleted edge, prebunk `α`-coin; see [`crate::intervene`]) and
 //! over a credit sink: per vertex, or per live edge whose deletion
-//! detaches its target's dominator subtree.
+//! detaches its target's dominator subtree. The same loop fills and
+//! replays a greedy query's ledger: the one-shot passes
+//! ([`pooled_decrease_in`], [`crate::intervene::pooled_prebunk_decrease`],
+//! the Fresh estimator) are the kernel without one.
+//!
+//! ## Incremental rounds
+//!
+//! A greedy round changes the treatment by one vertex or edge, and a
+//! realisation's cascade can change only if its BFS scanned that vertex
+//! (or the deleted edge's target). So a pooled pricer keeps a per-query
+//! ledger in the [`PoolWorkspace`]: its first pass, untreated, records
+//! each realisation's reached count and credit list and, per vertex, the
+//! realisations that reached it; each later pass rebuilds only the
+//! realisations listed under the vertices the last picks changed, taking
+//! their recorded credit off the sums and adding the new. Answers are
+//! bit-identical to full passes, and a round's BFS, dominator-tree and
+//! credit work shrinks to the share of realisations the pick touched
+//! (about a quarter of θ on average over a budget-8 selection on
+//! perfbench's graph). A ledger that would outgrow its cap (16 MiB of
+//! records) is dropped, and the query prices every round with full
+//! passes.
 //!
 //! ## Storage backends
 //!
@@ -53,7 +75,9 @@
 //! addition is associative and commutative. The pooled path's samples are
 //! fixed per index, so any sharding of them across threads produces the
 //! same integers, hence byte-identical blocker selections at every thread
-//! count. The classic path derives one RNG stream per worker thread, so
+//! count. A ledger round subtracts a rebuilt realisation's recorded
+//! credit and adds its new credit in the same integers, and which
+//! realisations it rebuilds depends on the index, not on the sharding. The classic path derives one RNG stream per worker thread, so
 //! its output depends (statistically, not just bit-wise) on the thread
 //! count, but is deterministic for each.
 
@@ -76,6 +100,7 @@ use rand::{RngCore, SeedableRng};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::time::{Duration, Instant};
 
 /// A resident pool of θ live-edge realisations of one graph.
@@ -608,7 +633,7 @@ impl EdgeCredit {
         tree: &DomTree,
         sizes: &[u64],
         cascade: &CompactSample,
-        edge_sum: &mut HashMap<(u32, u32), u64>,
+        mut credit: impl FnMut((u32, u32), u64),
     ) {
         let reached = cascade.num_reached();
         let EdgeCredit { pre, count, pred } = self;
@@ -639,8 +664,7 @@ impl EdgeCredit {
         let globals = cascade.vertices();
         for v in 1..reached {
             if count[v] == 1 && pred[v] != 0 {
-                let edge = (globals[pred[v] as usize], globals[v]);
-                *edge_sum.entry(edge).or_insert(0) += sizes[v];
+                credit((globals[pred[v] as usize], globals[v]), sizes[v]);
             }
         }
     }
@@ -871,33 +895,147 @@ impl<S: SpreadSampler + ?Sized> CascadeSource for Sampled<'_, S> {
     }
 }
 
+/// Bytes of per-realisation records one query's ledger may hold: 16 MiB,
+/// about a million credited cascade vertices at 16 bytes each (an 8-byte
+/// credit entry and an 8-byte index link), plus a 16-byte slot per
+/// realisation. A question whose ledger would outgrow it — hub
+/// seeds on a large pool — prices every round with a full pass instead,
+/// which gives the same answer. The per-worker index heads (4 bytes per
+/// graph vertex) are scratch like the credit sums and are not counted.
+pub(crate) const LEDGER_CAP_BYTES: usize = 16 << 20;
+
+/// End of an index chain.
+const NIL: u32 = u32::MAX;
+
+/// Where one realisation's credit list sits in the ledger: the worker's
+/// book that holds it, its position there, and the vertices the cascade
+/// reached (the seeds included, the virtual root not).
+#[derive(Clone, Copy, Debug, Default)]
+struct Slot {
+    book: u32,
+    start: u32,
+    len: u32,
+    reached: u32,
+}
+
+/// One worker's share of a query's ledger: the credit lists of the
+/// realisations it rebuilt, appended pass after pass, and its part of the
+/// index from each vertex to the realisations whose first, untreated BFS
+/// reached it. A rebuilt realisation's earlier credit stays behind as
+/// garbage.
+#[derive(Clone, Debug, Default)]
+struct Book {
+    /// `(vertex, subtree size)` credit entries of the vertex families.
+    vertex_credit: Vec<(u32, u32)>,
+    /// `(edge, subtree size)` credit entries of the edge family.
+    edge_credit: Vec<((u32, u32), u32)>,
+    /// First index link of each vertex, [`NIL`] when none.
+    head: Vec<u32>,
+    /// Index links: a realisation, and the vertex's next link.
+    links: Vec<(u32, u32)>,
+    /// The slots of the realisations this worker rebuilt in the current
+    /// pass, in pass order.
+    built: Vec<Slot>,
+}
+
+impl Book {
+    /// Empties the book for a query on a graph of `n` vertices.
+    fn reset(&mut self, n: usize) {
+        self.vertex_credit.clear();
+        self.edge_credit.clear();
+        self.head.clear();
+        self.head.resize(n, NIL);
+        self.links.clear();
+        self.built.clear();
+    }
+
+    /// Lengths of the credit list and the index links before a
+    /// realisation is recorded.
+    fn mark<const EDGE_CREDIT: bool>(&self) -> (usize, usize) {
+        let credit = if EDGE_CREDIT {
+            self.edge_credit.len()
+        } else {
+            self.vertex_credit.len()
+        };
+        (credit, self.links.len())
+    }
+
+    /// Lists realisation `idx` under every vertex its untreated cascade
+    /// reached beyond the seeds. A treatment only removes edges, so these
+    /// are all the targets any later BFS of the realisation can scan, kept
+    /// or dropped: the only vertices whose treatment, or the deletion of
+    /// an edge into them, can change the cascade. The seeds are reached
+    /// through the virtual root whatever the treatment, and no family ever
+    /// treats one.
+    fn index(&mut self, idx: u32, cascade: &CompactSample, only_seeds: usize) {
+        for &v in &cascade.vertices()[only_seeds..] {
+            let head = &mut self.head[v as usize];
+            self.links.push((idx, *head));
+            *head = (self.links.len() - 1) as u32;
+        }
+    }
+
+    /// Records the slot of the realisation recorded since `mark`, and
+    /// returns the bytes its records take.
+    fn close<const EDGE_CREDIT: bool>(
+        &mut self,
+        (credit, links): (usize, usize),
+        reached: usize,
+    ) -> usize {
+        let (end, entry) = if EDGE_CREDIT {
+            (
+                self.edge_credit.len(),
+                std::mem::size_of::<((u32, u32), u32)>(),
+            )
+        } else {
+            (self.vertex_credit.len(), std::mem::size_of::<(u32, u32)>())
+        };
+        self.built.push(Slot {
+            book: 0,
+            start: credit as u32,
+            len: (end - credit) as u32,
+            reached: reached as u32,
+        });
+        (end - credit) * entry + (self.links.len() - links) * std::mem::size_of::<(u32, u32)>()
+    }
+}
+
 /// Per-worker scratch of the kernel: the cascade buffers, the
-/// dominator-tree workspace and the integer accumulators.
+/// dominator-tree workspace, the integer accumulators of one pass and the
+/// worker's book of the query's ledger.
 #[derive(Clone, Debug, Default)]
 struct KernelScratch {
     cascade: CompactSample,
     edge_credit: EdgeCredit,
     domtree: DomTreeWorkspace,
     sizes: Vec<u64>,
-    /// Integer subtree-size sums per global vertex. `u64` addition is
-    /// associative, so merging per-worker sums is order- and
+    /// This pass's subtree-size sums per global vertex, all zero between
+    /// passes; `touched` lists the vertices it made non-zero. `u64`
+    /// addition is associative, so merging per-worker sums is order- and
     /// thread-count-independent — the determinism contract of the pool.
     delta_sum: Vec<u64>,
-    /// Integer subtree-size sums per live edge `(pred, v)`, filled by the
-    /// edge-credit instantiation instead of `delta_sum`.
+    touched: Vec<u32>,
+    /// This pass's subtree-size sums per live edge `(pred, v)`, filled by
+    /// the edge-credit instantiation instead of `delta_sum`.
     edge_sum: HashMap<(u32, u32), u64>,
     reached_sum: u64,
     /// Phase laps of the last `accumulate` call (all zero when it ran
     /// untimed). Workers fill these plain slots; the calling thread folds
     /// them into its `imin_obs` span after the join.
     laps: Laps,
+    book: Book,
 }
 
 impl KernelScratch {
-    /// Runs the kernel over cascades `range` of `source`, accumulating
+    /// Runs the kernel over the cascades `list` of `source`, accumulating
     /// dominator-subtree sizes per vertex into `self.delta_sum`, or — with
     /// `EDGE_CREDIT` — per live edge into `self.edge_sum` (see
-    /// [`EdgeCredit`]).
+    /// [`EdgeCredit`]). A `full` pass first sizes and zeroes the vertex
+    /// sums for a graph of `n` vertices. With `record`, every cascade's
+    /// credit also goes into the worker's book — and on a full pass, the
+    /// first of a ledger, its reached vertices into the index — while the
+    /// query's ledger (whose byte count `record` holds) stays under
+    /// [`LEDGER_CAP_BYTES`].
     ///
     /// When `timed` is set, the first [`PROFILE_SAMPLES`] cascades run
     /// through the instrumented monomorphisation, which laps every phase
@@ -906,30 +1044,41 @@ impl KernelScratch {
     /// every clock read out. Both run the identical accumulation logic,
     /// and a sampler's stream continues from one into the other, so
     /// answers are byte-identical with timing on and off.
+    #[allow(clippy::too_many_arguments)]
     fn accumulate<const EDGE_CREDIT: bool, C: CascadeSource>(
         &mut self,
         source: &C,
         cursor: &mut C::Cursor,
         seeds: &[VertexId],
-        n: usize,
-        range: Range<usize>,
+        (n, full): (usize, bool),
+        list: &[u32],
         timed: bool,
+        record: Option<&AtomicUsize>,
     ) {
         if EDGE_CREDIT {
             self.edge_sum.clear();
-        } else {
+        } else if full {
             self.delta_sum.clear();
             self.delta_sum.resize(n, 0);
+            self.touched.clear();
         }
         self.reached_sum = 0;
+        self.book.built.clear();
         self.laps = Laps::default();
         let start = timed.then(Instant::now);
-        let profiled = range.start..range.end.min(range.start + PROFILE_SAMPLES);
-        let rest = if timed { profiled.end } else { range.start }..range.end;
+        let profiled = if timed {
+            list.len().min(PROFILE_SAMPLES)
+        } else {
+            0
+        };
+        let (profiled, rest) = list.split_at(profiled);
+        let index = full && record.is_some();
         if timed {
-            self.accumulate_impl::<true, EDGE_CREDIT, C>(source, cursor, seeds, profiled);
+            self.accumulate_impl::<true, EDGE_CREDIT, C>(
+                source, cursor, seeds, profiled, record, index,
+            );
         }
-        self.accumulate_impl::<false, EDGE_CREDIT, C>(source, cursor, seeds, rest);
+        self.accumulate_impl::<false, EDGE_CREDIT, C>(source, cursor, seeds, rest, record, index);
         if let Some(start) = start {
             self.laps.split(start.elapsed());
         }
@@ -942,7 +1091,9 @@ impl KernelScratch {
         source: &C,
         cursor: &mut C::Cursor,
         seeds: &[VertexId],
-        range: Range<usize>,
+        list: &[u32],
+        record: Option<&AtomicUsize>,
+        index: bool,
     ) {
         let KernelScratch {
             cascade,
@@ -950,52 +1101,244 @@ impl KernelScratch {
             domtree,
             sizes,
             delta_sum,
+            touched,
             edge_sum,
             reached_sum,
             laps,
+            book,
         } = self;
         let only_seeds = 1 + seeds.len();
-        for idx in range {
+        for &idx in list {
             if TIMED {
                 laps.mark = ticks();
             }
-            source.fill::<TIMED>(cursor, idx, seeds, cascade, laps);
+            source.fill::<TIMED>(cursor, idx as usize, seeds, cascade, laps);
             let reached = cascade.num_reached();
             // The virtual root is bookkeeping, not spread.
             *reached_sum += (reached - 1) as u64;
-            if reached <= only_seeds {
-                // Nothing beyond the seeds was reached: no candidate can
-                // earn credit from this cascade.
-                continue;
-            }
-            let (offsets, targets) = (cascade.offsets(), cascade.targets());
-            let tree = domtree.compute_csr(reached, offsets, targets, VertexId::new(0));
-            laps.lap::<TIMED>(PN_DOMTREE);
-            tree.subtree_sizes_into(sizes);
-            if EDGE_CREDIT {
-                edge_credit.accumulate(tree, sizes, cascade, edge_sum);
-            } else {
-                // Seeds earn no credit: blocking one is not allowed. The
-                // seeds are interned first, so they are locals 1..=k.
-                let credited = cascade.vertices()[only_seeds..].iter();
-                for (&global, &size) in credited.zip(&sizes[only_seeds..reached]) {
-                    delta_sum[global as usize] += size;
+            // Past the cap the pass still prices every cascade; the
+            // ledger is dropped after the join.
+            let recording = record.filter(|bytes| bytes.load(Relaxed) <= LEDGER_CAP_BYTES);
+            let mark = book.mark::<EDGE_CREDIT>();
+            // With nothing beyond the seeds reached, no candidate can earn
+            // credit from this cascade.
+            if reached > only_seeds {
+                let (offsets, targets) = (cascade.offsets(), cascade.targets());
+                let tree = domtree.compute_csr(reached, offsets, targets, VertexId::new(0));
+                laps.lap::<TIMED>(PN_DOMTREE);
+                tree.subtree_sizes_into(sizes);
+                if EDGE_CREDIT {
+                    edge_credit.accumulate(tree, sizes, cascade, |edge, size| {
+                        *edge_sum.entry(edge).or_insert(0) += size;
+                        if recording.is_some() {
+                            book.edge_credit.push((edge, size as u32));
+                        }
+                    });
+                } else {
+                    // Seeds earn no credit: blocking one is not allowed. The
+                    // seeds are interned first, so they are locals 1..=k.
+                    let credited = cascade.vertices()[only_seeds..].iter();
+                    for (&global, &size) in credited.zip(&sizes[only_seeds..reached]) {
+                        let sum = &mut delta_sum[global as usize];
+                        if *sum == 0 {
+                            touched.push(global);
+                        }
+                        *sum += size;
+                        if recording.is_some() {
+                            book.vertex_credit.push((global, size as u32));
+                        }
+                    }
                 }
+            }
+            if let Some(bytes) = recording {
+                if index {
+                    book.index(idx, cascade, only_seeds);
+                }
+                bytes.fetch_add(book.close::<EDGE_CREDIT>(mark, reached - 1), Relaxed);
             }
             laps.lap::<TIMED>(PN_CREDIT);
         }
     }
 }
 
+/// Whether a query keeps a ledger, and how far it has got.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum LedgerState {
+    /// Every pass rebuilds every realisation and records nothing: one-shot
+    /// passes, the Fresh backend, and queries over [`LEDGER_CAP_BYTES`].
+    #[default]
+    Off,
+    /// The next pass rebuilds every realisation and fills the ledger.
+    Fill,
+    /// The ledger holds every realisation of the last pass; the next pass
+    /// rebuilds only those listed under a vertex in `changed`.
+    Filled,
+}
+
+/// A query's record of its last pass, so that each later round rebuilds
+/// only the realisations the last treatment change can affect. A cascade
+/// depends on the treatment only through the targets its BFS scanned, so
+/// treating or untreating `v`, or deleting or restoring an edge into `v`,
+/// can change only the realisations whose BFS scanned `v`. The first pass
+/// runs untreated, and a treatment only removes edges, so every vertex a
+/// later BFS can scan — kept or dropped — is reached there: its reached
+/// sets are the index, and a realisation whose cascade no longer reaches
+/// `v` costs a wasted rebuild, never a wrong answer. A rebuilt
+/// realisation's old credit comes off the sums and its new credit goes on,
+/// in `u64`, so every estimate is bit-identical to a full pass at any
+/// thread count.
+#[derive(Clone, Debug, Default)]
+struct Ledger {
+    state: LedgerState,
+    /// Vertices treated or untreated, or targets of edges deleted or
+    /// restored, since the last pass.
+    changed: Vec<u32>,
+    /// Where each realisation's records are.
+    slots: Vec<Slot>,
+    /// Number of worker books the ledger spans.
+    books: usize,
+    /// The realisations the current pass rebuilds, ascending.
+    dirty: Vec<u32>,
+    /// Bytes of records held, counted as [`LEDGER_CAP_BYTES`] documents.
+    bytes: usize,
+}
+
+impl Ledger {
+    /// Starts an empty ledger over `theta` realisations, spread over the
+    /// books of `workers`.
+    fn fill(&mut self, theta: usize, n: usize, workers: &mut [KernelScratch]) {
+        self.slots.clear();
+        self.slots.resize(theta, Slot::default());
+        self.books = workers.len();
+        self.bytes = theta * std::mem::size_of::<Slot>();
+        for worker in workers {
+            worker.book.reset(n);
+        }
+    }
+
+    /// Lists in `dirty`, once each and ascending, the realisations indexed
+    /// under a changed vertex.
+    fn select_dirty(&mut self, workers: &[KernelScratch]) {
+        self.dirty.clear();
+        for &v in &self.changed {
+            for worker in &workers[..self.books] {
+                let book = &worker.book;
+                let mut link = book.head[v as usize];
+                while link != NIL {
+                    let (idx, next) = book.links[link as usize];
+                    self.dirty.push(idx);
+                    link = next;
+                }
+            }
+        }
+        self.dirty.sort_unstable();
+        self.dirty.dedup();
+    }
+
+    /// After a recording pass over `dirty`, sharded over the first
+    /// `active` workers: points every rebuilt realisation at its new
+    /// records, or — when the records have outgrown
+    /// [`LEDGER_CAP_BYTES`] — drops the ledger and its memory, so later
+    /// passes rebuild every realisation.
+    fn settle(&mut self, bytes: usize, workers: &mut [KernelScratch], active: usize) {
+        if bytes > LEDGER_CAP_BYTES {
+            self.state = LedgerState::Off;
+            for worker in &mut workers[..self.books] {
+                worker.book = Book::default();
+            }
+            return;
+        }
+        self.state = LedgerState::Filled;
+        self.bytes = bytes;
+        let shards = workers
+            .iter_mut()
+            .zip(shard_ranges(self.dirty.len(), active));
+        for (book, (worker, range)) in shards.enumerate() {
+            for (slot, &idx) in worker.book.built.iter().zip(&self.dirty[range]) {
+                let book = book as u32;
+                self.slots[idx as usize] = Slot { book, ..*slot };
+            }
+        }
+    }
+}
+
+/// The merged credit of a query's passes: rebuilt from zero by a full
+/// pass, corrected realisation by realisation by a ledger round.
+#[derive(Clone, Debug, Default)]
+struct Sums {
+    vertex: Vec<u64>,
+    /// Only edges with positive credit: the edge family stops when no
+    /// edge earns any.
+    edge: HashMap<(u32, u32), u64>,
+    reached: u64,
+    /// Vertices whose sum the current pass changed (with repeats).
+    touched: Vec<u32>,
+}
+
+impl Sums {
+    /// Zeroes the sums of a graph of `n` vertices.
+    fn reset<const EDGE_CREDIT: bool>(&mut self, n: usize) {
+        if EDGE_CREDIT {
+            self.edge.clear();
+        } else {
+            self.vertex.clear();
+            self.vertex.resize(n, 0);
+        }
+        self.reached = 0;
+    }
+
+    /// Takes the recorded credit of every dirty realisation off the sums.
+    fn retract<const EDGE_CREDIT: bool>(&mut self, ledger: &Ledger, workers: &[KernelScratch]) {
+        for &idx in &ledger.dirty {
+            let slot = ledger.slots[idx as usize];
+            self.reached -= u64::from(slot.reached);
+            let book = &workers[slot.book as usize].book;
+            let range = slot.start as usize..(slot.start + slot.len) as usize;
+            if EDGE_CREDIT {
+                for &(edge, size) in &book.edge_credit[range] {
+                    let sum = self.edge.get_mut(&edge).expect("recorded credit is summed");
+                    *sum -= u64::from(size);
+                    if *sum == 0 {
+                        self.edge.remove(&edge);
+                    }
+                }
+            } else {
+                for &(v, size) in &book.vertex_credit[range] {
+                    self.vertex[v as usize] -= u64::from(size);
+                    self.touched.push(v);
+                }
+            }
+        }
+    }
+
+    /// Adds one worker's sums of this pass, leaving them zero.
+    fn absorb<const EDGE_CREDIT: bool>(&mut self, worker: &mut KernelScratch) {
+        self.reached += worker.reached_sum;
+        if EDGE_CREDIT {
+            for (edge, d) in worker.edge_sum.drain() {
+                *self.edge.entry(edge).or_insert(0) += d;
+            }
+        } else {
+            for &v in &worker.touched {
+                self.vertex[v as usize] += std::mem::take(&mut worker.delta_sum[v as usize]);
+            }
+            self.touched.append(&mut worker.touched);
+        }
+    }
+}
+
 /// Reusable state for the estimator kernel and the greedy loops on top of
-/// it, on either backend: one scratch set per worker thread plus the
-/// canonicalised-seed buffers, kept alive across rounds and across
-/// queries so that steady-state passes allocate nothing.
+/// it, on either backend: one scratch set per worker thread, the
+/// canonicalised-seed buffers, the merged sums and the query's ledger,
+/// kept alive across rounds and across queries so that steady-state
+/// passes allocate nothing.
 #[derive(Clone, Debug, Default)]
 pub struct PoolWorkspace {
     workers: Vec<KernelScratch>,
     seeds: Vec<VertexId>,
     is_seed: Vec<bool>,
+    sums: Sums,
+    ledger: Ledger,
 }
 
 thread_local! {
@@ -1026,15 +1369,18 @@ impl PoolWorkspace {
     }
 
     /// Canonicalises (sorts, dedups, validates) the query seed set into the
-    /// workspace buffers. A seed inside `blocked` is a
-    /// [`IminError::ForbiddenSeedOverlap`]; families that treat vertices
-    /// without removing them (edge blocking, prebunking) pass `None`.
+    /// workspace buffers, and turns the ledger off: a new query prices with
+    /// full passes until its pricer starts a ledger. A seed inside
+    /// `blocked` is a [`IminError::ForbiddenSeedOverlap`]; families that
+    /// treat vertices without removing them (edge blocking, prebunking)
+    /// pass `None`.
     pub(crate) fn stage_seeds(
         &mut self,
         n: usize,
         seeds: &[VertexId],
         blocked: Option<&[bool]>,
     ) -> Result<()> {
+        self.ledger.state = LedgerState::Off;
         if seeds.is_empty() {
             return Err(IminError::EmptySeedSet);
         }
@@ -1067,6 +1413,26 @@ impl PoolWorkspace {
         Ok(())
     }
 
+    /// Makes the staged query keep a ledger: its next pass over a pool
+    /// rebuilds every realisation and records it, and each later pass
+    /// rebuilds only the realisations the vertices given to
+    /// [`PoolWorkspace::mark_changed`] can affect. Only a pricer whose
+    /// passes all re-root one pool through one filter family may start
+    /// one, before it treats anything: the first pass must see every
+    /// stored live edge.
+    pub(crate) fn start_ledger(&mut self) {
+        self.ledger.state = LedgerState::Fill;
+        self.ledger.changed.clear();
+    }
+
+    /// Notes that `v` was treated or untreated, or that an edge into `v`
+    /// was deleted or restored, since the last pass.
+    pub(crate) fn mark_changed(&mut self, v: u32) {
+        if self.ledger.state == LedgerState::Filled {
+            self.ledger.changed.push(v);
+        }
+    }
+
     /// Membership mask of the staged seed set.
     pub(crate) fn is_seed(&self) -> &[bool] {
         &self.is_seed
@@ -1074,7 +1440,12 @@ impl PoolWorkspace {
 
     /// The merged per-edge credit of the last [`edge_credit`] pass.
     pub(crate) fn edge_credit(&self) -> &HashMap<(u32, u32), u64> {
-        &self.workers[0].edge_sum
+        &self.sums.edge
+    }
+
+    /// The reached count of the last pass, summed over its θ cascades.
+    pub(crate) fn reached(&self) -> u64 {
+        self.sums.reached
     }
 }
 
@@ -1091,109 +1462,142 @@ pub(crate) fn check_mask_len(pool: &SamplePool, mask: &[bool]) -> Result<()> {
     Ok(())
 }
 
-/// Runs the kernel over every cascade of `source` for the seed set staged
-/// in `workspace`, sharded into contiguous ranges across `threads`
-/// workers, and merges the per-worker integer sums into the first worker.
-/// `u64` addition is order-independent, so a pool's merged sums are the
-/// same at every thread count. `finish` reads them inside the timed merge
+/// Runs the kernel for the seed set staged in `workspace` over the cascades
+/// of `source` a pass must rebuild — all θ, or with a filled ledger only
+/// the dirty ones, whose recorded credit first comes off the sums — sharded
+/// into contiguous ranges across `threads` workers, and merges the
+/// per-worker integer sums. `u64` addition is order-independent, so the
+/// merged sums are the same at every thread count. `finish` reads them,
+/// with whether the pass rebuilt them from zero, inside the timed merge
 /// window; the phase laps of every worker land in the calling thread's
-/// span, if one is active.
-fn run_kernel<const EDGE_CREDIT: bool, C: CascadeSource, R>(
+/// span, if one is active. Returns the number of cascades rebuilt.
+fn run_kernel<const EDGE_CREDIT: bool, C: CascadeSource>(
     source: &C,
     threads: usize,
     workspace: &mut PoolWorkspace,
-    finish: impl FnOnce(&KernelScratch) -> R,
-) -> R {
+    finish: impl FnOnce(&Sums, bool),
+) -> usize {
     let theta = source.num_cascades();
     let threads = threads.max(1).min(theta);
     // Sampled on the calling thread: workers collect plain nanosecond
     // slots, and only the caller's span (if any) aggregates them.
     let timed = imin_obs::span::active();
+    let plan_start = timed.then(Instant::now);
     let PoolWorkspace {
         workers,
         seeds,
         is_seed,
+        sums,
+        ledger,
     } = workspace;
     if workers.len() < threads {
         workers.resize_with(threads, KernelScratch::default);
     }
-    let workers = &mut workers[..threads];
     let (seeds, n) = (&*seeds, is_seed.len());
-    if threads <= 1 {
+    let full = ledger.state != LedgerState::Filled;
+    sums.touched.clear();
+    if full {
+        sums.reset::<EDGE_CREDIT>(n);
+        if ledger.state == LedgerState::Fill {
+            ledger.fill(theta, n, &mut workers[..threads]);
+        }
+        ledger.dirty.clear();
+        ledger.dirty.extend(0..theta as u32);
+    } else {
+        ledger.select_dirty(workers);
+        sums.retract::<EDGE_CREDIT>(ledger, workers);
+    }
+    ledger.changed.clear();
+    let bytes = AtomicUsize::new(ledger.bytes);
+    let record = (ledger.state != LedgerState::Off).then_some(&bytes);
+    let (dirty, rebuilt) = (&ledger.dirty[..], ledger.dirty.len());
+    let active = threads.min(rebuilt).max(1);
+    let plan_ns = plan_start.map_or(0, |start| start.elapsed().as_nanos() as u64);
+    let shared = (n, full);
+    if active <= 1 {
         let cursor = &mut source.cursor(0, 1);
-        workers[0].accumulate::<EDGE_CREDIT, C>(source, cursor, seeds, n, 0..theta, timed);
+        workers[0]
+            .accumulate::<EDGE_CREDIT, C>(source, cursor, seeds, shared, dirty, timed, record);
     } else {
         crossbeam::scope(|scope| {
-            let shards = workers.iter_mut().zip(shard_ranges(theta, threads));
+            let shards = workers.iter_mut().zip(shard_ranges(rebuilt, active));
             for (t, (worker, range)) in shards.enumerate() {
                 scope.spawn(move |_| {
-                    let cursor = &mut source.cursor(t, threads);
-                    worker.accumulate::<EDGE_CREDIT, C>(source, cursor, seeds, n, range, timed)
+                    let cursor = &mut source.cursor(t, active);
+                    let list = &dirty[range];
+                    worker.accumulate::<EDGE_CREDIT, C>(
+                        source, cursor, seeds, shared, list, timed, record,
+                    )
                 });
             }
         })
         .expect("estimator worker panicked");
     }
     let merge_start = timed.then(Instant::now);
-    let (first, rest) = workers.split_at_mut(1);
-    let merged = &mut first[0];
-    for worker in rest.iter() {
-        merged.reached_sum += worker.reached_sum;
-        if EDGE_CREDIT {
-            for (&edge, &d) in &worker.edge_sum {
-                *merged.edge_sum.entry(edge).or_insert(0) += d;
-            }
-        } else {
-            for (acc, &d) in merged.delta_sum.iter_mut().zip(&worker.delta_sum) {
-                *acc += d;
-            }
-        }
+    for worker in &mut workers[..active] {
+        sums.absorb::<EDGE_CREDIT>(worker);
     }
-    let result = finish(merged);
+    if record.is_some() {
+        ledger.settle(bytes.into_inner(), workers, active);
+    }
+    finish(sums, full);
     if timed {
-        for worker in workers.iter() {
+        for worker in &workers[..active] {
             for (&phase, &ns) in KERNEL_PHASES.iter().zip(&worker.laps.ns) {
                 span::add_ns(phase, ns);
             }
         }
         if let Some(start) = merge_start {
-            // Merge + finalisation scale with n, like credit accumulation.
-            span::add_ns(Phase::Credit, start.elapsed().as_nanos() as u64);
+            // Picking the dirty realisations, retracting their old credit,
+            // the merge and the finalisation scale with the credit, like
+            // credit accumulation.
+            span::add_ns(Phase::Credit, plan_ns + start.elapsed().as_nanos() as u64);
         }
     }
-    result
+    rebuilt
 }
 
 /// Per-vertex credit pass over `source` for the seed set already staged
-/// in `workspace`: Algorithm 2's estimate, with `delta[u]` 0 for seeds and
-/// for vertices no cascade reached.
+/// in `workspace`: Algorithm 2's estimate written into `estimate`, with
+/// `delta[u]` 0 for seeds and for vertices no cascade reached. A ledger
+/// round rewrites only the entries whose sums it changed. Returns the
+/// number of cascades rebuilt.
 pub(crate) fn vertex_credit<C: CascadeSource>(
     source: &C,
     threads: usize,
     workspace: &mut PoolWorkspace,
-) -> DecreaseEstimate {
+    estimate: &mut DecreaseEstimate,
+) -> usize {
     let theta = source.num_cascades();
-    run_kernel::<false, C, _>(source, threads, workspace, |merged| {
-        let inv = 1.0 / theta as f64;
-        DecreaseEstimate {
-            delta: merged.delta_sum.iter().map(|&d| d as f64 * inv).collect(),
-            average_reached: merged.reached_sum as f64 * inv,
-            samples: theta,
+    let inv = 1.0 / theta as f64;
+    run_kernel::<false, C>(source, threads, workspace, |sums, full| {
+        if full {
+            estimate.delta.clear();
+            estimate
+                .delta
+                .extend(sums.vertex.iter().map(|&d| d as f64 * inv));
+        } else {
+            for &v in &sums.touched {
+                estimate.delta[v as usize] = sums.vertex[v as usize] as f64 * inv;
+            }
         }
+        estimate.average_reached = sums.reached as f64 * inv;
+        estimate.samples = theta;
     })
 }
 
 /// Per-edge credit pass over `source` for the seed set already staged in
 /// `workspace`: every live edge `(pred, v)` whose deletion detaches `v`
 /// earns `v`'s dominator-subtree size (see [`EdgeCredit`]). Returns the
-/// reached count summed over the θ cascades; the merged credit is then
-/// [`PoolWorkspace::edge_credit`].
+/// number of cascades rebuilt; the merged credit is then
+/// [`PoolWorkspace::edge_credit`] and the reached count
+/// [`PoolWorkspace::reached`].
 pub(crate) fn edge_credit<C: CascadeSource>(
     source: &C,
     threads: usize,
     workspace: &mut PoolWorkspace,
-) -> u64 {
-    run_kernel::<true, C, _>(source, threads, workspace, |merged| merged.reached_sum)
+) -> usize {
+    run_kernel::<true, C>(source, threads, workspace, |_, _| {})
 }
 
 /// Algorithm 2 against a resident pool: estimates the spread decrease of
@@ -1220,11 +1624,14 @@ pub fn pooled_decrease_in(
     check_mask_len(pool, blocked)?;
     workspace.stage_seeds(pool.num_vertices(), seeds, Some(blocked))?;
     let filter = BlockedVertices(blocked);
-    Ok(vertex_credit(
+    let mut estimate = DecreaseEstimate::default();
+    vertex_credit(
         &Rerooted { pool, filter },
         threads,
         workspace,
-    ))
+        &mut estimate,
+    );
+    Ok(estimate)
 }
 
 /// One-shot convenience over [`pooled_decrease_in`] with a fresh workspace.
@@ -1252,7 +1659,9 @@ fn validate_pooled_query(pool: &SamplePool, forbidden: &[bool], budget: usize) -
 ///
 /// Identical greedy structure to the classic entry point, but every round
 /// prices candidates by re-rooting the same θ realisations instead of
-/// redrawing them — per-round work is BFS + dominator trees only.
+/// redrawing them — per-round work is BFS + dominator trees only, and
+/// after the first round only over the realisations the last pick can
+/// change.
 /// `forbidden[v] = true` marks vertices that may never be blocked; seeds
 /// are always excluded. `estimated_spread` counts every seed as active.
 ///

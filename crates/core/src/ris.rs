@@ -607,6 +607,7 @@ pub fn sketch_greedy_in(
         blocked_edges: Vec::new(),
         stats: SelectionStats {
             samples_drawn: theta_r,
+            samples_rebuilt: 0,
             mcs_rounds_run: 0,
             rounds,
             elapsed: started.elapsed(),

@@ -81,8 +81,13 @@ impl AlgorithmConfig {
 /// these numbers).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SelectionStats {
-    /// Total number of sampled graphs drawn (dominator-tree estimator).
+    /// Total number of sampled graphs drawn (dominator-tree estimator):
+    /// θ per estimator pass.
     pub samples_drawn: usize,
+    /// Sampled graphs the estimator actually rebuilt, at most
+    /// `samples_drawn`: a pooled greedy round after the first rebuilds only
+    /// the realisations its last treatment change can affect.
+    pub samples_rebuilt: usize,
     /// Total number of Monte-Carlo cascade rounds simulated.
     pub mcs_rounds_run: usize,
     /// Number of greedy rounds / replacement rounds executed.
@@ -96,6 +101,7 @@ impl SelectionStats {
     /// composed of phases).
     pub fn absorb(&mut self, other: &SelectionStats) {
         self.samples_drawn += other.samples_drawn;
+        self.samples_rebuilt += other.samples_rebuilt;
         self.mcs_rounds_run += other.mcs_rounds_run;
         self.rounds += other.rounds;
         self.elapsed += other.elapsed;
@@ -179,18 +185,21 @@ mod tests {
     fn stats_absorb_accumulates() {
         let mut a = SelectionStats {
             samples_drawn: 10,
+            samples_rebuilt: 4,
             mcs_rounds_run: 20,
             rounds: 1,
             elapsed: Duration::from_millis(5),
         };
         let b = SelectionStats {
             samples_drawn: 1,
+            samples_rebuilt: 1,
             mcs_rounds_run: 2,
             rounds: 3,
             elapsed: Duration::from_millis(10),
         };
         a.absorb(&b);
         assert_eq!(a.samples_drawn, 11);
+        assert_eq!(a.samples_rebuilt, 5);
         assert_eq!(a.mcs_rounds_run, 22);
         assert_eq!(a.rounds, 4);
         assert_eq!(a.elapsed, Duration::from_millis(15));

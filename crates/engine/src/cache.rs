@@ -82,10 +82,16 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.map.insert(key, (self.tick, value));
     }
 
-    /// Drops every entry (used when the graph or the pool changes, which
-    /// invalidates all cached answers).
+    /// Drops every entry (used when the graph changes, which invalidates
+    /// all cached answers).
     pub fn clear(&mut self) {
         self.map.clear();
+    }
+
+    /// Keeps only the entries whose key `keep` accepts (used when one
+    /// backend's pool changes, which invalidates only its answers).
+    pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) {
+        self.map.retain(|key, _| keep(key));
     }
 }
 

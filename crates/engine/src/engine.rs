@@ -43,6 +43,13 @@ pub(crate) struct QueryKey {
     intervention: String,
 }
 
+impl QueryKey {
+    /// The backend the keyed question is answered from.
+    pub(crate) fn backend(&self) -> PoolBackend {
+        PoolBackend::of(self.algorithm)
+    }
+}
+
 impl Query {
     pub(crate) fn key(&self) -> QueryKey {
         let mut seeds: Vec<u32> = self.seeds.iter().map(|s| s.raw()).collect();
@@ -98,6 +105,10 @@ pub struct QueryResult {
     /// Pool consultations: θ per estimator round (no new samples are ever
     /// drawn — the pool is resident).
     pub samples_consulted: usize,
+    /// Realisations the estimator kernel actually rebuilt, summed over its
+    /// passes: at most `samples_consulted`, because a greedy round after
+    /// the first rebuilds only those its last pick can change.
+    pub recomputed: usize,
     /// Whether the answer came from the LRU cache.
     pub from_cache: bool,
     /// Wall-clock time to produce (or fetch) the answer.
@@ -266,6 +277,16 @@ pub enum PoolBackend {
 }
 
 impl PoolBackend {
+    /// The backend `algorithm` answers from: `ris-greedy` the sketch pool,
+    /// every other algorithm the forward pool.
+    pub(crate) fn of(algorithm: AlgorithmKind) -> Self {
+        if algorithm == AlgorithmKind::RisGreedy {
+            PoolBackend::Sketch
+        } else {
+            PoolBackend::Forward
+        }
+    }
+
     /// Protocol token (`forward` / `sketch`).
     pub fn label(self) -> &'static str {
         match self {
@@ -367,6 +388,7 @@ pub(crate) fn run_resident(
         estimated_spread: selection.estimated_spread,
         rounds: selection.stats.rounds,
         samples_consulted: selection.stats.samples_drawn,
+        recomputed: selection.stats.samples_rebuilt,
         from_cache: false,
         elapsed: start.elapsed(),
         disposition: Disposition::Computed,

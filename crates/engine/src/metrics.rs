@@ -198,7 +198,7 @@ pub(crate) fn render(engine: &SharedEngine) -> String {
     );
 
     // ---- Counters ---------------------------------------------------------
-    let counters: [(&str, &str, u64); 14] = [
+    let counters: [(&str, &str, u64); 15] = [
         (
             "imin_queries_total",
             "Queries received (cache hits, coalesced and rejected included).",
@@ -223,6 +223,11 @@ pub(crate) fn render(engine: &SharedEngine) -> String {
             "imin_query_computed_total",
             "Queries that computed against the resident pool (leaders).",
             stats.computed,
+        ),
+        (
+            "imin_realisations_recomputed_total",
+            "Realisations the computed queries' estimator passes rebuilt.",
+            stats.recomputed,
         ),
         (
             "imin_pool_builds_total",

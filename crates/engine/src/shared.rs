@@ -32,11 +32,14 @@
 //!
 //! ## Consistency
 //!
-//! A pool swap (rebuild, extension, restore) bumps an internal *epoch*.
-//! Queries remember the epoch of the snapshot they computed against and
-//! only insert into the cache if the epoch still matches, so an answer
-//! computed against a superseded pool can never poison the cache of its
-//! successor. In-flight queries against the old pool finish normally (they
+//! Each backend — the forward pool and the sketch pool — has its own
+//! *epoch*. A pool swap (rebuild, extension) bumps its backend's epoch and
+//! evicts only that backend's cached answers; `LOAD` and `RESTORE` replace
+//! the graph and bump both. Queries remember the epoch of the backend they
+//! computed against and only insert into the cache if that epoch still
+//! matches, so an answer computed against a superseded pool can never
+//! poison the cache of its successor, while answers of the other backend
+//! survive. In-flight queries against the old pool finish normally (they
 //! hold their own `Arc`); `POOL` extensions and rebuilds wait for those
 //! references to drain before mutating or releasing the arenas, keeping
 //! peak memory at one pool.
@@ -58,7 +61,7 @@ use crate::engine::{
 use crate::metrics::{self, EngineMetrics, Verb};
 use crate::{EngineError, Result};
 use imin_core::snapshot::{self, SnapshotSummary};
-use imin_core::{AlgorithmKind, SamplePool, SketchPool};
+use imin_core::{SamplePool, SketchPool};
 use imin_graph::DiGraph;
 use imin_obs::{span, Phase, PhaseBreakdown, QUERY_PHASES, SNAPSHOT_PHASES};
 use std::cell::Cell;
@@ -94,15 +97,39 @@ struct ResidentState {
     pool_info: Option<PoolInfo>,
     sketch: Option<Arc<SketchPool>>,
     sketch_info: Option<SketchPoolInfo>,
-    /// Bumped on every graph/pool replacement; cache inserts are fenced on
-    /// it so answers from a superseded pool never land in the new cache.
-    epoch: u64,
+    /// Per backend, bumped on every replacement of its pool (and of the
+    /// graph); cache inserts are fenced on it so answers from a superseded
+    /// pool never land in the new cache.
+    epochs: Epochs,
 }
 
-/// The LRU cache plus the epoch its entries belong to.
+/// One epoch per [`PoolBackend`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Epochs {
+    forward: u64,
+    sketch: u64,
+}
+
+impl Epochs {
+    fn get(&self, backend: PoolBackend) -> u64 {
+        match backend {
+            PoolBackend::Forward => self.forward,
+            PoolBackend::Sketch => self.sketch,
+        }
+    }
+
+    fn bump(&mut self, backend: PoolBackend) {
+        match backend {
+            PoolBackend::Forward => self.forward += 1,
+            PoolBackend::Sketch => self.sketch += 1,
+        }
+    }
+}
+
+/// The LRU cache plus the epochs its entries belong to.
 #[derive(Debug)]
 struct CacheState {
-    epoch: u64,
+    epochs: Epochs,
     lru: LruCache<QueryKey, QueryResult>,
 }
 
@@ -149,6 +176,7 @@ struct Counters {
     coalesced: AtomicU64,
     rejected: AtomicU64,
     computed: AtomicU64,
+    recomputed: AtomicU64,
     inflight: AtomicU64,
     pool_builds: AtomicU64,
     pool_extends: AtomicU64,
@@ -203,6 +231,8 @@ pub struct ServingStats {
     pub rejected: u64,
     /// Queries that actually computed against the pool (leaders).
     pub computed: u64,
+    /// Realisations the leaders' estimator passes rebuilt.
+    pub recomputed: u64,
     /// Leaders computing right now (a gauge, not a counter).
     pub inflight: u64,
     /// Pools built from scratch.
@@ -295,7 +325,7 @@ impl SharedEngine {
         SharedEngine {
             state: RwLock::new(ResidentState::default()),
             cache: Mutex::new(CacheState {
-                epoch: 0,
+                epochs: Epochs::default(),
                 lru: LruCache::new(256),
             }),
             inflight: Mutex::new(HashMap::new()),
@@ -329,9 +359,9 @@ impl SharedEngine {
     /// Sets the LRU result-cache capacity (entries are dropped). Capacity
     /// `0` disables result caching: every query recomputes.
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        let epoch = lock_unpoisoned(&self.cache).epoch;
+        let epochs = lock_unpoisoned(&self.cache).epochs;
         self.cache = Mutex::new(CacheState {
-            epoch,
+            epochs,
             lru: LruCache::new(capacity),
         });
         self
@@ -407,6 +437,7 @@ impl SharedEngine {
             coalesced: c.coalesced.load(Relaxed),
             rejected: c.rejected.load(Relaxed),
             computed: c.computed.load(Relaxed),
+            recomputed: c.recomputed.load(Relaxed),
             inflight: c.inflight.load(Relaxed),
             pool_builds: c.pool_builds.load(Relaxed),
             pool_extends: c.pool_extends.load(Relaxed),
@@ -447,13 +478,24 @@ impl SharedEngine {
         self.metrics.retry_after_ms()
     }
 
-    /// Clears the cache and re-tags it with the (already bumped) epoch.
+    /// Bumps the epoch of `backend` — of both backends for `None`, when
+    /// the graph changes — and evicts the cached answers it invalidates.
     /// Callers hold the state write lock, which is the intended nesting
     /// order (state → cache); the query path never holds both at once.
-    fn reset_cache(&self, epoch: u64) {
+    fn invalidate(&self, state: &mut ResidentState, backend: Option<PoolBackend>) {
         let mut cache = lock_unpoisoned(&self.cache);
-        cache.lru.clear();
-        cache.epoch = epoch;
+        match backend {
+            Some(backend) => {
+                state.epochs.bump(backend);
+                cache.lru.retain(|key| key.backend() != backend);
+            }
+            None => {
+                state.epochs.bump(PoolBackend::Forward);
+                state.epochs.bump(PoolBackend::Sketch);
+                cache.lru.clear();
+            }
+        }
+        cache.epochs = state.epochs;
     }
 
     /// Installs a graph, dropping any previous pool and cached results.
@@ -469,8 +511,7 @@ impl SharedEngine {
             state.pool_info = None;
             state.sketch = None;
             state.sketch_info = None;
-            state.epoch += 1;
-            self.reset_cache(state.epoch);
+            self.invalidate(&mut state, None);
         }
         self.counters.graph_loads.fetch_add(1, Relaxed);
         self.metrics
@@ -486,9 +527,12 @@ impl SharedEngine {
     /// * the resident pool has the same seed, a smaller θ and an
     ///   extendable (raw, heap) arena → grown in place with
     ///   [`SamplePool::extend_to`] (bit-identical to a fresh θ build; the
-    ///   cache is invalidated because answers may change),
+    ///   forward answers are evicted because they may change),
     /// * anything else — including a growing request against a compressed
-    ///   or mapped pool → sampled from scratch (cache invalidated).
+    ///   or mapped pool → sampled from scratch (forward answers evicted).
+    ///
+    /// Cached `ris-greedy` answers survive either way: their sketch pool
+    /// did not change.
     ///
     /// Queries in flight keep their own `Arc` to the old pool; the extend
     /// and rebuild paths wait for those references to drain before
@@ -544,19 +588,17 @@ impl SharedEngine {
                 PoolProvenance::Extended { from_theta },
             );
             state.pool_info = Some(info.clone());
-            state.epoch += 1;
-            self.reset_cache(state.epoch);
+            self.invalidate(&mut state, Some(PoolBackend::Forward));
             self.counters.pool_extends.fetch_add(1, Relaxed);
             return Ok((info, PoolAction::Extended));
         }
         // Rebuild: release the superseded pool (after its readers drain)
-        // *before* sampling the new one, and invalidate the cache at the
-        // same moment — those answers belonged to the old pool, which is
-        // about to stop existing.
+        // *before* sampling the new one, and evict its answers at the same
+        // moment — they belonged to the old pool, which is about to stop
+        // existing.
         if let Some(old) = state.pool.take() {
             state.pool_info = None;
-            state.epoch += 1;
-            self.reset_cache(state.epoch);
+            self.invalidate(&mut state, Some(PoolBackend::Forward));
             drain_to_exclusive(&old);
             drop(old);
         }
@@ -565,8 +607,7 @@ impl SharedEngine {
         let info = PoolInfo::for_pool(&pool, self.threads, build.elapsed(), PoolProvenance::Built);
         state.pool = Some(Arc::new(pool));
         state.pool_info = Some(info.clone());
-        state.epoch += 1;
-        self.reset_cache(state.epoch);
+        self.invalidate(&mut state, Some(PoolBackend::Forward));
         self.counters.pool_builds.fetch_add(1, Relaxed);
         Ok((info, PoolAction::Built))
     }
@@ -575,8 +616,9 @@ impl SharedEngine {
     /// the `POOL … backend=sketch` counterpart of
     /// [`SharedEngine::ensure_pool`], executed exclusively. A matching
     /// resident sketch pool is a no-op that keeps the cache; anything else
-    /// rebuilds from scratch (sketch pools never extend in place). The
-    /// forward pool, if any, stays resident untouched. In-flight
+    /// rebuilds from scratch (sketch pools never extend in place) and
+    /// evicts the cached `ris-greedy` answers. The forward pool, if any,
+    /// stays resident untouched, and so do its cached answers. In-flight
     /// `ris-greedy` queries keep their own `Arc` to the old sketch pool;
     /// the rebuild waits for those references to drain before releasing the
     /// arenas, so peak memory stays at one sketch pool.
@@ -618,12 +660,11 @@ impl SharedEngine {
             }
         }
         // Release the superseded sketch pool (after its readers drain)
-        // before building the new one, and invalidate the cache — cached
-        // `ris-greedy` answers belonged to the old sketches.
+        // before building the new one, and evict the cached `ris-greedy`
+        // answers — they belonged to the old sketches.
         if let Some(old) = state.sketch.take() {
             state.sketch_info = None;
-            state.epoch += 1;
-            self.reset_cache(state.epoch);
+            self.invalidate(&mut state, Some(PoolBackend::Sketch));
             drain_to_exclusive(&old);
             drop(old);
         }
@@ -637,8 +678,7 @@ impl SharedEngine {
         );
         state.sketch = Some(Arc::new(sketch));
         state.sketch_info = Some(info.clone());
-        state.epoch += 1;
-        self.reset_cache(state.epoch);
+        self.invalidate(&mut state, Some(PoolBackend::Sketch));
         self.counters.sketch_builds.fetch_add(1, Relaxed);
         Ok((info, PoolAction::Built))
     }
@@ -765,8 +805,7 @@ impl SharedEngine {
             state.pool_info = Some(info.clone());
             state.sketch = None;
             state.sketch_info = None;
-            state.epoch += 1;
-            self.reset_cache(state.epoch);
+            self.invalidate(&mut state, None);
         }
         self.counters.graph_loads.fetch_add(1, Relaxed);
         self.counters.snapshot_restores.fetch_add(1, Relaxed);
@@ -873,21 +912,27 @@ impl SharedEngine {
             hit.trace_id = trace_id;
             return Ok(hit);
         }
-        // Snapshot the resident pair (and its epoch) before registering in
-        // the single-flight map, so rejected queries never leave a slot
-        // behind. Only the backend the algorithm runs on is cloned —
-        // `ris-greedy` takes the sketch pool, everything else the forward
-        // pool — so the other backend can be swapped mid-compute freely.
+        // Snapshot the resident pair (and its backend's epoch) before
+        // registering in the single-flight map, so rejected queries never
+        // leave a slot behind. Only the backend the algorithm runs on is
+        // cloned — `ris-greedy` takes the sketch pool, everything else the
+        // forward pool — so the other backend can be swapped mid-compute
+        // freely.
         let clone_start = Instant::now();
+        let backend = key.backend();
         let (graph, pool, sketch, epoch) = {
             let state = read_unpoisoned(&self.state);
             let graph = state.graph.clone().ok_or(EngineError::NoGraph)?;
-            if query.algorithm == AlgorithmKind::RisGreedy {
-                let sketch = state.sketch.clone().ok_or(EngineError::NoSketchPool)?;
-                (graph, None, Some(sketch), state.epoch)
-            } else {
-                let pool = state.pool.clone().ok_or(EngineError::NoPool)?;
-                (graph, Some(pool), None, state.epoch)
+            let epoch = state.epochs.get(backend);
+            match backend {
+                PoolBackend::Sketch => {
+                    let sketch = state.sketch.clone().ok_or(EngineError::NoSketchPool)?;
+                    (graph, None, Some(sketch), epoch)
+                }
+                PoolBackend::Forward => {
+                    let pool = state.pool.clone().ok_or(EngineError::NoPool)?;
+                    (graph, Some(pool), None, epoch)
+                }
             }
         };
         let clone_us = clone_start.elapsed().as_micros() as u64;
@@ -975,10 +1020,13 @@ impl SharedEngine {
                     .algorithm(query.algorithm)
                     .record_us(compute_us);
                 if let Ok(result) = &outcome {
+                    self.counters
+                        .recomputed
+                        .fetch_add(result.recomputed as u64, Relaxed);
                     let mut cache = lock_unpoisoned(&self.cache);
                     // Only cache answers for the pool that is *still*
-                    // resident: a swap mid-compute bumped the epoch.
-                    if cache.epoch == epoch {
+                    // resident: a swap mid-compute bumped its epoch.
+                    if cache.epochs.get(backend) == epoch {
                         cache.lru.insert(key.clone(), result.clone());
                     }
                 }
@@ -1018,7 +1066,7 @@ pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use imin_core::ArenaKind;
+    use imin_core::{AlgorithmKind, ArenaKind};
     use imin_graph::{generators, VertexId};
     use std::sync::Barrier;
 
@@ -1193,6 +1241,33 @@ pub(crate) mod tests {
         let (info, action) = engine.ensure_pool(350, 6).unwrap();
         assert_eq!(action, PoolAction::Extended);
         assert_eq!(info.theta, 350);
+    }
+
+    #[test]
+    fn each_backend_evicts_only_its_own_cached_answers() {
+        let engine = primed(200);
+        engine.ensure_sketch_pool(300, 7).unwrap();
+        let forward = query(2, 3);
+        let sketch = Query {
+            algorithm: AlgorithmKind::RisGreedy,
+            ..query(2, 3)
+        };
+        engine.query(&forward).unwrap();
+        engine.query(&sketch).unwrap();
+        assert_eq!(engine.cache_entries(), 2);
+        // A forward rebuild, then an extension: the sketch answer stays.
+        for theta in [200, 260] {
+            engine.ensure_pool(theta, 6).unwrap();
+            assert!(engine.query(&sketch).unwrap().from_cache, "θ={theta}");
+            assert!(!engine.query(&forward).unwrap().from_cache, "θ={theta}");
+        }
+        // A sketch rebuild keeps the forward answer and drops its own.
+        engine.ensure_sketch_pool(300, 8).unwrap();
+        assert!(engine.query(&forward).unwrap().from_cache);
+        assert!(!engine.query(&sketch).unwrap().from_cache);
+        // A new graph drops both.
+        engine.load_graph(wc_graph(300, 11), "again".into());
+        assert_eq!(engine.cache_entries(), 0);
     }
 
     #[test]

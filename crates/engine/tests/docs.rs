@@ -50,6 +50,8 @@ fn protocol_doc_covers_the_documented_reply_fields() {
         "backend=sketch",
         "intervention unsupported",
         "backend unsupported",
+        "recomputed=",
+        "imin_realisations_recomputed_total",
     ] {
         assert!(
             doc.contains(needle),

@@ -172,6 +172,20 @@ fn trace_replies_and_metrics_work_over_real_tcp() {
     ] {
         assert!(reply.contains(key), "missing phase '{key}' in {reply}");
     }
+    // The realisations the kernel rebuilt: the first pass rebuilds all θ,
+    // the second only those the first pick can change.
+    let field = |key: &str| -> usize {
+        let value = imin_engine::protocol::payload_field(&reply, key);
+        value
+            .unwrap_or_else(|| panic!("no {key}= in {reply}"))
+            .parse()
+            .unwrap()
+    };
+    let (recomputed, samples) = (field("recomputed"), field("samples"));
+    assert!(
+        (300..=samples).contains(&recomputed),
+        "recomputed={recomputed} must lie in [θ, samples={samples}]"
+    );
 
     // The identical query again: a cache hit, still carrying the original
     // computation's phase breakdown.
@@ -186,6 +200,7 @@ fn trace_replies_and_metrics_work_over_real_tcp() {
         .send_raw("QUERY ic seeds=2 budget=2 alg=advanced")
         .unwrap();
     assert!(!reply.contains("trace_id="), "{reply}");
+    assert!(!reply.contains("recomputed="), "{reply}");
 
     // METRICS over the wire: framed as OK lines=<n>, parses as exposition.
     let body = client.metrics().expect("metrics");
@@ -198,6 +213,19 @@ fn trace_replies_and_metrics_work_over_real_tcp() {
         "three queries must show in the verb histogram: {body}"
     );
     assert!(body.contains("imin_queries_total 3"), "{body}");
+    assert!(
+        body.contains("# TYPE imin_realisations_recomputed_total counter"),
+        "{body}"
+    );
+    let counted = body
+        .lines()
+        .find_map(|l| l.strip_prefix("imin_realisations_recomputed_total "))
+        .and_then(|v| v.parse::<u64>().ok())
+        .expect("recomputed counter sample");
+    assert!(
+        (600..=1200).contains(&counted),
+        "two computed budget-2 queries on θ=300 rebuild between 2θ and 4θ: {counted}"
+    );
     assert!(
         body.contains("imin_algorithm_compute_seconds_count{algorithm=\"advanced\"} 2"),
         "{body}"
