@@ -17,10 +17,16 @@
 //! A pass need not re-price from scratch. [`Pricer::set`] tells the pricer
 //! what each pick or replacement changed, and the pooled pricers hand that
 //! to the ledger of the kernel (`pool.rs`), so every pass after the first
-//! rebuilds only the realisations the change can affect. [`Priced`]
-//! reports both counts: `stats.samples_drawn` keeps counting θ per pass,
-//! as the replies' `samples=` always has, and `stats.samples_rebuilt`
-//! counts the realisations actually rebuilt.
+//! rebuilds only the realisations the change can affect, from the cascades
+//! the first pass recorded. [`Priced`] reports the counts:
+//! `stats.samples_drawn` keeps counting θ per pass, as the replies'
+//! `samples=` always has, `stats.samples_rebuilt` counts the realisations
+//! actually rebuilt and `stats.samples_replayed` those rebuilt from a
+//! record.
+//!
+//! Algorithm 4's out-neighbour phase chooses among a handful of listed
+//! candidates, so it prices them one by one ([`Pricer::offer`]) instead of
+//! scanning every offer of the pass.
 
 use crate::advanced_greedy::fresh_advanced_greedy_with;
 use crate::decrease::{decrease_es_multi_in, DecreaseConfig, DecreaseEstimate};
@@ -94,12 +100,14 @@ pub(crate) fn solve(
 }
 
 /// What one estimator pass cost: the θ cascades its estimate stands on,
-/// and how many of them it rebuilt (all of them, unless a ledger kept the
-/// rest from the previous pass).
+/// how many of them it rebuilt (all of them, unless a ledger kept the rest
+/// from the previous pass), and how many of those rebuilds it replayed
+/// from the ledger's records instead of the pool.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Priced {
     pub(crate) samples: usize,
     pub(crate) rebuilt: usize,
+    pub(crate) replayed: usize,
 }
 
 /// One estimator pass under the current treatment, and the candidates it
@@ -111,6 +119,8 @@ pub(crate) trait Pricer {
     fn price(&mut self) -> Result<Priced>;
     /// Visits every candidate the last pass offers, with its score.
     fn offers(&self, visit: impl FnMut(Self::Candidate, f64));
+    /// The score of `c` if the last pass offers it.
+    fn offer(&self, c: Self::Candidate) -> Option<f64>;
     /// Spread estimate of the last pass.
     fn spread(&self) -> f64;
     /// Spread estimate of the last pass once `c` is treated too.
@@ -172,26 +182,45 @@ impl<C> Plan<'_, C> {
     }
 }
 
-/// The highest-scoring candidate `allow` accepts, ties broken towards the
-/// smallest; with `prefer`, only preferred ones while any of them scores.
-/// The scan is the `select` phase of the caller's span.
+/// Visits every offer of the last pass, or with `listed` only the listed
+/// candidates it offers.
+fn each_offer<P: Pricer>(
+    pricer: &P,
+    listed: Option<&[P::Candidate]>,
+    mut visit: impl FnMut(P::Candidate, f64),
+) {
+    match listed {
+        None => pricer.offers(visit),
+        Some(listed) => {
+            for &c in listed {
+                if let Some(score) = pricer.offer(c) {
+                    visit(c, score);
+                }
+            }
+        }
+    }
+}
+
+/// The highest-scoring offer, among the `listed` candidates when given,
+/// ties broken towards the smallest; with `prefer`, only preferred ones
+/// while any of them scores. The scan is the `select` phase of the
+/// caller's span.
 fn best<P: Pricer>(
     pricer: &P,
     prefer: Option<&dyn Fn(P::Candidate) -> bool>,
-    allow: impl Fn(P::Candidate) -> bool,
+    listed: Option<&[P::Candidate]>,
 ) -> Option<P::Candidate> {
     let start = imin_obs::span::active().then(Instant::now);
     let mut scores = false;
     if let Some(prefer) = prefer {
-        pricer.offers(|c, score| scores |= score > 0.0 && prefer(c));
+        each_offer(pricer, listed, |c, score| {
+            scores |= score > 0.0 && prefer(c)
+        });
     }
     let mut best: Option<(f64, P::Candidate)> = None;
-    pricer.offers(|c, score| {
+    each_offer(pricer, listed, |c, score| {
         let preferred = !scores || prefer.is_some_and(|prefer| prefer(c));
-        if allow(c)
-            && preferred
-            && best.is_none_or(|(top, b)| score > top || (score == top && c < b))
-        {
+        if preferred && best.is_none_or(|(top, b)| score > top || (score == top && c < b)) {
             best = Some((score, c));
         }
     });
@@ -215,20 +244,22 @@ impl<C: Copy + Ord> Greedy<C> {
         let priced = pricer.price()?;
         self.stats.samples_drawn += priced.samples;
         self.stats.samples_rebuilt += priced.rebuilt;
+        self.stats.samples_replayed += priced.replayed;
         Ok(())
     }
 
-    /// One pick: a pass, then the best candidate `allow` accepts.
+    /// One pick: a pass, then the best offer, among the `listed`
+    /// candidates when given.
     fn pick<P: Pricer<Candidate = C>>(
         &mut self,
         pricer: &mut P,
         plan: &Plan<'_, C>,
-        allow: impl Fn(C) -> bool,
+        listed: Option<&[C]>,
     ) -> Result<Option<C>> {
         let calls = plan.rounds == Rounds::Calls;
         self.stats.rounds += usize::from(calls);
         self.price(pricer)?;
-        let Some(c) = best(pricer, plan.prefer, allow) else {
+        let Some(c) = best(pricer, plan.prefer, listed) else {
             if !calls {
                 self.spread = Some(pricer.spread());
             }
@@ -255,17 +286,17 @@ pub(crate) fn run<P: Pricer>(
         spread: None,
         stats: SelectionStats::default(),
     };
-    // Algorithm 4, phase 1: the seeds' out-neighbours first.
+    // Algorithm 4, phase 1: the seeds' out-neighbours first, priced
+    // directly rather than found among all n offers.
     let mut first = plan.first.clone();
     for _ in 0..first.len().min(budget) {
-        let allow = |c| first.binary_search(&c).is_ok();
-        let Some(c) = run.pick(pricer, plan, allow)? else {
+        let Some(c) = run.pick(pricer, plan, Some(&first))? else {
             break;
         };
         first.retain(|&x| x != c);
     }
     // Algorithm 3's rounds, or Algorithm 4's fill.
-    while run.picks.len() < budget && run.pick(pricer, plan, |_| true)?.is_some() {}
+    while run.picks.len() < budget && run.pick(pricer, plan, None)?.is_some() {}
     // Algorithm 4, phase 2: replace each pick, last first, until one stays.
     if plan.replace {
         for idx in (0..run.picks.len()).rev() {
@@ -273,7 +304,7 @@ pub(crate) fn run<P: Pricer>(
             pricer.set(old, false);
             run.stats.rounds += 1;
             run.price(pricer)?;
-            let Some(c) = best(pricer, plan.prefer, |_| true) else {
+            let Some(c) = best(pricer, plan.prefer, None) else {
                 pricer.set(old, true);
                 break;
             };
@@ -319,9 +350,9 @@ impl SeedSchedule {
 }
 
 /// One vertex-mask estimator pass: treated vertices in, Algorithm 2 written
-/// into the estimate, the number of cascades rebuilt out.
+/// into the estimate, what the pass cost out.
 type VertexPass<'a> =
-    Box<dyn FnMut(&[bool], &mut PoolWorkspace, &mut DecreaseEstimate) -> Result<usize> + 'a>;
+    Box<dyn FnMut(&[bool], &mut PoolWorkspace, &mut DecreaseEstimate) -> Result<Priced> + 'a>;
 
 /// Prices vertices — blockers or prebunk targets — with a per-vertex
 /// credit pass. Seeds, forbidden and treated vertices are never offered;
@@ -400,7 +431,11 @@ impl<'a> VertexPricer<'a> {
                 seed,
             };
             *est = decrease_es_multi_in(sampler, graph, request.seeds(), blocked, &config, ws)?;
-            Ok(theta)
+            Ok(Priced {
+                samples: theta,
+                rebuilt: theta,
+                replayed: 0,
+            })
         };
         let (n, seeds, forbidden) = (graph.num_vertices(), request.seeds(), request.forbidden());
         Self::new(workspace, n, seeds, forbidden.mask(), Box::new(pass))
@@ -426,11 +461,7 @@ impl Pricer for VertexPricer<'_> {
     type Candidate = VertexId;
 
     fn price(&mut self) -> Result<Priced> {
-        let rebuilt = (self.pass)(&self.treated, self.workspace, &mut self.estimate)?;
-        Ok(Priced {
-            samples: self.estimate.samples,
-            rebuilt,
-        })
+        (self.pass)(&self.treated, self.workspace, &mut self.estimate)
     }
 
     fn offers(&self, mut visit: impl FnMut(VertexId, f64)) {
@@ -439,6 +470,11 @@ impl Pricer for VertexPricer<'_> {
                 visit(VertexId::new(v), delta);
             }
         }
+    }
+
+    fn offer(&self, v: VertexId) -> Option<f64> {
+        let v = v.index();
+        self.eligible(v).then(|| self.estimate.delta[v])
     }
 
     fn spread(&self) -> f64 {

@@ -185,9 +185,9 @@ fn prebunk_coin(pool_seed: u64, sample_idx: u64, src: u32, dst: u32) -> u64 {
 
 /// Edge blocking: drops the deleted edges. `deleted_src` marks their
 /// sources, so only edges leaving such a vertex pay for the set lookup.
-struct DeletedEdges<'a> {
-    deleted: &'a HashSet<(u32, u32)>,
-    deleted_src: &'a [bool],
+pub(crate) struct DeletedEdges<'a> {
+    pub(crate) deleted: &'a HashSet<(u32, u32)>,
+    pub(crate) deleted_src: &'a [bool],
 }
 
 impl EdgeFilter for DeletedEdges<'_> {
@@ -199,14 +199,14 @@ impl EdgeFilter for DeletedEdges<'_> {
 
 /// Prebunking: a live edge into a prebunked vertex survives only when its
 /// `α`-coin for this realisation falls below the acceptance threshold.
-struct PrebunkCoins<'a> {
+pub(crate) struct PrebunkCoins<'a> {
     prebunked: &'a [bool],
     keep_threshold: u64,
     pool_seed: u64,
 }
 
 impl<'a> PrebunkCoins<'a> {
-    fn new(pool: &SamplePool, prebunked: &'a [bool], alpha: f64) -> Self {
+    pub(crate) fn new(pool: &SamplePool, prebunked: &'a [bool], alpha: f64) -> Self {
         PrebunkCoins {
             prebunked,
             keep_threshold: alpha_threshold(alpha),
@@ -303,17 +303,18 @@ impl Pricer for EdgePricer<'_> {
             pool: self.pool,
             filter,
         };
-        let rebuilt = edge_credit(&source, self.threads, self.workspace);
-        Ok(Priced {
-            samples: self.pool.theta(),
-            rebuilt,
-        })
+        Ok(edge_credit(&source, self.threads, self.workspace))
     }
 
     fn offers(&self, mut visit: impl FnMut((u32, u32), f64)) {
         for (&edge, &credit) in self.workspace.edge_credit() {
             visit(edge, credit as f64);
         }
+    }
+
+    fn offer(&self, edge: (u32, u32)) -> Option<f64> {
+        let credit = self.workspace.edge_credit().get(&edge);
+        credit.map(|&credit| credit as f64)
     }
 
     fn spread(&self) -> f64 {
@@ -1035,7 +1036,8 @@ mod tests {
     }
 
     /// A pricer that, after every pass, prices the same treatment from
-    /// scratch and requires the offers and the spread bit for bit.
+    /// scratch and requires the offers and the spread bit for bit, and
+    /// each candidate's own offer to agree with them.
     struct Checked<P: Pricer, R> {
         inner: P,
         treatment: BTreeSet<P::Candidate>,
@@ -1065,12 +1067,23 @@ mod tests {
             let label = &self.label;
             assert!(offers == expected, "{label}: offers differ from scratch");
             assert_eq!(self.inner.spread().to_bits(), spread, "{label}: spread");
+            for &(c, score) in &offers {
+                let offer = self.inner.offer(c).map(f64::to_bits);
+                assert_eq!(offer, Some(score), "{label}: one offer");
+            }
+            for &c in &self.treatment {
+                assert_eq!(self.inner.offer(c), None, "{label}: a treated offer");
+            }
             assert!(priced.rebuilt <= priced.samples, "{label}");
             Ok(priced)
         }
 
         fn offers(&self, visit: impl FnMut(P::Candidate, f64)) {
             self.inner.offers(visit);
+        }
+
+        fn offer(&self, c: P::Candidate) -> Option<f64> {
+            self.inner.offer(c)
         }
 
         fn spread(&self) -> f64 {
@@ -1115,6 +1128,41 @@ mod tests {
             .stats
     }
 
+    /// Treats the best offer three times, then untreats the three picks
+    /// first pick first, with every pass checked against `reference`: an
+    /// unpick must bring back whatever any earlier pick cut, which
+    /// GreedyReplace's sweep, last pick first, seldom reaches.
+    fn checked_unpicks<P: Pricer>(
+        inner: P,
+        reference: impl FnMut(&BTreeSet<P::Candidate>) -> Scored<P::Candidate>,
+        label: String,
+    ) {
+        let mut pricer = Checked {
+            inner,
+            treatment: BTreeSet::new(),
+            reference,
+            label,
+        };
+        let mut picks = Vec::new();
+        for _ in 0..3 {
+            pricer.price().unwrap();
+            let mut best: Option<(f64, P::Candidate)> = None;
+            pricer.offers(|c, score| {
+                if best.is_none_or(|(top, b)| score > top || (score == top && c < b)) {
+                    best = Some((score, c));
+                }
+            });
+            let Some((_, c)) = best else { break };
+            pricer.set(c, true);
+            picks.push(c);
+        }
+        for c in picks {
+            pricer.price().unwrap();
+            pricer.set(c, false);
+        }
+        pricer.price().unwrap();
+    }
+
     /// The vertex offers and spread of a from-scratch estimate: every
     /// vertex but the seeds, the forbidden and the treated ones.
     fn vertex_offers(
@@ -1137,9 +1185,12 @@ mod tests {
     /// driven round by round on raw, compressed and mapped arenas at 1, 2
     /// and 4 threads, and after every pass its ledger-updated offers and
     /// spread must equal a from-scratch pass under the same treatment, bit
-    /// for bit. The ledger must save work on these questions, and one
-    /// question whose ledger outgrows [`LEDGER_CAP_BYTES`] must rebuild
-    /// every realisation of every pass and still match.
+    /// for bit; so must a scripted run per family that takes back its
+    /// picks first pick first. The ledger must save work on these
+    /// questions, every rebuild after a question's first pass must be a
+    /// replay of that pass's recorded cascade, and one question whose
+    /// ledger outgrows [`LEDGER_CAP_BYTES`] must rebuild every realisation
+    /// of every pass from the arena, replay none, and still match.
     #[test]
     fn ledger_rounds_match_from_scratch_passes() {
         let g = wc_pa(600, 23);
@@ -1181,6 +1232,9 @@ mod tests {
                     };
                     stats.push(checked_run(pricer, blocked, 4, &plan, label("vertex")));
                 }
+                let ws = &mut PoolWorkspace::new();
+                let pricer = VertexPricer::pooled(pool, &seeds, &forbidden, threads, ws).unwrap();
+                checked_unpicks(pricer, blocked, label("vertex unpicks"));
                 for alpha in [0.0, 0.2, 1.0] {
                     let prebunked = |treated: &BTreeSet<VertexId>| {
                         let mut mask = vec![false; n];
@@ -1196,6 +1250,14 @@ mod tests {
                         let family = format!("prebunk:{alpha}");
                         stats.push(checked_run(pricer, prebunked, 3, &plan, label(&family)));
                     }
+                    let ws = &mut PoolWorkspace::new();
+                    let pricer =
+                        prebunk_pricer(pool, &seeds, &forbidden, alpha, threads, ws).unwrap();
+                    checked_unpicks(
+                        pricer,
+                        prebunked,
+                        label(&format!("prebunk:{alpha} unpicks")),
+                    );
                 }
                 let deleted = |treated: &BTreeSet<(u32, u32)>| {
                     let ws = &mut PoolWorkspace::new();
@@ -1227,6 +1289,17 @@ mod tests {
                     let ws = &mut PoolWorkspace::new();
                     let pricer = EdgePricer::new(pool, &seeds, threads, ws).unwrap();
                     stats.push(checked_run(pricer, deleted, 3, &plan, label("edge")));
+                }
+                let ws = &mut PoolWorkspace::new();
+                let pricer = EdgePricer::new(pool, &seeds, threads, ws).unwrap();
+                checked_unpicks(pricer, deleted, label("edge unpicks"));
+                for s in &stats {
+                    assert_eq!(
+                        s.samples_replayed,
+                        s.samples_rebuilt - pool.theta(),
+                        "{}: every rebuild after the first pass is a replay",
+                        label("")
+                    );
                 }
                 drawn += stats.iter().map(|s| s.samples_drawn).sum::<usize>();
                 rebuilt += stats.iter().map(|s| s.samples_rebuilt).sum::<usize>();
@@ -1265,6 +1338,10 @@ mod tests {
             stats.samples_rebuilt,
             2 * 64,
             "over the cap, every pass is full"
+        );
+        assert_eq!(
+            stats.samples_replayed, 0,
+            "over the cap, nothing is replayed"
         );
     }
 

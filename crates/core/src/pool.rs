@@ -58,6 +58,21 @@
 //! records) is dropped, and the query prices every round with full
 //! passes.
 //!
+//! The first pass also records each realisation's cascade as its BFS left
+//! it — the reached vertices' global ids, and the live edges out of them
+//! in local ids and arena order — and every later rebuild, for a pick, an
+//! edge deletion, a prebunk or GreedyReplace's unpick alike, runs the same
+//! filtered BFS over that record instead of over the arena. Replay is
+//! exact for the reason the index is complete: the record was taken
+//! untreated, and a treatment only removes edges, so every vertex a later
+//! BFS expands was reached then, with all its live out-edges stored in
+//! arena order; the filter sees the same edges in the same order, and the
+//! cascade, its dominator tree and its credit come out byte-identical to
+//! an arena rebuild. Records are written once, each worker into its own
+//! share, and only read afterwards, so any worker replays any realisation
+//! without a lock; their bytes count toward the cap. A question thus reads
+//! each realisation from the arena once, in its first pass.
+//!
 //! ## Storage backends
 //!
 //! Live-edge storage goes through a `PoolArena`: the
@@ -77,16 +92,18 @@
 //! same integers, hence byte-identical blocker selections at every thread
 //! count. A ledger round subtracts a rebuilt realisation's recorded
 //! credit and adds its new credit in the same integers, and which
-//! realisations it rebuilds depends on the index, not on the sharding. The classic path derives one RNG stream per worker thread, so
-//! its output depends (statistically, not just bit-wise) on the thread
-//! count, but is deterministic for each.
+//! realisations it rebuilds depends on the index, not on the sharding;
+//! a replayed cascade is the same whichever worker recorded it. The
+//! classic path derives one RNG stream per worker thread, so its output
+//! depends (statistically, not just bit-wise) on the thread count, but is
+//! deterministic for each.
 
 use crate::arena::{
     encode_sample, ArenaBacking, ArenaKind, Blob, CompressedArena, PoolArena, RawArena, SampleView,
     Words,
 };
 use crate::decrease::DecreaseEstimate;
-use crate::greedy::{self, Plan, VertexPricer};
+use crate::greedy::{self, Plan, Priced, VertexPricer};
 use crate::sampler::{CompactSample, SpreadSampler};
 use crate::snapshot::SnapshotError;
 use crate::types::BlockerSelection;
@@ -99,6 +116,7 @@ use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::time::{Duration, Instant};
@@ -607,6 +625,39 @@ impl SamplePool {
     }
 }
 
+/// A fixed multiplicative hasher for the `(u32, u32)` edge keys of the
+/// credit maps. SipHash's keyed rounds buy nothing here: the keys are graph
+/// edges, not chosen by a client, and the sums are `u64`, so map order
+/// never shows in an answer (`greedy::best` breaks ties by the smallest
+/// edge).
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct EdgeHasher(u64);
+
+impl Hasher for EdgeHasher {
+    #[inline]
+    fn write_u32(&mut self, word: u32) {
+        self.0 = (self.0 << 32) | u64::from(word);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = (self.0 << 8) | u64::from(byte);
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The product's high half depends on every key bit; folding it
+        // down spreads both endpoints over the table's bucket index (low
+        // bits) as well as its tag (top bits).
+        let h = self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^ (h >> 32)
+    }
+}
+
+/// Credit summed per live edge `(pred, v)`.
+pub(crate) type EdgeSums = HashMap<(u32, u32), u64, BuildHasherDefault<EdgeHasher>>;
+
 /// Per-worker scratch of the edge credit. Deleting the kept edge `(u, v)`
 /// detaches exactly `v`'s dominator subtree when every other kept edge
 /// into `v` comes from inside that subtree — from a vertex only reachable
@@ -804,12 +855,25 @@ pub(crate) trait CascadeSource: Sync {
         cascade: &mut CompactSample,
         laps: &mut Laps,
     );
+    /// Fills `cascade` with cascade `idx` as [`CascadeSource::fill`] would,
+    /// but from `record`, its untreated cascade kept by the query's ledger;
+    /// `record_of` is scratch. Only a source whose passes share a ledger
+    /// gets here.
+    fn replay<const TIMED: bool>(
+        &self,
+        record: Record<'_>,
+        idx: usize,
+        seeds: &[VertexId],
+        scratch: (&mut CompactSample, &mut Vec<u32>),
+        laps: &mut Laps,
+    );
 }
 
 /// A pool's realisations re-rooted at the seeds, keeping the live edges
 /// `filter` lets through. Neighbour lists are read straight from the
 /// arena view — raw slices, varint streams and bitset walks all feed the
-/// identical BFS, with zero steady-state allocation.
+/// identical BFS, with zero steady-state allocation — or, in a ledger's
+/// later passes, from the realisation's recorded first-pass cascade.
 pub(crate) struct Rerooted<'a, F> {
     pub(crate) pool: &'a SamplePool,
     pub(crate) filter: F,
@@ -845,6 +909,42 @@ impl<F: EdgeFilter> CascadeSource for Rerooted<'_, F> {
                     cascade.push_live(t);
                 }
             });
+            cascade.seal_vertex();
+        }
+        laps.lap::<TIMED>(PN_BFS);
+    }
+
+    /// The same BFS over the record. The record holds, in arena order,
+    /// every live edge out of every vertex the untreated BFS reached, and
+    /// a treatment only removes edges, so each vertex this BFS expands has
+    /// its full live adjacency there: the filter sees the same edges in the
+    /// same order as over the arena, and the cascade comes out identical.
+    fn replay<const TIMED: bool>(
+        &self,
+        record: Record<'_>,
+        idx: usize,
+        seeds: &[VertexId],
+        (cascade, record_of): (&mut CompactSample, &mut Vec<u32>),
+        laps: &mut Laps,
+    ) {
+        cascade.root_at(self.pool.num_vertices, seeds);
+        // The virtual root and the seeds come first in both cascades.
+        record_of.clear();
+        record_of.extend(0..cascade.num_reached() as u32);
+        let mut head = 1;
+        while let Some(&u) = cascade.vertices().get(head) {
+            let local = record_of[head];
+            head += 1;
+            for &t in record.neighbours(local) {
+                let global = record.global(t);
+                if self.filter.keeps(idx, u, global) {
+                    let reached = cascade.num_reached();
+                    cascade.push_live(global);
+                    if cascade.num_reached() > reached {
+                        record_of.push(t);
+                    }
+                }
+            }
             cascade.seal_vertex();
         }
         laps.lap::<TIMED>(PN_BFS);
@@ -893,15 +993,28 @@ impl<S: SpreadSampler + ?Sized> CascadeSource for Sampled<'_, S> {
         sampler.sample_multi(graph, seeds, blocked, rng, cascade);
         laps.lap::<TIMED>(PN_SAMPLE);
     }
+
+    fn replay<const TIMED: bool>(
+        &self,
+        _record: Record<'_>,
+        _idx: usize,
+        _seeds: &[VertexId],
+        _cascade: (&mut CompactSample, &mut Vec<u32>),
+        _laps: &mut Laps,
+    ) {
+        unreachable!("fresh samples differ from call to call, so they keep no ledger")
+    }
 }
 
-/// Bytes of per-realisation records one query's ledger may hold: 16 MiB,
-/// about a million credited cascade vertices at 16 bytes each (an 8-byte
-/// credit entry and an 8-byte index link), plus a 16-byte slot per
-/// realisation. A question whose ledger would outgrow it — hub
-/// seeds on a large pool — prices every round with a full pass instead,
-/// which gives the same answer. The per-worker index heads (4 bytes per
-/// graph vertex) are scratch like the credit sums and are not counted.
+/// Bytes of per-realisation records one query's ledger may hold: 16 MiB.
+/// Each cascade vertex costs 24 bytes (an 8-byte credit entry, an 8-byte
+/// index link and an 8-byte node of the recorded cascade), each recorded
+/// live edge 4, and each realisation two 16-byte slots, so the cap holds
+/// roughly half a million cascade vertices. A question whose ledger would
+/// outgrow it — hub seeds on a large pool — prices every round with a
+/// full pass over the arena instead, which gives the same answer. The
+/// per-worker index heads (4 bytes per graph vertex) are scratch like the
+/// credit sums and are not counted.
 pub(crate) const LEDGER_CAP_BYTES: usize = 16 << 20;
 
 /// End of an index chain.
@@ -1000,6 +1113,116 @@ impl Book {
     }
 }
 
+/// Where one realisation's recorded cascade sits: the worker's records
+/// that hold it, its first node, its node count (the virtual root
+/// included) and its first target.
+#[derive(Clone, Copy, Debug, Default)]
+struct RecordSlot {
+    book: u32,
+    start: u32,
+    len: u32,
+    targets: u32,
+}
+
+/// One worker's share of the cascades a ledger's first pass recorded:
+/// each realisation's untreated cascade as the BFS left it. A worker
+/// writes these only in the first pass, and every worker of every later
+/// pass reads them; nothing is recorded again after a rebuild.
+#[derive(Clone, Debug, Default)]
+struct Records {
+    /// Every local vertex of every cascade, the virtual root first: its
+    /// global id and the end of its live edges in the cascade's targets.
+    nodes: Vec<(u32, u32)>,
+    /// The cascades' live edges in local ids, in arena order.
+    targets: Vec<u32>,
+    /// Where each cascade recorded in the current pass starts, in pass
+    /// order.
+    built: Vec<RecordSlot>,
+}
+
+impl Records {
+    /// Appends `cascade`, and returns the bytes it takes.
+    fn record(&mut self, cascade: &CompactSample) -> usize {
+        self.built.push(RecordSlot {
+            book: 0,
+            start: self.nodes.len() as u32,
+            len: cascade.num_reached() as u32,
+            targets: self.targets.len() as u32,
+        });
+        let ends = cascade.offsets()[1..].iter().copied();
+        self.nodes
+            .extend(cascade.vertices().iter().copied().zip(ends));
+        self.targets.extend_from_slice(cascade.targets());
+        cascade.num_reached() * std::mem::size_of::<(u32, u32)>()
+            + cascade.num_edges() * std::mem::size_of::<u32>()
+    }
+
+    /// The cascade recorded at `slot`.
+    fn get(&self, slot: RecordSlot) -> Record<'_> {
+        let start = slot.start as usize;
+        Record {
+            nodes: &self.nodes[start..start + slot.len as usize],
+            targets: &self.targets[slot.targets as usize..],
+        }
+    }
+}
+
+/// A realisation's recorded untreated cascade.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Record<'a> {
+    nodes: &'a [(u32, u32)],
+    targets: &'a [u32],
+}
+
+impl Record<'_> {
+    /// The live edges out of local vertex `local`, which is not the
+    /// virtual root, in local ids.
+    #[inline]
+    fn neighbours(&self, local: u32) -> &[u32] {
+        let local = local as usize;
+        &self.targets[self.nodes[local - 1].1 as usize..self.nodes[local].1 as usize]
+    }
+
+    /// The global id of local vertex `local`.
+    #[inline]
+    fn global(&self, local: u32) -> u32 {
+        self.nodes[local as usize].0
+    }
+}
+
+/// A worker's part in its query's ledger for one pass.
+enum Tape<'a> {
+    /// No ledger: fill from the source.
+    Off,
+    /// A ledger's first pass: fill from the source, and record each
+    /// cascade and its reached vertices (the index).
+    Record(&'a mut Records),
+    /// A ledger's later pass: refill each cascade from its record.
+    Replay(&'a [Records], &'a [RecordSlot]),
+}
+
+/// One [`Tape`] per worker of a pass in `state`, over the ledger's
+/// `records` and record `slots`.
+fn tapes<'a>(
+    state: LedgerState,
+    records: &'a mut [Records],
+    slots: &'a [RecordSlot],
+) -> impl Iterator<Item = Tape<'a>> {
+    let (write, read): (&mut [Records], &[Records]) = match state {
+        LedgerState::Fill => (records, &[]),
+        _ => (&mut [], records),
+    };
+    let replay = state == LedgerState::Filled;
+    let rest = std::iter::repeat_with(move || {
+        if replay {
+            Tape::Replay(read, slots)
+        } else {
+            Tape::Off
+        }
+    });
+    write.iter_mut().map(Tape::Record).chain(rest)
+}
+
 /// Per-worker scratch of the kernel: the cascade buffers, the
 /// dominator-tree workspace, the integer accumulators of one pass and the
 /// worker's book of the query's ledger.
@@ -1017,13 +1240,15 @@ struct KernelScratch {
     touched: Vec<u32>,
     /// This pass's subtree-size sums per live edge `(pred, v)`, filled by
     /// the edge-credit instantiation instead of `delta_sum`.
-    edge_sum: HashMap<(u32, u32), u64>,
+    edge_sum: EdgeSums,
     reached_sum: u64,
     /// Phase laps of the last `accumulate` call (all zero when it ran
     /// untimed). Workers fill these plain slots; the calling thread folds
     /// them into its `imin_obs` span after the join.
     laps: Laps,
     book: Book,
+    /// The record's local id of each vertex of a replayed cascade.
+    record_of: Vec<u32>,
 }
 
 impl KernelScratch {
@@ -1032,10 +1257,10 @@ impl KernelScratch {
     /// `EDGE_CREDIT` — per live edge into `self.edge_sum` (see
     /// [`EdgeCredit`]). A `full` pass first sizes and zeroes the vertex
     /// sums for a graph of `n` vertices. With `record`, every cascade's
-    /// credit also goes into the worker's book — and on a full pass, the
-    /// first of a ledger, its reached vertices into the index — while the
-    /// query's ledger (whose byte count `record` holds) stays under
-    /// [`LEDGER_CAP_BYTES`].
+    /// credit also goes into the worker's book while the query's ledger
+    /// (whose byte count `record` holds) stays under [`LEDGER_CAP_BYTES`];
+    /// `tape` says where the cascades come from and whether the ledger's
+    /// first pass records them (see [`Tape`]).
     ///
     /// When `timed` is set, the first [`PROFILE_SAMPLES`] cascades run
     /// through the instrumented monomorphisation, which laps every phase
@@ -1053,7 +1278,7 @@ impl KernelScratch {
         (n, full): (usize, bool),
         list: &[u32],
         timed: bool,
-        record: Option<&AtomicUsize>,
+        (record, mut tape): (Option<&AtomicUsize>, Tape<'_>),
     ) {
         if EDGE_CREDIT {
             self.edge_sum.clear();
@@ -1064,6 +1289,9 @@ impl KernelScratch {
         }
         self.reached_sum = 0;
         self.book.built.clear();
+        if let Tape::Record(records) = &mut tape {
+            records.built.clear();
+        }
         self.laps = Laps::default();
         let start = timed.then(Instant::now);
         let profiled = if timed {
@@ -1072,13 +1300,12 @@ impl KernelScratch {
             0
         };
         let (profiled, rest) = list.split_at(profiled);
-        let index = full && record.is_some();
+        let ledger = (record, &mut tape);
         if timed {
-            self.accumulate_impl::<true, EDGE_CREDIT, C>(
-                source, cursor, seeds, profiled, record, index,
-            );
+            self.accumulate_impl::<true, EDGE_CREDIT, C>(source, cursor, seeds, profiled, ledger);
         }
-        self.accumulate_impl::<false, EDGE_CREDIT, C>(source, cursor, seeds, rest, record, index);
+        let ledger = (record, &mut tape);
+        self.accumulate_impl::<false, EDGE_CREDIT, C>(source, cursor, seeds, rest, ledger);
         if let Some(start) = start {
             self.laps.split(start.elapsed());
         }
@@ -1092,8 +1319,7 @@ impl KernelScratch {
         cursor: &mut C::Cursor,
         seeds: &[VertexId],
         list: &[u32],
-        record: Option<&AtomicUsize>,
-        index: bool,
+        (record, tape): (Option<&AtomicUsize>, &mut Tape<'_>),
     ) {
         let KernelScratch {
             cascade,
@@ -1106,13 +1332,21 @@ impl KernelScratch {
             reached_sum,
             laps,
             book,
+            record_of,
         } = self;
         let only_seeds = 1 + seeds.len();
         for &idx in list {
             if TIMED {
                 laps.mark = ticks();
             }
-            source.fill::<TIMED>(cursor, idx as usize, seeds, cascade, laps);
+            if let Tape::Replay(records, slots) = tape {
+                let slot = slots[idx as usize];
+                let record = records[slot.book as usize].get(slot);
+                let scratch = (&mut *cascade, &mut *record_of);
+                source.replay::<TIMED>(record, idx as usize, seeds, scratch, laps);
+            } else {
+                source.fill::<TIMED>(cursor, idx as usize, seeds, cascade, laps);
+            }
             let reached = cascade.num_reached();
             // The virtual root is bookkeeping, not spread.
             *reached_sum += (reached - 1) as u64;
@@ -1151,10 +1385,13 @@ impl KernelScratch {
                 }
             }
             if let Some(bytes) = recording {
-                if index {
+                let mut added = 0;
+                if let Tape::Record(records) = tape {
                     book.index(idx, cascade, only_seeds);
+                    added += records.record(cascade);
                 }
-                bytes.fetch_add(book.close::<EDGE_CREDIT>(mark, reached - 1), Relaxed);
+                added += book.close::<EDGE_CREDIT>(mark, reached - 1);
+                bytes.fetch_add(added, Relaxed);
             }
             laps.lap::<TIMED>(PN_CREDIT);
         }
@@ -1201,6 +1438,10 @@ struct Ledger {
     dirty: Vec<u32>,
     /// Bytes of records held, counted as [`LEDGER_CAP_BYTES`] documents.
     bytes: usize,
+    /// The first pass's cascades, one share per worker book, and where
+    /// each realisation's is.
+    records: Vec<Records>,
+    recorded: Vec<RecordSlot>,
 }
 
 impl Ledger {
@@ -1209,10 +1450,17 @@ impl Ledger {
     fn fill(&mut self, theta: usize, n: usize, workers: &mut [KernelScratch]) {
         self.slots.clear();
         self.slots.resize(theta, Slot::default());
+        self.recorded.clear();
+        self.recorded.resize(theta, RecordSlot::default());
         self.books = workers.len();
-        self.bytes = theta * std::mem::size_of::<Slot>();
+        self.bytes = theta * (std::mem::size_of::<Slot>() + std::mem::size_of::<RecordSlot>());
         for worker in workers {
             worker.book.reset(n);
+        }
+        self.records.resize_with(self.books, Records::default);
+        for records in &mut self.records {
+            records.nodes.clear();
+            records.targets.clear();
         }
     }
 
@@ -1246,17 +1494,24 @@ impl Ledger {
             for worker in &mut workers[..self.books] {
                 worker.book = Book::default();
             }
+            self.records = Vec::new();
             return;
         }
+        let first = self.state == LedgerState::Fill;
         self.state = LedgerState::Filled;
         self.bytes = bytes;
         let shards = workers
             .iter_mut()
             .zip(shard_ranges(self.dirty.len(), active));
         for (book, (worker, range)) in shards.enumerate() {
-            for (slot, &idx) in worker.book.built.iter().zip(&self.dirty[range]) {
-                let book = book as u32;
+            let (dirty, book) = (&self.dirty[range], book as u32);
+            for (slot, &idx) in worker.book.built.iter().zip(dirty) {
                 self.slots[idx as usize] = Slot { book, ..*slot };
+            }
+            if first {
+                for (slot, &idx) in self.records[book as usize].built.iter().zip(dirty) {
+                    self.recorded[idx as usize] = RecordSlot { book, ..*slot };
+                }
             }
         }
     }
@@ -1269,7 +1524,7 @@ struct Sums {
     vertex: Vec<u64>,
     /// Only edges with positive credit: the edge family stops when no
     /// edge earns any.
-    edge: HashMap<(u32, u32), u64>,
+    edge: EdgeSums,
     reached: u64,
     /// Vertices whose sum the current pass changed (with repeats).
     touched: Vec<u32>,
@@ -1439,7 +1694,7 @@ impl PoolWorkspace {
     }
 
     /// The merged per-edge credit of the last [`edge_credit`] pass.
-    pub(crate) fn edge_credit(&self) -> &HashMap<(u32, u32), u64> {
+    pub(crate) fn edge_credit(&self) -> &EdgeSums {
         &self.sums.edge
     }
 
@@ -1470,13 +1725,14 @@ pub(crate) fn check_mask_len(pool: &SamplePool, mask: &[bool]) -> Result<()> {
 /// merged sums are the same at every thread count. `finish` reads them,
 /// with whether the pass rebuilt them from zero, inside the timed merge
 /// window; the phase laps of every worker land in the calling thread's
-/// span, if one is active. Returns the number of cascades rebuilt.
+/// span, if one is active. Returns what the pass cost: θ, the cascades it
+/// rebuilt, and how many of those it replayed from the ledger's records.
 fn run_kernel<const EDGE_CREDIT: bool, C: CascadeSource>(
     source: &C,
     threads: usize,
     workspace: &mut PoolWorkspace,
     finish: impl FnOnce(&Sums, bool),
-) -> usize {
+) -> Priced {
     let theta = source.num_cascades();
     let threads = threads.max(1).min(theta);
     // Sampled on the calling thread: workers collect plain nanosecond
@@ -1511,22 +1767,32 @@ fn run_kernel<const EDGE_CREDIT: bool, C: CascadeSource>(
     let bytes = AtomicUsize::new(ledger.bytes);
     let record = (ledger.state != LedgerState::Off).then_some(&bytes);
     let (dirty, rebuilt) = (&ledger.dirty[..], ledger.dirty.len());
+    let replayed = if full { 0 } else { rebuilt };
+    let tapes = tapes(ledger.state, &mut ledger.records, &ledger.recorded);
     let active = threads.min(rebuilt).max(1);
     let plan_ns = plan_start.map_or(0, |start| start.elapsed().as_nanos() as u64);
     let shared = (n, full);
     if active <= 1 {
+        let mut tapes = tapes;
         let cursor = &mut source.cursor(0, 1);
+        let ledger = (record, tapes.next().expect("one tape per worker"));
         workers[0]
-            .accumulate::<EDGE_CREDIT, C>(source, cursor, seeds, shared, dirty, timed, record);
+            .accumulate::<EDGE_CREDIT, C>(source, cursor, seeds, shared, dirty, timed, ledger);
     } else {
         crossbeam::scope(|scope| {
             let shards = workers.iter_mut().zip(shard_ranges(rebuilt, active));
-            for (t, (worker, range)) in shards.enumerate() {
+            for (t, ((worker, range), tape)) in shards.zip(tapes).enumerate() {
                 scope.spawn(move |_| {
                     let cursor = &mut source.cursor(t, active);
                     let list = &dirty[range];
                     worker.accumulate::<EDGE_CREDIT, C>(
-                        source, cursor, seeds, shared, list, timed, record,
+                        source,
+                        cursor,
+                        seeds,
+                        shared,
+                        list,
+                        timed,
+                        (record, tape),
                     )
                 });
             }
@@ -1554,20 +1820,24 @@ fn run_kernel<const EDGE_CREDIT: bool, C: CascadeSource>(
             span::add_ns(Phase::Credit, plan_ns + start.elapsed().as_nanos() as u64);
         }
     }
-    rebuilt
+    Priced {
+        samples: theta,
+        rebuilt,
+        replayed,
+    }
 }
 
 /// Per-vertex credit pass over `source` for the seed set already staged
 /// in `workspace`: Algorithm 2's estimate written into `estimate`, with
 /// `delta[u]` 0 for seeds and for vertices no cascade reached. A ledger
-/// round rewrites only the entries whose sums it changed. Returns the
-/// number of cascades rebuilt.
+/// round rewrites only the entries whose sums it changed. Returns what the
+/// pass cost.
 pub(crate) fn vertex_credit<C: CascadeSource>(
     source: &C,
     threads: usize,
     workspace: &mut PoolWorkspace,
     estimate: &mut DecreaseEstimate,
-) -> usize {
+) -> Priced {
     let theta = source.num_cascades();
     let inv = 1.0 / theta as f64;
     run_kernel::<false, C>(source, threads, workspace, |sums, full| {
@@ -1588,15 +1858,15 @@ pub(crate) fn vertex_credit<C: CascadeSource>(
 
 /// Per-edge credit pass over `source` for the seed set already staged in
 /// `workspace`: every live edge `(pred, v)` whose deletion detaches `v`
-/// earns `v`'s dominator-subtree size (see [`EdgeCredit`]). Returns the
-/// number of cascades rebuilt; the merged credit is then
+/// earns `v`'s dominator-subtree size (see [`EdgeCredit`]). Returns what
+/// the pass cost; the merged credit is then
 /// [`PoolWorkspace::edge_credit`] and the reached count
 /// [`PoolWorkspace::reached`].
 pub(crate) fn edge_credit<C: CascadeSource>(
     source: &C,
     threads: usize,
     workspace: &mut PoolWorkspace,
-) -> usize {
+) -> Priced {
     run_kernel::<true, C>(source, threads, workspace, |_, _| {})
 }
 
@@ -1834,6 +2104,137 @@ mod tests {
             assert_eq!(gr.blockers, gr_ref.blockers, "GR threads={threads}");
             assert_eq!(gr.estimated_spread, gr_ref.estimated_spread);
         }
+    }
+
+    /// Fills `cascade` with realisation `idx` of `source` from the arena,
+    /// untimed.
+    fn fill_from_arena<F: EdgeFilter>(
+        source: &Rerooted<'_, F>,
+        idx: usize,
+        seeds: &[VertexId],
+        cascade: &mut CompactSample,
+    ) {
+        source.fill::<false>(&mut (), idx, seeds, cascade, &mut Laps::default());
+    }
+
+    /// Replays realisation `idx` of `source` from `record`, requires the
+    /// arena BFS's cascade byte for byte, and says whether the treatment
+    /// cut the recorded cascade.
+    fn check_replay<F: EdgeFilter>(
+        source: &Rerooted<'_, F>,
+        record: Record<'_>,
+        (idx, seeds): (usize, &[VertexId]),
+        label: &str,
+    ) -> bool {
+        let (mut arena, mut replayed) = (CompactSample::default(), CompactSample::default());
+        fill_from_arena(source, idx, seeds, &mut arena);
+        let scratch = (&mut replayed, &mut Vec::new());
+        source.replay::<false>(record, idx, seeds, scratch, &mut Laps::default());
+        assert_eq!(replayed.vertices(), arena.vertices(), "{label}: vertices");
+        assert_eq!(replayed.offsets(), arena.offsets(), "{label}: offsets");
+        assert_eq!(replayed.targets(), arena.targets(), "{label}: targets");
+        replayed.num_edges() < record.nodes.last().map_or(0, |&(_, end)| end as usize)
+    }
+
+    /// Replay is exact: under random treatments of every family — blocked
+    /// vertices, deleted edges, prebunk `α`-coins at α ∈ {0, 0.2, 1} — a
+    /// cascade replayed from a realisation's untreated record equals the
+    /// arena BFS's cascade (vertices, offsets, targets) on raw, compressed
+    /// and mapped arenas.
+    #[test]
+    fn replayed_cascades_equal_arena_cascades() {
+        use crate::intervene::{DeletedEdges, PrebunkCoins};
+        use rand::Rng;
+        use std::collections::HashSet;
+        let mut rng = SmallRng::seed_from_u64(0x5EED_CA5C);
+        let (mut cases, mut cut) = (0, 0);
+        for graph_seed in 0..3u64 {
+            let g = wc_pa(150 + 100 * graph_seed as usize, graph_seed);
+            let n = g.num_vertices();
+            let raw = SamplePool::build_with_threads(&g, 32, graph_seed + 7, 2).unwrap();
+            let compressed = raw.compress(&g, 2).unwrap();
+            let path = std::env::temp_dir().join(format!(
+                "imin-replay-parity-{}-{graph_seed}.iminsnap",
+                std::process::id()
+            ));
+            crate::snapshot::save_snapshot(&path, &g, &raw, "replay").unwrap();
+            let mapped = crate::snapshot::map_snapshot(&path).unwrap().pool;
+            std::fs::remove_file(&path).unwrap();
+            let untreated = vec![false; n];
+            for (arena, pool) in [
+                ("raw", &raw),
+                ("compressed", &compressed),
+                ("mapped", &mapped),
+            ] {
+                for trial in 0..6 {
+                    let mut seeds: Vec<VertexId> = (0..rng.gen_range(1..4usize))
+                        .map(|_| vid(rng.gen_range(0..n)))
+                        .collect();
+                    seeds.sort_unstable();
+                    seeds.dedup();
+                    let p = [0.1, 0.3][trial % 2];
+                    let treated: Vec<bool> = (0..n)
+                        .map(|v| !seeds.contains(&vid(v)) && rng.gen_bool(p))
+                        .collect();
+                    let deleted: HashSet<(u32, u32)> = g
+                        .edges()
+                        .filter(|_| rng.gen_bool(p))
+                        .map(|e| (e.source.raw(), e.target.raw()))
+                        .collect();
+                    let mut deleted_src = vec![false; n];
+                    deleted
+                        .iter()
+                        .for_each(|&(u, _)| deleted_src[u as usize] = true);
+                    let mut records = Records::default();
+                    let mut cascade = CompactSample::default();
+                    let untreated = Rerooted {
+                        pool,
+                        filter: BlockedVertices(&untreated),
+                    };
+                    for idx in 0..pool.theta() {
+                        fill_from_arena(&untreated, idx, &seeds, &mut cascade);
+                        records.record(&cascade);
+                    }
+                    for (idx, &slot) in records.built.iter().enumerate() {
+                        let record = records.get(slot);
+                        let at = |family: &str| format!("{arena} trial {trial} {family} #{idx}");
+                        let case = (idx, &seeds[..]);
+                        let mut check = |cuts: bool| {
+                            cases += 1;
+                            cut += usize::from(cuts);
+                        };
+                        let filter = BlockedVertices(&treated);
+                        check(check_replay(
+                            &Rerooted { pool, filter },
+                            record,
+                            case,
+                            &at("vertex"),
+                        ));
+                        let (deleted, deleted_src) = (&deleted, &deleted_src[..]);
+                        let filter = DeletedEdges {
+                            deleted,
+                            deleted_src,
+                        };
+                        check(check_replay(
+                            &Rerooted { pool, filter },
+                            record,
+                            case,
+                            &at("edge"),
+                        ));
+                        for alpha in [0.0, 0.2, 1.0] {
+                            let filter = PrebunkCoins::new(pool, &treated, alpha);
+                            let family = format!("prebunk:{alpha}");
+                            let source = Rerooted { pool, filter };
+                            check(check_replay(&source, record, case, &at(&family)));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            3 * cut > cases,
+            "treatments must cut many recorded cascades: {cut} of {cases}"
+        );
     }
 
     #[test]

@@ -608,6 +608,7 @@ pub fn sketch_greedy_in(
         stats: SelectionStats {
             samples_drawn: theta_r,
             samples_rebuilt: 0,
+            samples_replayed: 0,
             mcs_rounds_run: 0,
             rounds,
             elapsed: started.elapsed(),

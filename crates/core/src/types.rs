@@ -88,6 +88,10 @@ pub struct SelectionStats {
     /// `samples_drawn`: a pooled greedy round after the first rebuilds only
     /// the realisations its last treatment change can affect.
     pub samples_rebuilt: usize,
+    /// Rebuilt sampled graphs whose cascade the estimator replayed from
+    /// the cascade its query's first pass recorded instead of reading the
+    /// pool again, at most `samples_rebuilt`.
+    pub samples_replayed: usize,
     /// Total number of Monte-Carlo cascade rounds simulated.
     pub mcs_rounds_run: usize,
     /// Number of greedy rounds / replacement rounds executed.
@@ -102,6 +106,7 @@ impl SelectionStats {
     pub fn absorb(&mut self, other: &SelectionStats) {
         self.samples_drawn += other.samples_drawn;
         self.samples_rebuilt += other.samples_rebuilt;
+        self.samples_replayed += other.samples_replayed;
         self.mcs_rounds_run += other.mcs_rounds_run;
         self.rounds += other.rounds;
         self.elapsed += other.elapsed;
@@ -186,6 +191,7 @@ mod tests {
         let mut a = SelectionStats {
             samples_drawn: 10,
             samples_rebuilt: 4,
+            samples_replayed: 3,
             mcs_rounds_run: 20,
             rounds: 1,
             elapsed: Duration::from_millis(5),
@@ -193,6 +199,7 @@ mod tests {
         let b = SelectionStats {
             samples_drawn: 1,
             samples_rebuilt: 1,
+            samples_replayed: 0,
             mcs_rounds_run: 2,
             rounds: 3,
             elapsed: Duration::from_millis(10),
@@ -200,6 +207,7 @@ mod tests {
         a.absorb(&b);
         assert_eq!(a.samples_drawn, 11);
         assert_eq!(a.samples_rebuilt, 5);
+        assert_eq!(a.samples_replayed, 3);
         assert_eq!(a.mcs_rounds_run, 22);
         assert_eq!(a.rounds, 4);
         assert_eq!(a.elapsed, Duration::from_millis(15));

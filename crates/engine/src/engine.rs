@@ -109,6 +109,9 @@ pub struct QueryResult {
     /// passes: at most `samples_consulted`, because a greedy round after
     /// the first rebuilds only those its last pick can change.
     pub recomputed: usize,
+    /// Of those, the realisations rebuilt from the cascade the query's
+    /// first pass recorded, without reading the pool again.
+    pub replayed: usize,
     /// Whether the answer came from the LRU cache.
     pub from_cache: bool,
     /// Wall-clock time to produce (or fetch) the answer.
@@ -389,6 +392,7 @@ pub(crate) fn run_resident(
         rounds: selection.stats.rounds,
         samples_consulted: selection.stats.samples_drawn,
         recomputed: selection.stats.samples_rebuilt,
+        replayed: selection.stats.samples_replayed,
         from_cache: false,
         elapsed: start.elapsed(),
         disposition: Disposition::Computed,

@@ -198,7 +198,7 @@ pub(crate) fn render(engine: &SharedEngine) -> String {
     );
 
     // ---- Counters ---------------------------------------------------------
-    let counters: [(&str, &str, u64); 15] = [
+    let counters: [(&str, &str, u64); 16] = [
         (
             "imin_queries_total",
             "Queries received (cache hits, coalesced and rejected included).",
@@ -228,6 +228,11 @@ pub(crate) fn render(engine: &SharedEngine) -> String {
             "imin_realisations_recomputed_total",
             "Realisations the computed queries' estimator passes rebuilt.",
             stats.recomputed,
+        ),
+        (
+            "imin_realisations_replayed_total",
+            "Rebuilt realisations replayed from a query's recorded first-pass cascade.",
+            stats.replayed,
         ),
         (
             "imin_pool_builds_total",

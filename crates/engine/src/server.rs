@@ -436,10 +436,11 @@ fn run_query(query: &Query, trace: bool, engine: &SharedEngine) -> String {
                     .map(|p| p.render(&imin_obs::QUERY_PHASES))
                     .unwrap_or_else(|| "none".into());
                 reply.push_str(&format!(
-                    " trace_id={} disposition={} phases={phases} recomputed={}",
+                    " trace_id={} disposition={} phases={phases} recomputed={} replayed={}",
                     result.trace_id,
                     result.disposition.as_str(),
-                    result.recomputed
+                    result.recomputed,
+                    result.replayed
                 ));
             }
             reply

@@ -177,6 +177,7 @@ struct Counters {
     rejected: AtomicU64,
     computed: AtomicU64,
     recomputed: AtomicU64,
+    replayed: AtomicU64,
     inflight: AtomicU64,
     pool_builds: AtomicU64,
     pool_extends: AtomicU64,
@@ -233,6 +234,8 @@ pub struct ServingStats {
     pub computed: u64,
     /// Realisations the leaders' estimator passes rebuilt.
     pub recomputed: u64,
+    /// Of those, the realisations rebuilt from a recorded cascade.
+    pub replayed: u64,
     /// Leaders computing right now (a gauge, not a counter).
     pub inflight: u64,
     /// Pools built from scratch.
@@ -438,6 +441,7 @@ impl SharedEngine {
             rejected: c.rejected.load(Relaxed),
             computed: c.computed.load(Relaxed),
             recomputed: c.recomputed.load(Relaxed),
+            replayed: c.replayed.load(Relaxed),
             inflight: c.inflight.load(Relaxed),
             pool_builds: c.pool_builds.load(Relaxed),
             pool_extends: c.pool_extends.load(Relaxed),
@@ -1023,6 +1027,9 @@ impl SharedEngine {
                     self.counters
                         .recomputed
                         .fetch_add(result.recomputed as u64, Relaxed);
+                    self.counters
+                        .replayed
+                        .fetch_add(result.replayed as u64, Relaxed);
                     let mut cache = lock_unpoisoned(&self.cache);
                     // Only cache answers for the pool that is *still*
                     // resident: a swap mid-compute bumped its epoch.

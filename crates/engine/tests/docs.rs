@@ -52,6 +52,8 @@ fn protocol_doc_covers_the_documented_reply_fields() {
         "backend unsupported",
         "recomputed=",
         "imin_realisations_recomputed_total",
+        "replayed=",
+        "imin_realisations_replayed_total",
     ] {
         assert!(
             doc.contains(needle),

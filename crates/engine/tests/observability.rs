@@ -186,6 +186,12 @@ fn trace_replies_and_metrics_work_over_real_tcp() {
         (300..=samples).contains(&recomputed),
         "recomputed={recomputed} must lie in [θ, samples={samples}]"
     );
+    // Every rebuild after the untreated first pass replays its record.
+    assert_eq!(
+        field("replayed"),
+        recomputed - 300,
+        "replayed= is recomputed= minus θ: {reply}"
+    );
 
     // The identical query again: a cache hit, still carrying the original
     // computation's phase breakdown.
@@ -201,6 +207,7 @@ fn trace_replies_and_metrics_work_over_real_tcp() {
         .unwrap();
     assert!(!reply.contains("trace_id="), "{reply}");
     assert!(!reply.contains("recomputed="), "{reply}");
+    assert!(!reply.contains("replayed="), "{reply}");
 
     // METRICS over the wire: framed as OK lines=<n>, parses as exposition.
     let body = client.metrics().expect("metrics");
@@ -225,6 +232,20 @@ fn trace_replies_and_metrics_work_over_real_tcp() {
     assert!(
         (600..=1200).contains(&counted),
         "two computed budget-2 queries on θ=300 rebuild between 2θ and 4θ: {counted}"
+    );
+    assert!(
+        body.contains("# TYPE imin_realisations_replayed_total counter"),
+        "{body}"
+    );
+    let replayed = body
+        .lines()
+        .find_map(|l| l.strip_prefix("imin_realisations_replayed_total "))
+        .and_then(|v| v.parse::<u64>().ok())
+        .expect("replayed counter sample");
+    assert_eq!(
+        replayed,
+        counted - 600,
+        "two computed queries replay all but their first passes' 2θ: {counted}"
     );
     assert!(
         body.contains("imin_algorithm_compute_seconds_count{algorithm=\"advanced\"} 2"),
