@@ -150,7 +150,7 @@ pub fn table3_toy() -> Table {
         ] {
             let sel = problem.solve(algorithm, b, &config).expect("toy run");
             let spread = problem
-                .evaluate_spread_exact(&sel.blockers, 20)
+                .evaluate_spread_exact(&sel.blockers)
                 .expect("toy evaluation");
             let blockers = sel
                 .blockers
@@ -168,7 +168,7 @@ pub fn table3_toy() -> Table {
     }
     // Sanity anchor from Example 1: blocking v5 leaves a spread of 3.
     let mask_spread = problem
-        .evaluate_spread_exact(&[V(5)], 20)
+        .evaluate_spread_exact(&[V(5)])
         .expect("toy evaluation");
     table.add_row(vec![
         "paper anchor: block v5".into(),

@@ -16,7 +16,7 @@ use crate::request::{ContainmentRequest, EvalBackend};
 use crate::solver::{AlgorithmKind, BlockerSolver};
 use crate::types::{AlgorithmConfig, BlockerSelection, SelectionStats};
 use crate::{IminError, Result};
-use imin_diffusion::exact::{exact_expected_spread, ExactSpreadConfig};
+use imin_diffusion::exact::exact_expected_spread;
 use imin_diffusion::montecarlo::MonteCarloEstimator;
 use imin_graph::traversal::reachable_mask;
 use imin_graph::{DiGraph, VertexId};
@@ -27,8 +27,7 @@ use std::time::Instant;
 /// Requires a `Fresh` backend (candidate sets are evaluated by Monte-Carlo
 /// simulation with the request's `mcs_rounds`, the paper's setting);
 /// `Pooled` requests are rejected with [`IminError::BackendUnsupported`].
-/// Callers needing the possible-world evaluator or a custom combination
-/// limit use [`exact_blocker_search_multi`] with an explicit
+/// Callers needing the exact evaluator or a custom combination limit use [`exact_blocker_search_multi`] with an explicit
 /// [`ExactSearchConfig`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExactBlocker;
@@ -77,12 +76,9 @@ pub enum SpreadEvaluator {
         /// Simulation rounds per candidate set.
         rounds: usize,
     },
-    /// Exact possible-world enumeration (only viable when few uncertain
-    /// edges are reachable; used for the final Exact-vs-GR comparison).
-    Exact {
-        /// Maximum number of uncertain edges to enumerate.
-        max_uncertain_edges: usize,
-    },
+    /// The exact oracle of [`imin_diffusion::exact`] (only viable on small
+    /// graphs; a graph past its leaf cap is refused with a typed error).
+    Exact,
 }
 
 /// Configuration of the exhaustive search.
@@ -225,7 +221,7 @@ pub fn exact_blocker_search_multi(
     let mcs = MonteCarloEstimator {
         rounds: match config.evaluator {
             SpreadEvaluator::MonteCarlo { rounds } => rounds,
-            SpreadEvaluator::Exact { .. } => 0,
+            SpreadEvaluator::Exact => 0,
         },
         threads: config.threads,
         seed: config.seed,
@@ -236,16 +232,7 @@ pub fn exact_blocker_search_multi(
                 stats.mcs_rounds_run += rounds;
                 Ok(mcs.expected_spread_blocked(graph, &seeds, Some(mask))?.mean)
             }
-            SpreadEvaluator::Exact {
-                max_uncertain_edges,
-            } => Ok(exact_expected_spread(
-                graph,
-                &seeds,
-                Some(mask),
-                ExactSpreadConfig {
-                    max_uncertain_edges,
-                },
-            )?),
+            SpreadEvaluator::Exact => Ok(exact_expected_spread(graph, &seeds, Some(mask))?),
         }
     };
 
@@ -343,9 +330,7 @@ mod tests {
 
     fn search_config() -> ExactSearchConfig {
         ExactSearchConfig {
-            evaluator: SpreadEvaluator::Exact {
-                max_uncertain_edges: 20,
-            },
+            evaluator: SpreadEvaluator::Exact,
             ..Default::default()
         }
     }

@@ -14,7 +14,7 @@ use crate::request::ContainmentRequest;
 use crate::seed_merge::{merge_seeds, MergedSeeds};
 use crate::types::{AlgorithmConfig, BlockerSelection};
 use crate::{IminError, Result};
-use imin_diffusion::exact::{exact_expected_spread, ExactSpreadConfig};
+use imin_diffusion::exact::exact_expected_spread;
 use imin_diffusion::montecarlo::MonteCarloEstimator;
 use imin_graph::{DiGraph, VertexId};
 
@@ -194,22 +194,15 @@ impl ImninProblem {
             .mean)
     }
 
-    /// Evaluates a blocker set exactly by possible-world enumeration (only
-    /// feasible when few uncertain edges are reachable; used for the
-    /// Exact-vs-GR comparison of Tables V and VI).
-    pub fn evaluate_spread_exact(
-        &self,
-        blockers: &[VertexId],
-        max_uncertain_edges: usize,
-    ) -> Result<f64> {
+    /// Evaluates a blocker set exactly with [`imin_diffusion::exact`] (only
+    /// feasible on small graphs, such as the Figure 1 example of Table III;
+    /// larger ones are refused at the oracle's leaf cap).
+    pub fn evaluate_spread_exact(&self, blockers: &[VertexId]) -> Result<f64> {
         let mask = self.original_blocker_mask(blockers)?;
         Ok(exact_expected_spread(
             &self.original,
             self.seeds(),
             Some(&mask),
-            ExactSpreadConfig {
-                max_uncertain_edges,
-            },
         )?)
     }
 
@@ -341,7 +334,7 @@ mod tests {
         assert!((gr.estimated_spread.unwrap() - 3.0).abs() < 1e-9);
         let eval = p.evaluate_spread(&gr.blockers, 400, 3).unwrap();
         assert!((eval - 3.0).abs() < 1e-9);
-        let exact = p.evaluate_spread_exact(&gr.blockers, 20).unwrap();
+        let exact = p.evaluate_spread_exact(&gr.blockers).unwrap();
         assert!((exact - 3.0).abs() < 1e-9);
     }
 

@@ -149,7 +149,7 @@ pub fn merge_seeds(graph: &DiGraph, seeds: &[VertexId]) -> Result<MergedSeeds> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imin_diffusion::exact::{exact_expected_spread, ExactSpreadConfig};
+    use imin_diffusion::exact::exact_expected_spread;
 
     fn vid(i: usize) -> VertexId {
         VertexId::new(i)
@@ -191,16 +191,10 @@ mod tests {
     fn merged_spread_matches_original_spread_exactly() {
         let g = small_graph();
         let seeds = [vid(0), vid(1)];
-        let original =
-            exact_expected_spread(&g, &seeds, None, ExactSpreadConfig::default()).unwrap();
+        let original = exact_expected_spread(&g, &seeds, None).unwrap();
         let merged = merge_seeds(&g, &seeds).unwrap();
-        let merged_spread = exact_expected_spread(
-            &merged.graph,
-            &[merged.super_seed],
-            None,
-            ExactSpreadConfig::default(),
-        )
-        .unwrap();
+        let merged_spread =
+            exact_expected_spread(&merged.graph, &[merged.super_seed], None).unwrap();
         assert!(
             (merged.to_original_spread(merged_spread) - original).abs() < 1e-9,
             "merged {merged_spread} vs original {original}"
@@ -215,17 +209,10 @@ mod tests {
         // Block vertex 2 in both formulations.
         let mut orig_mask = vec![false; 4];
         orig_mask[2] = true;
-        let original =
-            exact_expected_spread(&g, &seeds, Some(&orig_mask), ExactSpreadConfig::default())
-                .unwrap();
+        let original = exact_expected_spread(&g, &seeds, Some(&orig_mask)).unwrap();
         let merged_mask = merged.blocker_mask(&[vid(2)]).unwrap();
-        let merged_spread = exact_expected_spread(
-            &merged.graph,
-            &[merged.super_seed],
-            Some(&merged_mask),
-            ExactSpreadConfig::default(),
-        )
-        .unwrap();
+        let merged_spread =
+            exact_expected_spread(&merged.graph, &[merged.super_seed], Some(&merged_mask)).unwrap();
         assert!((merged.to_original_spread(merged_spread) - original).abs() < 1e-9);
     }
 

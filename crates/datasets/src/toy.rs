@@ -64,9 +64,7 @@ pub fn figure1_expected_decreases() -> Vec<(VertexId, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imin_diffusion::exact::{
-        exact_activation_probabilities, exact_expected_spread, ExactSpreadConfig,
-    };
+    use imin_diffusion::exact::{exact_activation_probabilities, exact_expected_spread};
 
     #[test]
     fn structure_matches_the_paper() {
@@ -84,8 +82,7 @@ mod tests {
     #[test]
     fn activation_probabilities_match_example_1() {
         let (g, seed) = figure1_graph();
-        let probs = exact_activation_probabilities(&g, &[seed], None, ExactSpreadConfig::default())
-            .unwrap();
+        let probs = exact_activation_probabilities(&g, &[seed], None).unwrap();
         // v2..v6 and v9 are certainly activated.
         for label in [2, 3, 4, 5, 6, 9] {
             assert!((probs[V(label).index()] - 1.0).abs() < 1e-12, "v{label}");
@@ -104,7 +101,7 @@ mod tests {
             for &l in blocked_labels {
                 mask[V(l).index()] = true;
             }
-            exact_expected_spread(&g, &[seed], Some(&mask), ExactSpreadConfig::default()).unwrap()
+            exact_expected_spread(&g, &[seed], Some(&mask)).unwrap()
         };
         assert!((spread_with(&[5]) - 3.0).abs() < 1e-9);
         assert!((spread_with(&[2]) - 6.66).abs() < 1e-9);
@@ -123,7 +120,7 @@ mod tests {
             for &l in labels {
                 mask[V(l).index()] = true;
             }
-            exact_expected_spread(&g, &[seed], Some(&mask), ExactSpreadConfig::default()).unwrap()
+            exact_expected_spread(&g, &[seed], Some(&mask)).unwrap()
         };
         let fx = f(&[3]);
         let fy = f(&[2, 3]);
@@ -140,13 +137,11 @@ mod tests {
     #[test]
     fn expected_decreases_match_example_2() {
         let (g, seed) = figure1_graph();
-        let base = exact_expected_spread(&g, &[seed], None, ExactSpreadConfig::default()).unwrap();
+        let base = exact_expected_spread(&g, &[seed], None).unwrap();
         for (v, expected) in figure1_expected_decreases() {
             let mut mask = vec![false; 9];
             mask[v.index()] = true;
-            let blocked =
-                exact_expected_spread(&g, &[seed], Some(&mask), ExactSpreadConfig::default())
-                    .unwrap();
+            let blocked = exact_expected_spread(&g, &[seed], Some(&mask)).unwrap();
             assert!(
                 (base - blocked - expected).abs() < 1e-9,
                 "decrease of {v}: got {} expected {expected}",

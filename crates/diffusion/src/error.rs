@@ -29,14 +29,11 @@ pub enum DiffusionError {
     },
     /// The estimator was configured with zero simulation rounds / samples.
     ZeroRounds,
-    /// The exact computation was asked to enumerate more uncertain edges
-    /// than the configured limit allows.
-    TooManyUncertainEdges {
-        /// Number of uncertain (probability strictly between 0 and 1) edges
-        /// reachable from the seeds.
-        uncertain: usize,
-        /// The configured enumeration limit.
-        limit: usize,
+    /// The exact computation needs more leaves than its cap,
+    /// [`crate::exact::MAX_LEAVES`].
+    TooManyLeaves {
+        /// The cap that was exceeded.
+        limit: u64,
     },
     /// An error bubbled up from the graph layer.
     Graph(imin_graph::GraphError),
@@ -64,11 +61,14 @@ impl fmt::Display for DiffusionError {
                 write!(f, "seed vertex {vertex} must not be blocked (B ⊆ V \\ S)")
             }
             DiffusionError::ZeroRounds => {
-                write!(f, "the number of simulation rounds/samples must be positive")
+                write!(
+                    f,
+                    "the number of simulation rounds/samples must be positive"
+                )
             }
-            DiffusionError::TooManyUncertainEdges { uncertain, limit } => write!(
+            DiffusionError::TooManyLeaves { limit } => write!(
                 f,
-                "exact spread enumeration needs 2^{uncertain} worlds which exceeds the limit of 2^{limit}"
+                "exact spread computation needs more than {limit} leaves (exact::MAX_LEAVES)"
             ),
             DiffusionError::Graph(err) => write!(f, "graph error: {err}"),
         }
@@ -160,11 +160,8 @@ mod tests {
             .to_string()
             .contains("seed set"));
         assert!(DiffusionError::ZeroRounds.to_string().contains("positive"));
-        let e = DiffusionError::TooManyUncertainEdges {
-            uncertain: 40,
-            limit: 25,
-        };
-        assert!(e.to_string().contains("2^40"));
+        let e = DiffusionError::TooManyLeaves { limit: 1 << 22 };
+        assert!(e.to_string().contains("4194304 leaves"));
         let g: DiffusionError =
             imin_graph::GraphError::InvalidProbability { probability: 2.0 }.into();
         assert!(g.to_string().contains("graph error"));

@@ -14,9 +14,13 @@
 //! * [`montecarlo`] — Monte-Carlo simulation (MCS), the estimator used by
 //!   the BaselineGreedy state of the art (§V-A); sequential and
 //!   multi-threaded variants with deterministic seeding.
-//! * [`exact`] — exact expected spread by enumerating the possible worlds of
-//!   the *uncertain* edges, feasible on the ≤100-vertex extracts used for
-//!   the Exact-vs-GreedyReplace comparison (Tables V and VI).
+//! * [`exact`] — exact activation probabilities and expected spread by a
+//!   recursion that grows the cascade from the seeds and branches only on
+//!   the edges that can still change it, capped at [`exact::MAX_LEAVES`]
+//!   leaves. It solves graphs with a few dozen uncertain edges: the
+//!   paper's Figure 1 example (Examples 1–3, Table III) and the ground
+//!   truth of the estimator tests. The Tables V and VI extracts need more
+//!   leaves than the cap, so their spreads are simulated.
 //! * [`models`] — the propagation-probability assignments of §VI-A:
 //!   Trivalency (TR) and Weighted Cascade (WC), plus constant/uniform
 //!   variants for tests.

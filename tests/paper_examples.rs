@@ -15,7 +15,7 @@ fn toy_problem() -> ImninProblem {
 fn example1_expected_spread_is_7_66() {
     let problem = toy_problem();
     // Exact evaluation.
-    let exact = problem.evaluate_spread_exact(&[], 20).unwrap();
+    let exact = problem.evaluate_spread_exact(&[]).unwrap();
     assert!((exact - FIGURE1_EXPECTED_SPREAD).abs() < 1e-9);
     // Monte-Carlo evaluation converges to the same value.
     let mcs = problem.evaluate_spread(&[], 60_000, 3).unwrap();
@@ -28,9 +28,9 @@ fn example1_expected_spread_is_7_66() {
 #[test]
 fn example1_blocking_v5_leaves_spread_3() {
     let problem = toy_problem();
-    let spread = problem.evaluate_spread_exact(&[V(5)], 20).unwrap();
+    let spread = problem.evaluate_spread_exact(&[V(5)]).unwrap();
     assert!((spread - 3.0).abs() < 1e-9);
-    let v2 = problem.evaluate_spread_exact(&[V(2)], 20).unwrap();
+    let v2 = problem.evaluate_spread_exact(&[V(2)]).unwrap();
     assert!((v2 - 6.66).abs() < 1e-9);
 }
 
@@ -70,14 +70,14 @@ fn table3_greedy_and_outneighbors_and_gr() {
         .solve(Algorithm::AdvancedGreedy, 1, &config)
         .unwrap();
     assert_eq!(ag1.blockers, vec![V(5)]);
-    let ag1_spread = problem.evaluate_spread_exact(&ag1.blockers, 20).unwrap();
+    let ag1_spread = problem.evaluate_spread_exact(&ag1.blockers).unwrap();
     assert!((ag1_spread - 3.0).abs() < 1e-9);
 
     // Greedy with b = 2 reaches spread 2 (v5 plus v2 or v4).
     let ag2 = problem
         .solve(Algorithm::AdvancedGreedy, 2, &config)
         .unwrap();
-    let ag2_spread = problem.evaluate_spread_exact(&ag2.blockers, 20).unwrap();
+    let ag2_spread = problem.evaluate_spread_exact(&ag2.blockers).unwrap();
     assert!((ag2_spread - 2.0).abs() < 1e-9);
 
     // OutNeighbors with b = 2 blocks {v2, v4} → spread 1.
@@ -90,7 +90,7 @@ fn table3_greedy_and_outneighbors_and_gr() {
     let gr1 = problem.solve(Algorithm::GreedyReplace, 1, &config).unwrap();
     assert_eq!(gr1.blockers, vec![V(5)]);
     let gr2 = problem.solve(Algorithm::GreedyReplace, 2, &config).unwrap();
-    let gr2_spread = problem.evaluate_spread_exact(&gr2.blockers, 20).unwrap();
+    let gr2_spread = problem.evaluate_spread_exact(&gr2.blockers).unwrap();
     assert!((gr2_spread - 1.0).abs() < 1e-9);
 }
 
