@@ -258,9 +258,6 @@ pub fn exact_blocker_search_multi(
         // Advance to the next combination.
         let mut pos = k;
         loop {
-            if pos == 0 {
-                break;
-            }
             pos -= 1;
             if indices[pos] != pos + candidates.len() - k {
                 indices[pos] += 1;
@@ -275,10 +272,6 @@ pub fn exact_blocker_search_multi(
             }
         }
         if indices.is_empty() {
-            break;
-        }
-        // Detect completion: when the first index passed its maximum.
-        if indices[0] > candidates.len() - k {
             break;
         }
     }
@@ -395,6 +388,21 @@ mod tests {
             exact_blocker_search(&g, vid(0), &[false; 30], 5, &cfg),
             Err(IminError::SearchSpaceTooLarge { .. })
         ));
+    }
+
+    /// The combination loop evaluates each of the `C(c, k)` blocker sets
+    /// once: a seed with `c` probability-1 out-edges to leaves has `c`
+    /// candidates, and blocking any `k` of them leaves `1 + c - k`.
+    #[test]
+    fn every_blocker_set_is_evaluated_once() {
+        for (c, k) in [(5, 1), (5, 2), (6, 3), (4, 4)] {
+            let star = (1..=c).map(|v| (vid(0), vid(v), 1.0));
+            let g = DiGraph::from_edges(c + 1, star).unwrap();
+            let forbidden = vec![false; c + 1];
+            let sel = exact_blocker_search(&g, vid(0), &forbidden, k, &search_config()).unwrap();
+            assert_eq!(sel.stats.rounds as u64, combinations(c, k), "c={c}, k={k}");
+            assert_eq!(sel.estimated_spread, Some((1 + c - k) as f64));
+        }
     }
 
     #[test]
