@@ -27,8 +27,8 @@ use std::time::Instant;
 /// Requires a `Fresh` backend (candidate sets are evaluated by Monte-Carlo
 /// simulation with the request's `mcs_rounds`, the paper's setting);
 /// `Pooled` requests are rejected with [`IminError::BackendUnsupported`].
-/// Callers needing the exact evaluator or a custom combination limit use [`exact_blocker_search_multi`] with an explicit
-/// [`ExactSearchConfig`].
+/// Callers needing the exact evaluator or a custom combination limit use
+/// [`exact_blocker_search_multi`] with an explicit [`ExactSearchConfig`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExactBlocker;
 
