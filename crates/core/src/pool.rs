@@ -156,32 +156,60 @@ pub fn shard_ranges(total: usize, workers: usize) -> impl Iterator<Item = Range<
 }
 
 /// Draws realisation `sample_idx` of the pool `(pool_seed, θ)`: local
-/// offsets into `offsets` (exactly `n + 1` entries), live targets appended
-/// to `targets`. Coin semantics are identical to the rooted IC sampler:
+/// offsets into `offsets` (exactly `n + 1` entries) and the live targets
+/// into the front of `buf` (one word per graph edge); returns how many
+/// are live. Coin semantics are identical to the rooted IC sampler:
 /// deterministic edges (threshold 0 / [`THRESHOLD_ALWAYS`]) never touch the
-/// RNG, every probabilistic edge costs one `u64` compare.
+/// RNG, every probabilistic edge costs one `u64` draw and compare.
+///
+/// Every out-edge writes its target at the write position, which then
+/// advances by the coin's outcome, so a dead edge's target is overwritten
+/// by the next edge's and no branch depends on the coin. The draws are the
+/// same ones, in the same order, as a loop that pushes each live target,
+/// and the kept targets are the same ones in the same order, so the
+/// offsets and targets are bit-identical to that loop's.
 fn fill_sample(
     graph: &DiGraph,
     pool_seed: u64,
     sample_idx: u64,
     offsets: &mut [u32],
-    targets: &mut Vec<u32>,
-) {
+    buf: &mut [u32],
+) -> usize {
     let mut rng = SmallRng::seed_from_u64(indexed_sample_seed(pool_seed, sample_idx));
-    let base = targets.len();
+    let mut k = 0usize;
     offsets[0] = 0;
     for (u, slot) in graph.vertices().zip(offsets[1..].iter_mut()) {
         let out = graph.out_neighbors(u);
         let thresholds = graph.out_coin_thresholds(u);
         for (&t, &threshold) in out.iter().zip(thresholds) {
+            buf[k] = t;
             let live = threshold == THRESHOLD_ALWAYS
                 || (threshold != 0 && (rng.next_u64() >> 11) < threshold);
-            if live {
-                targets.push(t);
-            }
+            k += live as usize;
         }
-        *slot = (targets.len() - base) as u32;
+        *slot = k as u32;
     }
+    k
+}
+
+/// Words of a shard buffer copied into the pool's targets between two
+/// shrinks of that buffer (4 MiB).
+const ASSEMBLE_CHUNK: usize = 1 << 20;
+
+/// Runs `work` once per job: inline when there is one job, otherwise each
+/// on its own scoped thread.
+fn run_jobs<J: Send>(jobs: Vec<J>, work: impl Fn(J) + Sync) {
+    if jobs.len() == 1 {
+        jobs.into_iter().for_each(work);
+        return;
+    }
+    crossbeam::scope(|scope| {
+        for job in jobs {
+            let work = &work;
+            scope.spawn(move |_| work(job));
+        }
+    })
+    .expect("sample-pool worker panicked");
 }
 
 /// Draws the realisations `first..first + count` of the pool
@@ -190,6 +218,11 @@ fn fill_sample(
 /// to `targets` and their end positions to `target_start`. Each sample owns
 /// its RNG stream, so the result is bit-identical for every `threads`
 /// value. The initial build and [`SamplePool::extend_to`] both draw here.
+///
+/// Two phases, each timed into the calling thread's span: `sample`, where
+/// each worker draws its shard into a shard buffer, and `assemble`, where
+/// each worker copies its shard into its own range of `targets`. Both
+/// `targets` and `target_start` grow by exactly what they receive.
 fn append_samples(
     graph: &DiGraph,
     seed: u64,
@@ -200,35 +233,61 @@ fn append_samples(
     threads: usize,
 ) {
     let stride = graph.num_vertices() + 1;
+    let start = Instant::now();
     let shards: Vec<Range<usize>> = shard_ranges(offsets.len() / stride, threads).collect();
     let mut parts: Vec<Vec<u32>> = vec![Vec::new(); shards.len()];
-    let fill = |range: &Range<usize>, region: &mut [u32], part: &mut Vec<u32>| {
+    let mut jobs = Vec::with_capacity(shards.len());
+    let mut rest: &mut [u32] = offsets;
+    for (range, part) in shards.iter().zip(parts.iter_mut()) {
+        let (region, tail) = rest.split_at_mut(range.len() * stride);
+        rest = tail;
+        jobs.push((range.start, region, part));
+    }
+    run_jobs(jobs, |(start, region, part)| {
+        let mut buf = vec![0u32; graph.num_edges()];
         for (i, sample) in region.chunks_exact_mut(stride).enumerate() {
-            fill_sample(graph, seed, (first + range.start + i) as u64, sample, part);
+            let live = fill_sample(graph, seed, (first + start + i) as u64, sample, &mut buf);
+            part.extend_from_slice(&buf[..live]);
         }
-    };
-    if let [range] = shards.as_slice() {
-        fill(range, offsets, &mut parts[0]);
+    });
+    let sampled = Instant::now();
+
+    let base = targets.len();
+    let added: usize = parts.iter().map(Vec::len).sum();
+    if base == 0 {
+        // Zeroed by the allocator, so the workers, not this thread, first
+        // touch the pages.
+        *targets = vec![0u32; added];
     } else {
-        crossbeam::scope(|scope| {
-            let mut rest: &mut [u32] = offsets;
-            for (range, part) in shards.iter().zip(parts.iter_mut()) {
-                let (region, tail) = rest.split_at_mut(range.len() * stride);
-                rest = tail;
-                scope.spawn(move |_| fill(range, region, part));
-            }
-        })
-        .expect("sample-pool build worker panicked");
+        targets.reserve_exact(added);
+        targets.resize(base + added, 0);
     }
-    targets.reserve(parts.iter().map(Vec::len).sum());
+    let mut jobs = Vec::with_capacity(parts.len());
+    let mut rest: &mut [u32] = &mut targets[base..];
     for part in parts {
-        targets.extend_from_slice(&part);
+        let (range, tail) = rest.split_at_mut(part.len());
+        rest = tail;
+        jobs.push((range, part));
     }
+    // Back to front, a chunk at a time, each copied chunk handed back to
+    // the allocator: the shard buffers shrink as `targets` fills, so the
+    // assembly never holds two copies of the targets.
+    run_jobs(jobs, |(range, mut part)| {
+        while !part.is_empty() {
+            let keep = part.len().saturating_sub(ASSEMBLE_CHUNK);
+            range[keep..part.len()].copy_from_slice(&part[keep..]);
+            part.truncate(keep);
+            part.shrink_to_fit();
+        }
+    });
+    target_start.reserve_exact(offsets.len() / stride);
     let mut end = *target_start.last().expect("target_start begins at 0");
     for sample in offsets.chunks_exact(stride) {
         end += u64::from(sample[stride - 1]);
         target_start.push(end);
     }
+    span::add_ns(Phase::PoolSample, (sampled - start).as_nanos() as u64);
+    span::add_ns(Phase::PoolAssemble, sampled.elapsed().as_nanos() as u64);
 }
 
 /// Copies the graph's out-CSR (the slot space of bitset-encoded samples).
@@ -368,7 +427,6 @@ impl SamplePool {
         let n = self.num_vertices;
         let (gr_offsets, gr_targets) = graph_csr_copy(graph);
         let theta = self.theta();
-        let threads = threads.max(1).min(theta.max(1));
         let shards: Vec<Range<usize>> = shard_ranges(theta, threads).collect();
         let mut parts: Vec<CompressedPart> = Vec::new();
         parts.resize_with(shards.len(), CompressedPart::default);
@@ -409,16 +467,10 @@ impl SamplePool {
                 }
             }
         };
-        if threads <= 1 {
-            encode_range(&shards[0], &mut parts[0]);
-        } else {
-            crossbeam::scope(|scope| {
-                for (range, part) in shards.iter().zip(parts.iter_mut()) {
-                    scope.spawn(|_| encode_range(range, part));
-                }
-            })
-            .expect("pool-compression worker panicked");
-        }
+        run_jobs(
+            shards.iter().zip(parts.iter_mut()).collect(),
+            |(range, part)| encode_range(range, part),
+        );
         let arena = assemble_compressed(parts, gr_offsets, gr_targets)
             .map_err(|reason| IminError::Snapshot(SnapshotError::Corrupt { reason }))?;
         Ok(SamplePool {
@@ -469,6 +521,9 @@ impl SamplePool {
         else {
             unreachable!("is_extendable implies owned words");
         };
+        // Exact growth: `memory_bytes` counts capacity, and a grown pool
+        // reports what a fresh build of the same θ does.
+        offsets.reserve_exact((new_theta - old_theta) * stride);
         offsets.resize(new_theta * stride, 0);
         append_samples(
             graph,
@@ -2036,12 +2091,25 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pool_samples_match_the_indexed_reference_sampler() {
-        let g = wc_pa(80, 5);
-        let pool = SamplePool::build_with_threads(&g, 10, 41, 3).unwrap();
-        for i in 0..10 {
-            let nested = sample_live_edges_indexed(&g, 41, i as u64);
+    /// `wc_pa(n, seed)` with every third edge made impossible (p = 0) and
+    /// every third certain (p = 1): edges whose coins must not draw, mixed
+    /// in with the fractional ones that must.
+    fn mixed_coins(n: usize, seed: u64) -> DiGraph {
+        let g = wc_pa(n, seed);
+        let edges: Vec<_> = g
+            .edges()
+            .enumerate()
+            .map(|(i, e)| {
+                let p = [0.0, 1.0, e.probability][i % 3];
+                (e.source, e.target, p)
+            })
+            .collect();
+        DiGraph::from_edges(n, edges).unwrap()
+    }
+
+    fn assert_matches_reference(pool: &SamplePool, g: &DiGraph, seed: u64, what: &str) {
+        for i in 0..pool.theta() {
+            let nested = sample_live_edges_indexed(g, seed, i as u64);
             let (offsets, targets) = pool.sample_csr(i);
             for u in 0..g.num_vertices() {
                 let lo = offsets[u] as usize;
@@ -2049,9 +2117,29 @@ mod tests {
                 assert_eq!(
                     &targets[lo..hi],
                     nested[u].as_slice(),
-                    "sample {i}, vertex {u}"
+                    "{what}: sample {i}, vertex {u}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn pool_samples_match_the_indexed_reference_sampler() {
+        let g = wc_pa(80, 5);
+        let pool = SamplePool::build_with_threads(&g, 10, 41, 3).unwrap();
+        assert_matches_reference(&pool, &g, 41, "wc");
+
+        // Deterministic coins never draw: an edge of p = 0 or 1 drawing
+        // one would shift every later fractional coin of its realisation.
+        let g = mixed_coins(80, 5);
+        let probs: Vec<f64> = g.edges().map(|e| e.probability).collect();
+        assert!(probs.contains(&0.0) && probs.contains(&1.0));
+        assert!(probs.iter().any(|&p| p > 0.0 && p < 1.0));
+        for threads in [1usize, 3] {
+            let mut pool = SamplePool::build_with_threads(&g, 10, 41, threads).unwrap();
+            assert_matches_reference(&pool, &g, 41, &format!("mixed, threads={threads}"));
+            pool.extend_to(&g, 23, threads).unwrap();
+            assert_matches_reference(&pool, &g, 41, &format!("mixed extended, threads={threads}"));
         }
     }
 
@@ -2513,17 +2601,26 @@ mod tests {
     #[test]
     fn extend_to_matches_a_fresh_build_bit_for_bit() {
         let g = wc_pa(120, 3);
-        let fresh = SamplePool::build_with_threads(&g, 48, 9, 1).unwrap();
-        for threads in [1usize, 3, 8] {
-            let mut grown = SamplePool::build_with_threads(&g, 7, 9, threads).unwrap();
-            let added = grown.extend_to(&g, 48, threads).unwrap();
-            assert_eq!(added, 41);
-            assert_eq!(grown.theta(), 48);
-            for i in 0..48 {
+        // 7 → 48 grows by more than 2×; 40 → 41 by one realisation, the
+        // step at which amortised growth would double the reserved bytes.
+        for (from, to) in [(7usize, 48usize), (40, 41)] {
+            let fresh = SamplePool::build_with_threads(&g, to, 9, 1).unwrap();
+            for threads in [1usize, 3, 8] {
+                let mut grown = SamplePool::build_with_threads(&g, from, 9, threads).unwrap();
+                let added = grown.extend_to(&g, to, threads).unwrap();
+                assert_eq!(added, to - from);
+                assert_eq!(grown.theta(), to);
+                for i in 0..to {
+                    assert_eq!(
+                        grown.sample_csr(i),
+                        fresh.sample_csr(i),
+                        "threads={threads}: sample {i} diverged after extend {from} → {to}"
+                    );
+                }
                 assert_eq!(
-                    grown.sample_csr(i),
-                    fresh.sample_csr(i),
-                    "threads={threads}: sample {i} diverged after extend"
+                    grown.memory_bytes(),
+                    fresh.memory_bytes(),
+                    "threads={threads}: bytes after extend {from} → {to}"
                 );
             }
         }

@@ -2,15 +2,16 @@
 //!
 //! [`EngineMetrics`] owns every latency [`Histogram`] of a
 //! [`SharedEngine`](crate::SharedEngine): one per protocol verb, one per
-//! algorithm kind, one per query/snapshot phase, and one for leader
-//! compute time (the basis of the `retry_after_ms` busy hint). All of them
-//! are wait-free to record into; [`render`] turns the registry plus the
-//! engine's counters and resident-state facts into one Prometheus
-//! text-format document, served over the wire by the `METRICS` verb.
+//! algorithm kind, one per query, snapshot and pool-build phase, and one
+//! for leader compute time (the basis of the `retry_after_ms` busy hint).
+//! All of them are wait-free to record into; [`render`] turns the
+//! registry plus the engine's counters and resident-state facts into one
+//! Prometheus text-format document, served over the wire by the `METRICS`
+//! verb.
 
 use crate::shared::SharedEngine;
 use imin_core::AlgorithmKind;
-use imin_obs::{expo, Histogram, Phase, PHASE_COUNT, QUERY_PHASES, SNAPSHOT_PHASES};
+use imin_obs::{expo, Histogram, Phase, PHASE_COUNT, POOL_PHASES, QUERY_PHASES, SNAPSHOT_PHASES};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
@@ -112,7 +113,7 @@ impl EngineMetrics {
         &self.algorithms[algorithm_index(kind)]
     }
 
-    /// The histogram of one query/snapshot phase.
+    /// The histogram of one query, snapshot or pool-build phase.
     pub(crate) fn phase(&self, phase: Phase) -> &Histogram {
         &self.phases[phase.index()]
     }
@@ -495,6 +496,21 @@ pub(crate) fn render(engine: &SharedEngine) -> String {
         expo::histogram(
             &mut out,
             "imin_snapshot_phase_seconds",
+            &[("phase", phase.name())],
+            &metrics.phase(phase).snapshot(),
+        );
+    }
+
+    expo::family(
+        &mut out,
+        "imin_pool_phase_seconds",
+        "Time attributed to each phase of forward pool builds and extensions.",
+        "histogram",
+    );
+    for phase in POOL_PHASES {
+        expo::histogram(
+            &mut out,
+            "imin_pool_phase_seconds",
             &[("phase", phase.name())],
             &metrics.phase(phase).snapshot(),
         );

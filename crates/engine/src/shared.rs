@@ -63,7 +63,7 @@ use crate::{EngineError, Result};
 use imin_core::snapshot::{self, SnapshotSummary};
 use imin_core::{SamplePool, SketchPool};
 use imin_graph::DiGraph;
-use imin_obs::{span, Phase, PhaseBreakdown, QUERY_PHASES, SNAPSHOT_PHASES};
+use imin_obs::{span, Phase, PhaseBreakdown, POOL_PHASES, QUERY_PHASES, SNAPSHOT_PHASES};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -320,9 +320,10 @@ impl Default for SharedEngine {
 pub const DEFAULT_MAX_INFLIGHT: usize = 256;
 
 impl SharedEngine {
-    /// Creates an empty shared engine: default worker threads, one thread
-    /// per query, a 256-entry result cache and the default admission
-    /// budget ([`DEFAULT_MAX_INFLIGHT`]).
+    /// Creates an empty shared engine: default worker threads for pool
+    /// builds and the same number inside each query (split them with
+    /// [`SharedEngine::with_query_threads`]), a 256-entry result cache and
+    /// the default admission budget ([`DEFAULT_MAX_INFLIGHT`]).
     pub fn new() -> Self {
         let threads = imin_diffusion::montecarlo::default_threads();
         SharedEngine {
@@ -538,6 +539,9 @@ impl SharedEngine {
     /// Cached `ris-greedy` answers survive either way: their sketch pool
     /// did not change.
     ///
+    /// A build or an extension records its `sample` and `assemble` phases
+    /// into `imin_pool_phase_seconds` while observability is on.
+    ///
     /// Queries in flight keep their own `Arc` to the old pool; the extend
     /// and rebuild paths wait for those references to drain before
     /// mutating or releasing the arenas, so peak memory stays at one pool.
@@ -547,7 +551,17 @@ impl SharedEngine {
     /// build error (e.g. θ = 0, rejected before anything is dropped).
     pub fn ensure_pool(&self, theta: usize, seed: u64) -> Result<(PoolInfo, PoolAction)> {
         let start = Instant::now();
+        let observability = self.observability();
+        if observability {
+            span::begin();
+        }
         let result = self.ensure_pool_locked(theta, seed);
+        let breakdown = span::take();
+        if observability && matches!(result, Ok((_, PoolAction::Built | PoolAction::Extended))) {
+            for phase in POOL_PHASES {
+                self.metrics.phase(phase).record_us(breakdown.get(phase));
+            }
+        }
         self.metrics
             .verb(Verb::Pool)
             .record_us(start.elapsed().as_micros() as u64);

@@ -54,6 +54,7 @@ fn protocol_doc_covers_the_documented_reply_fields() {
         "imin_realisations_recomputed_total",
         "replayed=",
         "imin_realisations_replayed_total",
+        "imin_pool_phase_seconds",
     ] {
         assert!(
             doc.contains(needle),

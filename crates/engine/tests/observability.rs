@@ -11,8 +11,8 @@
 //! * **Wire format** — `QUERY … trace=1` replies carry `trace_id=`,
 //!   `disposition=` and all eight query-phase keys; `METRICS` over real
 //!   TCP parses as Prometheus exposition; a snapshot restore records the
-//!   snapshot phases; the access log emits one well-formed line per
-//!   request.
+//!   snapshot phases and a forward pool build or extension the pool
+//!   phases; the access log emits one well-formed line per request.
 
 use imin_core::Intervention;
 use imin_engine::{AccessLog, AlgorithmKind, Client, LogFormat, Query, Server, SharedEngine};
@@ -366,6 +366,35 @@ fn snapshot_restore_records_the_snapshot_phases() {
         assert!(text.contains(&needle), "missing '{needle}' in exposition");
     }
     assert!(text.contains("imin_snapshot_restores_total 1"), "{text}");
+}
+
+#[test]
+fn pool_builds_and_extensions_record_the_pool_phases() {
+    let engine = SharedEngine::new().with_threads(2);
+    engine.load_graph(wc_graph(300, 19), "pool".into());
+    let counts = |engine: &SharedEngine| {
+        let text = engine.metrics_text();
+        ["sample", "assemble"].map(|phase| {
+            let needle = format!("imin_pool_phase_seconds_count{{phase=\"{phase}\"}} ");
+            let line = text
+                .lines()
+                .find(|line| line.starts_with(&needle))
+                .unwrap_or_else(|| panic!("missing '{needle}' in exposition"));
+            line[needle.len()..].parse::<u64>().unwrap()
+        })
+    };
+    assert_eq!(counts(&engine), [0, 0]);
+    engine.ensure_pool(200, 5).unwrap(); // built
+    assert_eq!(counts(&engine), [1, 1]);
+    engine.ensure_pool(200, 5).unwrap(); // resident: nothing sampled
+    assert_eq!(counts(&engine), [1, 1]);
+    engine.ensure_pool(260, 5).unwrap(); // extended
+    assert_eq!(counts(&engine), [2, 2]);
+    engine.ensure_sketch_pool(500, 5).unwrap(); // the sketch backend has no pool phases
+    assert_eq!(counts(&engine), [2, 2]);
+    engine.set_observability(false);
+    engine.ensure_pool(200, 6).unwrap(); // built, untraced
+    assert_eq!(counts(&engine), [2, 2]);
 }
 
 /// A `Write` sink the test can read back: the access log writes through

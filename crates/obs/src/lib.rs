@@ -38,4 +38,4 @@ pub mod span;
 
 pub use hist::{Histogram, HistogramSnapshot, BUCKETS};
 pub use log::{AccessLog, AccessRecord, LogFormat};
-pub use span::{Phase, PhaseBreakdown, PHASE_COUNT, QUERY_PHASES, SNAPSHOT_PHASES};
+pub use span::{Phase, PhaseBreakdown, PHASE_COUNT, POOL_PHASES, QUERY_PHASES, SNAPSHOT_PHASES};

@@ -15,14 +15,15 @@
 use std::cell::Cell;
 
 /// Number of [`Phase`] variants; the length of a [`PhaseBreakdown`].
-pub const PHASE_COUNT: usize = 13;
+pub const PHASE_COUNT: usize = 15;
 
 /// A named phase of an instrumented request.
 ///
 /// The first ten variants decompose a `QUERY` — eight for the pooled
 /// forward path (the split the paper's Algorithms 2–4 are built around)
-/// plus two for the reverse-sketch path; the last three decompose a
-/// snapshot `RESTORE`.
+/// plus two for the reverse-sketch path; the next three decompose a
+/// snapshot `RESTORE`, and the last two a forward `POOL` build or
+/// extension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Cloning the resident state handles (graph + pool `Arc`s) under the
@@ -55,6 +56,12 @@ pub enum Phase {
     SnapValidate,
     /// Snapshot restore: memory-mapping the pool sections.
     SnapMap,
+    /// Pool build: drawing the live-edge realisations into per-worker
+    /// shard buffers.
+    PoolSample,
+    /// Pool build: copying the shard buffers into the pool's target array
+    /// and recording where each realisation's targets start.
+    PoolAssemble,
 }
 
 /// The query-path phases, in reporting order.
@@ -74,9 +81,15 @@ pub const QUERY_PHASES: [Phase; 10] = [
 /// The snapshot-restore phases, in reporting order.
 pub const SNAPSHOT_PHASES: [Phase; 3] = [Phase::SnapRead, Phase::SnapValidate, Phase::SnapMap];
 
+/// The forward pool-build phases, in reporting order.
+pub const POOL_PHASES: [Phase; 2] = [Phase::PoolSample, Phase::PoolAssemble];
+
 impl Phase {
     /// Stable lowercase name used in `METRICS` labels, trace suffixes and
-    /// access-log records.
+    /// access-log records. Names are unique within a family (query,
+    /// snapshot, pool), which is the scope of every label they fill:
+    /// [`Phase::PoolSample`] is `sample` in `imin_pool_phase_seconds`, as
+    /// [`Phase::Sample`] is in `imin_query_phase_seconds`.
     pub fn name(self) -> &'static str {
         match self {
             Phase::Clone => "clone",
@@ -92,6 +105,8 @@ impl Phase {
             Phase::SnapRead => "snap_read",
             Phase::SnapValidate => "snap_validate",
             Phase::SnapMap => "snap_map",
+            Phase::PoolSample => "sample",
+            Phase::PoolAssemble => "assemble",
         }
     }
 
@@ -258,6 +273,7 @@ mod tests {
         let all: Vec<Phase> = QUERY_PHASES
             .iter()
             .chain(SNAPSHOT_PHASES.iter())
+            .chain(POOL_PHASES.iter())
             .copied()
             .collect();
         assert_eq!(all.len(), PHASE_COUNT);
@@ -267,5 +283,16 @@ mod tests {
             seen[phase.index()] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn phase_names_are_unique_within_each_family() {
+        for family in [&QUERY_PHASES[..], &SNAPSHOT_PHASES, &POOL_PHASES] {
+            for (i, a) in family.iter().enumerate() {
+                for b in &family[i + 1..] {
+                    assert_ne!(a.name(), b.name(), "{a:?} and {b:?} share a label");
+                }
+            }
+        }
     }
 }
