@@ -105,16 +105,6 @@ impl Default for DecreaseConfig {
 pub type DecreaseWorkspace = PoolWorkspace;
 
 /// Algorithm 2 with the default IC live-edge sampler.
-pub fn decrease_es_computation(
-    graph: &DiGraph,
-    source: VertexId,
-    blocked: &[bool],
-    config: &DecreaseConfig,
-) -> Result<DecreaseEstimate> {
-    decrease_es_computation_with(&IcLiveEdgeSampler, graph, source, blocked, config)
-}
-
-/// Algorithm 2 with an arbitrary sample source (IC or triggering).
 ///
 /// One-shot convenience over [`decrease_es_computation_in`] that allocates a
 /// fresh [`DecreaseWorkspace`]; callers in a greedy loop should hold a
@@ -123,15 +113,20 @@ pub fn decrease_es_computation(
 /// # Errors
 /// Returns an error if θ is zero, the source is out of range or blocked, or
 /// the blocked mask has the wrong length.
-pub fn decrease_es_computation_with<S: SpreadSampler + ?Sized>(
-    sampler: &S,
+pub fn decrease_es_computation(
     graph: &DiGraph,
     source: VertexId,
     blocked: &[bool],
     config: &DecreaseConfig,
 ) -> Result<DecreaseEstimate> {
-    let mut workspace = DecreaseWorkspace::new();
-    decrease_es_computation_in(sampler, graph, source, blocked, config, &mut workspace)
+    decrease_es_computation_in(
+        &IcLiveEdgeSampler,
+        graph,
+        source,
+        blocked,
+        config,
+        &mut DecreaseWorkspace::new(),
+    )
 }
 
 /// Algorithm 2, drawing every scratch buffer from `workspace`.

@@ -14,7 +14,7 @@
 
 use crate::request::{ContainmentRequest, EvalBackend};
 use crate::solver::{AlgorithmKind, BlockerSolver};
-use crate::types::{AlgorithmConfig, BlockerSelection, SelectionStats};
+use crate::types::{BlockerSelection, SelectionStats};
 use crate::{IminError, Result};
 use imin_diffusion::exact::exact_expected_spread;
 use imin_diffusion::montecarlo::MonteCarloEstimator;
@@ -102,21 +102,6 @@ impl Default for ExactSearchConfig {
             evaluator: SpreadEvaluator::MonteCarlo { rounds: 10_000 },
             threads: imin_diffusion::montecarlo::default_threads(),
             seed: 0xEC0DE,
-        }
-    }
-}
-
-impl ExactSearchConfig {
-    /// Derives an exact-search configuration from a generic
-    /// [`AlgorithmConfig`], using its Monte-Carlo round count and seed.
-    pub fn from_algorithm_config(config: &AlgorithmConfig) -> Self {
-        ExactSearchConfig {
-            evaluator: SpreadEvaluator::MonteCarlo {
-                rounds: config.mcs_rounds,
-            },
-            threads: config.threads,
-            seed: config.seed,
-            ..Default::default()
         }
     }
 }
@@ -289,6 +274,7 @@ pub fn exact_blocker_search_multi(
 mod tests {
     use super::*;
     use crate::greedy_replace::greedy_replace;
+    use crate::types::AlgorithmConfig;
 
     fn vid(i: usize) -> VertexId {
         VertexId::new(i)

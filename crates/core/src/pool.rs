@@ -198,7 +198,7 @@ const ASSEMBLE_CHUNK: usize = 1 << 20;
 
 /// Runs `work` once per job: inline when there is one job, otherwise each
 /// on its own scoped thread.
-fn run_jobs<J: Send>(jobs: Vec<J>, work: impl Fn(J) + Sync) {
+pub(crate) fn run_jobs<J: Send>(jobs: Vec<J>, work: impl Fn(J) + Sync) {
     if jobs.len() == 1 {
         jobs.into_iter().for_each(work);
         return;
@@ -209,7 +209,7 @@ fn run_jobs<J: Send>(jobs: Vec<J>, work: impl Fn(J) + Sync) {
             scope.spawn(move |_| work(job));
         }
     })
-    .expect("sample-pool worker panicked");
+    .expect("pool worker panicked");
 }
 
 /// Draws the realisations `first..first + count` of the pool
@@ -2457,6 +2457,76 @@ mod tests {
                 check(format!("Δ({v})"), sums[v], base - spread(Some(v)));
             }
             check("E(S)".into(), sums[n], base);
+        }
+    }
+
+    /// The edge rung of the same check: on the same four graphs, seed
+    /// sets and R = 4000 pools of θ = 1, every graph edge's mean credit
+    /// lies within z = 4 standard errors of the exact decrease
+    /// `E(S, G) − E(S, G without the edge)`. An edge no pool credits has
+    /// variance 0, so it gets its own rule: a credit never exceeds n − 1,
+    /// so an edge whose exact decrease is above (n − 1)·ln(10⁶)/R would go
+    /// uncredited in all R pools with probability below 10⁻⁶; its exact
+    /// decrease must be at most that.
+    #[test]
+    fn pooled_edge_credits_agree_with_the_exact_oracle() {
+        const R: u64 = 4_000;
+        const Z: f64 = 4.0;
+        let one = vec![vid(0)];
+        let two = vec![vid(0), vid(1)];
+        for (graph_seed, seeds) in [(0, &one), (1, &one), (3, &two), (5, &two)] {
+            let g = generators::erdos_renyi(14, 0.18, 0.3, graph_seed).unwrap();
+            let n = g.num_vertices();
+            let edges: Vec<_> = g
+                .edges()
+                .map(|e| (e.source, e.target, e.probability))
+                .collect();
+            let unblocked = vec![false; n];
+            let mut ws = PoolWorkspace::new();
+            ws.stage_seeds(n, seeds, None).unwrap();
+            // Σx and Σx² of every edge's credit.
+            let mut sums = vec![(0.0, 0.0); edges.len()];
+            for pool_seed in 0..R {
+                let pool = SamplePool::build(&g, 1, pool_seed).unwrap();
+                let filter = BlockedVertices(&unblocked);
+                edge_credit(
+                    &Rerooted {
+                        pool: &pool,
+                        filter,
+                    },
+                    1,
+                    &mut ws,
+                );
+                for ((sum, sum_sq), &(u, v, _)) in sums.iter_mut().zip(&edges) {
+                    let credit = ws.edge_credit().get(&(u.raw(), v.raw()));
+                    let x = credit.copied().unwrap_or(0) as f64;
+                    *sum += x;
+                    *sum_sq += x * x;
+                }
+            }
+            let base = exact_expected_spread(&g, seeds, None).unwrap();
+            let r = R as f64;
+            let never_credited = (n - 1) as f64 * 1e6f64.ln() / r;
+            for (i, &(sum, sum_sq)) in sums.iter().enumerate() {
+                let (u, v, _) = edges[i];
+                let mut kept = edges.clone();
+                kept.remove(i);
+                let without = DiGraph::from_edges(n, kept).unwrap();
+                let exact = base - exact_expected_spread(&without, seeds, None).unwrap();
+                let mean = sum / r;
+                let variance = (sum_sq - r * mean * mean) / (r - 1.0);
+                let slack = if variance > 0.0 {
+                    Z * (variance / r).sqrt()
+                } else if sum == 0.0 {
+                    never_credited
+                } else {
+                    1e-9
+                };
+                assert!(
+                    (mean - exact).abs() <= slack,
+                    "graph {graph_seed}, edge {u}→{v}: mean {mean} vs exact {exact} (slack {slack})"
+                );
+            }
         }
     }
 

@@ -74,11 +74,6 @@ impl ImninProblem {
         self.merged.is_valid_blocker(v)
     }
 
-    /// Number of candidate blockers (`|V \ S|`).
-    pub fn num_candidates(&self) -> usize {
-        self.merged.original_num_vertices - self.merged.original_seeds.len()
-    }
-
     /// Runs the selected algorithm with the given budget.
     ///
     /// The returned blockers always refer to vertices of the original graph,
@@ -270,7 +265,6 @@ mod tests {
         let g = funnel_graph();
         let p = ImninProblem::new(&g, vec![vid(0)]).unwrap();
         assert_eq!(p.seeds(), &[vid(0)]);
-        assert_eq!(p.num_candidates(), 8);
         assert!(p.is_valid_blocker(vid(3)));
         assert!(!p.is_valid_blocker(vid(0)));
         assert_eq!(p.graph().num_vertices(), 9);

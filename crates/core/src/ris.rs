@@ -243,24 +243,12 @@ impl SketchPool {
         let timed = imin_obs::span::active();
         let start = Instant::now();
         let in_thr = InThresholds::new(graph);
-        let threads = threads.max(1).min(theta_r);
-        let parts: Vec<SketchPart> = if threads <= 1 {
-            vec![fill_sketch_region(graph, &in_thr, seed, 0..theta_r)]
-        } else {
-            let shards: Vec<Range<usize>> = crate::pool::shard_ranges(theta_r, threads).collect();
-            let mut parts: Vec<SketchPart> = Vec::new();
-            parts.resize_with(shards.len(), SketchPart::default);
-            crossbeam::scope(|scope| {
-                for (range, part) in shards.into_iter().zip(parts.iter_mut()) {
-                    let in_thr = &in_thr;
-                    scope.spawn(move |_| {
-                        *part = fill_sketch_region(graph, in_thr, seed, range);
-                    });
-                }
-            })
-            .expect("sketch-pool build worker panicked");
-            parts
-        };
+        let mut parts: Vec<SketchPart> = Vec::new();
+        parts.resize_with(threads.clamp(1, theta_r), SketchPart::default);
+        let shards = crate::pool::shard_ranges(theta_r, parts.len());
+        crate::pool::run_jobs(shards.zip(parts.iter_mut()).collect(), |(range, part)| {
+            *part = fill_sketch_region(graph, &in_thr, seed, range);
+        });
 
         let total: usize = parts.iter().map(|p| p.members.len()).sum();
         let mut members = Vec::with_capacity(total);

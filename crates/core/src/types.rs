@@ -35,11 +35,6 @@ impl Default for AlgorithmConfig {
 }
 
 impl AlgorithmConfig {
-    /// A configuration matching the paper's defaults (θ = r = 10 000).
-    pub fn paper_defaults() -> Self {
-        Self::default()
-    }
-
     /// A small, fast configuration used by unit/integration tests and doc
     /// examples (θ = r = 200, single-threaded for determinism).
     pub fn fast_for_tests() -> Self {
@@ -143,18 +138,6 @@ impl BlockerSelection {
         }
     }
 
-    /// The blockers as a boolean mask over `num_vertices` vertices, the form
-    /// the spread evaluators consume.
-    pub fn as_mask(&self, num_vertices: usize) -> Vec<bool> {
-        let mut mask = vec![false; num_vertices];
-        for &b in &self.blockers {
-            if b.index() < num_vertices {
-                mask[b.index()] = true;
-            }
-        }
-        mask
-    }
-
     /// Number of blockers selected.
     pub fn len(&self) -> usize {
         self.blockers.len()
@@ -181,7 +164,6 @@ mod tests {
         assert_eq!(c.mcs_rounds, 7);
         assert_eq!(c.threads, 1, "thread count is clamped to at least 1");
         assert_eq!(c.seed, 9);
-        assert_eq!(AlgorithmConfig::paper_defaults().theta, 10_000);
         let fast = AlgorithmConfig::fast_for_tests();
         assert!(fast.theta < 1_000 && fast.threads == 1);
     }
@@ -214,16 +196,12 @@ mod tests {
     }
 
     #[test]
-    fn selection_mask_and_len() {
+    fn selection_len_and_emptiness() {
         let sel = BlockerSelection::new(vec![VertexId::new(1), VertexId::new(3)]);
         assert_eq!(sel.len(), 2);
         assert!(!sel.is_empty());
-        assert_eq!(sel.as_mask(5), vec![false, true, false, true, false]);
         assert!(sel.estimated_spread.is_none());
         let empty = BlockerSelection::new(vec![]);
         assert!(empty.is_empty());
-        // Out-of-range blockers are ignored by the mask conversion.
-        let weird = BlockerSelection::new(vec![VertexId::new(10)]);
-        assert_eq!(weird.as_mask(3), vec![false, false, false]);
     }
 }

@@ -5,34 +5,8 @@
 //! independent chance per out-edge to activate the target. Blocked vertices
 //! can never be activated (Definition 2).
 
-use crate::error::validate_seeds_and_mask;
-use crate::Result;
 use imin_graph::{DiGraph, VertexId};
 use rand::Rng;
-
-/// The outcome of one IC cascade.
-#[derive(Clone, Debug)]
-pub struct CascadeOutcome {
-    /// Every vertex activated during the process, in activation order
-    /// (seeds first).
-    pub activated: Vec<VertexId>,
-    /// Activation timestamp of each activated vertex (seeds have timestamp
-    /// 0), parallel to `activated`.
-    pub timestamps: Vec<u32>,
-}
-
-impl CascadeOutcome {
-    /// Number of active vertices at the end of the process (the quantity
-    /// averaged by Monte-Carlo spread estimation).
-    pub fn spread(&self) -> usize {
-        self.activated.len()
-    }
-
-    /// Returns `true` if the given vertex was activated.
-    pub fn is_activated(&self, v: VertexId) -> bool {
-        self.activated.contains(&v)
-    }
-}
 
 /// A reusable cascade simulator.
 ///
@@ -129,68 +103,6 @@ impl CascadeSimulator {
     }
 }
 
-/// Runs a single IC cascade and returns the full outcome (activation order
-/// and timestamps). Intended for examples, tests and visualisation; the hot
-/// path used by Monte-Carlo estimation is [`CascadeSimulator::run_count`].
-///
-/// # Errors
-/// Returns an error if the seed set is empty, a seed is out of range, the
-/// mask has the wrong length or a seed is blocked.
-pub fn simulate_cascade<R: Rng + ?Sized>(
-    graph: &DiGraph,
-    seeds: &[VertexId],
-    blocked: Option<&[bool]>,
-    rng: &mut R,
-) -> Result<CascadeOutcome> {
-    validate_seeds_and_mask(graph.num_vertices(), seeds, blocked)?;
-    let n = graph.num_vertices();
-    let mut active = vec![false; n];
-    let mut activated = Vec::new();
-    let mut timestamps = Vec::new();
-    let mut frontier: Vec<VertexId> = Vec::new();
-    for &s in seeds {
-        if !active[s.index()] {
-            active[s.index()] = true;
-            activated.push(s);
-            timestamps.push(0);
-            frontier.push(s);
-        }
-    }
-    let mut time = 0u32;
-    while !frontier.is_empty() {
-        time += 1;
-        let mut next = Vec::new();
-        for &u in &frontier {
-            for (v, p) in graph.out_edges(u) {
-                if active[v.index()] {
-                    continue;
-                }
-                if blocked.map(|m| m[v.index()]).unwrap_or(false) {
-                    continue;
-                }
-                let success = if p >= 1.0 {
-                    true
-                } else if p <= 0.0 {
-                    false
-                } else {
-                    rng.gen_bool(p)
-                };
-                if success {
-                    active[v.index()] = true;
-                    activated.push(v);
-                    timestamps.push(time);
-                    next.push(v);
-                }
-            }
-        }
-        frontier = next;
-    }
-    Ok(CascadeOutcome {
-        activated,
-        timestamps,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,59 +126,7 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_cascade_activates_everything() {
-        let g = deterministic_path();
-        let mut rng = StdRng::seed_from_u64(1);
-        let out = simulate_cascade(&g, &[vid(0)], None, &mut rng).unwrap();
-        assert_eq!(out.spread(), 4);
-        assert_eq!(out.timestamps, vec![0, 1, 2, 3]);
-        assert!(out.is_activated(vid(3)));
-    }
-
-    #[test]
-    fn zero_probability_edges_never_fire() {
-        let g = DiGraph::from_edges(2, vec![(vid(0), vid(1), 0.0)]).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..50 {
-            let out = simulate_cascade(&g, &[vid(0)], None, &mut rng).unwrap();
-            assert_eq!(out.spread(), 1);
-        }
-    }
-
-    #[test]
-    fn blocking_stops_the_cascade() {
-        let g = deterministic_path();
-        let mut blocked = vec![false; 4];
-        blocked[2] = true;
-        let mut rng = StdRng::seed_from_u64(1);
-        let out = simulate_cascade(&g, &[vid(0)], Some(&blocked), &mut rng).unwrap();
-        assert_eq!(out.spread(), 2);
-        assert!(!out.is_activated(vid(2)));
-        assert!(!out.is_activated(vid(3)));
-    }
-
-    #[test]
-    fn invalid_inputs_are_rejected() {
-        let g = deterministic_path();
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(simulate_cascade(&g, &[], None, &mut rng).is_err());
-        assert!(simulate_cascade(&g, &[vid(9)], None, &mut rng).is_err());
-        assert!(simulate_cascade(&g, &[vid(0)], Some(&[false; 2]), &mut rng).is_err());
-        let mut mask = vec![false; 4];
-        mask[0] = true;
-        assert!(simulate_cascade(&g, &[vid(0)], Some(&mask), &mut rng).is_err());
-    }
-
-    #[test]
-    fn duplicate_seeds_are_counted_once() {
-        let g = deterministic_path();
-        let mut rng = StdRng::seed_from_u64(1);
-        let out = simulate_cascade(&g, &[vid(0), vid(0)], None, &mut rng).unwrap();
-        assert_eq!(out.spread(), 4);
-    }
-
-    #[test]
-    fn simulator_count_matches_full_simulation_on_deterministic_graphs() {
+    fn simulator_count_is_exact_on_deterministic_graphs() {
         let g = deterministic_path();
         let mut sim = CascadeSimulator::new(g.num_vertices());
         let mut rng = StdRng::seed_from_u64(3);
@@ -275,6 +135,16 @@ mod tests {
         assert_eq!(sim.run_count(&g, &[vid(0)], |v| v == vid(1), &mut rng), 1);
         // Blocked seed contributes nothing.
         assert_eq!(sim.run_count(&g, &[vid(0)], |v| v == vid(0), &mut rng), 0);
+        // A duplicated seed counts once.
+        assert_eq!(sim.run_count(&g, &[vid(0), vid(0)], |_| false, &mut rng), 4);
+        // An edge with p = 0 never fires; one with p = 1 always does.
+        for (p, count) in [(0.0, 1), (1.0, 2)] {
+            let edge = DiGraph::from_edges(2, vec![(vid(0), vid(1), p)]).unwrap();
+            for _ in 0..50 {
+                let got = sim.run_count(&edge, &[vid(0)], |_| false, &mut rng);
+                assert_eq!(got, count, "p = {p}");
+            }
+        }
     }
 
     #[test]

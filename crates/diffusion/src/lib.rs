@@ -24,8 +24,9 @@
 //! * [`models`] — the propagation-probability assignments of §VI-A:
 //!   Trivalency (TR) and Weighted Cascade (WC), plus constant/uniform
 //!   variants for tests.
-//! * [`ic`] — a single IC cascade simulation with optional blocked-vertex
-//!   masks (Definition 2).
+//! * [`ic`] — [`ic::CascadeSimulator`], the one IC cascade simulator: one
+//!   Monte-Carlo round, with blocked vertices never activated
+//!   (Definition 2).
 //! * [`live_edge`] — live-edge (possible-world) graph sampling, the bridge
 //!   between the IC model and the dominator-tree machinery of the core crate
 //!   (Definition 4, Lemma 1).

@@ -8,8 +8,7 @@
 //!
 //! In this workspace the iterative algorithm is the **oracle** against which
 //! the production Lengauer–Tarjan implementation is cross-checked (property
-//! tests and the `domtree` ablation bench); it is intentionally written for
-//! clarity rather than speed.
+//! tests); it is intentionally written for clarity rather than speed.
 
 use crate::tree::DomTree;
 use imin_graph::{DiGraph, VertexId};

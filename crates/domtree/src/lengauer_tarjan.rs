@@ -18,9 +18,9 @@
 //! every buffer is cleared and refilled in place, and clearing costs are
 //! proportional to the size of the previous sample, never to the full graph.
 //!
-//! The convenience functions ([`dominator_tree`], [`dominator_tree_masked`],
-//! [`dominator_tree_from_adjacency`], [`compute_dominators`]) are thin
-//! wrappers that run a fresh workspace once and hand out the owned tree.
+//! [`DomTreeWorkspace::compute_csr`] is the one way in. The conveniences
+//! [`dominator_tree`] and [`dominator_tree_from_adjacency`] flatten their
+//! rows into a CSR, run a fresh workspace once and hand out the owned tree.
 
 use crate::tree::DomTree;
 use imin_graph::{DiGraph, VertexId};
@@ -48,12 +48,6 @@ const NONE: u32 = u32::MAX;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct DomTreeWorkspace {
-    // ---- materialised adjacency for the closure-based entry points -------
-    // Per-vertex slice bounds into `adj_targets`; rows are written in
-    // discovery order, so only reachable vertices ever get a non-empty row.
-    adj_starts: Vec<u32>,
-    adj_ends: Vec<u32>,
-    adj_targets: Vec<u32>,
     // ---- DFS ------------------------------------------------------------
     /// Preorder number + 1 (0 = unvisited).
     dfn: Vec<u32>,
@@ -94,8 +88,8 @@ impl DomTreeWorkspace {
     /// `0..num_vertices`.
     ///
     /// The returned reference points into the workspace; it is valid until
-    /// the next `compute_*` call. Allocation-free once the workspace has
-    /// grown to the input high-water mark.
+    /// the next call. Allocation-free once the workspace has grown to the
+    /// input high-water mark.
     ///
     /// # Panics
     /// Panics if `offsets` does not have `num_vertices + 1` entries or the
@@ -112,85 +106,11 @@ impl DomTreeWorkspace {
             num_vertices + 1,
             "CSR offsets must have num_vertices + 1 entries"
         );
-        self.run(
-            num_vertices,
-            &offsets[..num_vertices],
-            &offsets[1..],
-            targets,
-            root,
-        );
+        self.run(num_vertices, offsets, targets, root);
         &self.tree
     }
 
-    /// Computes the dominator tree over an adjacency described by a closure:
-    /// `successors(u, f)` must call `f(v)` for every out-neighbour `v` of
-    /// `u`.
-    ///
-    /// The closure is only consulted for vertices reachable from the root: a
-    /// breadth-first discovery materialises exactly the reachable rows into
-    /// the workspace's adjacency arena before solving, so a call on a large
-    /// universe with a small reachable region (e.g. a heavily masked graph)
-    /// costs `O(num_vertices + reachable edges)`, not `O(total edges)`.
-    pub fn compute<S>(&mut self, num_vertices: usize, root: VertexId, mut successors: S) -> &DomTree
-    where
-        S: FnMut(u32, &mut dyn FnMut(u32)),
-    {
-        let n = num_vertices;
-        // Split borrows: the adjacency buffers are filled here and then
-        // passed to `run` as plain slices.
-        let mut adj_starts = std::mem::take(&mut self.adj_starts);
-        let mut adj_ends = std::mem::take(&mut self.adj_ends);
-        let mut adj_targets = std::mem::take(&mut self.adj_targets);
-        adj_starts.clear();
-        adj_starts.resize(n, 0);
-        adj_ends.clear();
-        adj_ends.resize(n, 0);
-        adj_targets.clear();
-        if root.index() < n {
-            // BFS discovery (visited marks in `dfn`, which `run` resets; the
-            // queue borrows the DFS vertex stack, which `run` also resets).
-            let dfn = &mut self.dfn;
-            dfn.clear();
-            dfn.resize(n, 0);
-            let queue = &mut self.stack_v;
-            queue.clear();
-            dfn[root.index()] = 1;
-            queue.push(root.raw());
-            let mut head = 0usize;
-            while head < queue.len() {
-                let u = queue[head];
-                head += 1;
-                let start = adj_targets.len() as u32;
-                successors(u, &mut |v| adj_targets.push(v));
-                adj_starts[u as usize] = start;
-                adj_ends[u as usize] = adj_targets.len() as u32;
-                for &v in &adj_targets[start as usize..] {
-                    debug_assert!((v as usize) < n, "successor {v} out of range");
-                    if dfn[v as usize] == 0 {
-                        dfn[v as usize] = 1;
-                        queue.push(v);
-                    }
-                }
-            }
-        }
-        self.run(n, &adj_starts, &adj_ends, &adj_targets, root);
-        self.adj_starts = adj_starts;
-        self.adj_ends = adj_ends;
-        self.adj_targets = adj_targets;
-        &self.tree
-    }
-
-    /// The tree produced by the most recent `compute_*` call.
-    pub fn tree(&self) -> &DomTree {
-        &self.tree
-    }
-
-    /// Consumes the workspace, returning the most recently computed tree.
-    pub fn into_tree(self) -> DomTree {
-        self.tree
-    }
-
-    fn run(&mut self, n: usize, starts: &[u32], ends: &[u32], targets: &[u32], root: VertexId) {
+    fn run(&mut self, n: usize, offsets: &[u32], targets: &[u32], root: VertexId) {
         assert!(
             root.index() < n,
             "root {root} out of range for {n} vertices"
@@ -217,10 +137,10 @@ impl DomTreeWorkspace {
         dfn[root_raw as usize] = 1;
         preorder.push(root_raw);
         self.stack_v.push(root_raw);
-        self.stack_e.push(starts[root_raw as usize]);
+        self.stack_e.push(offsets[root_raw as usize]);
         while let Some(&u) = self.stack_v.last() {
             let cursor = self.stack_e.last_mut().expect("stacks move in lockstep");
-            if *cursor < ends[u as usize] {
+            if *cursor < offsets[u as usize + 1] {
                 let v = targets[*cursor as usize];
                 *cursor += 1;
                 debug_assert!((v as usize) < n, "successor {v} out of range");
@@ -229,7 +149,7 @@ impl DomTreeWorkspace {
                     parent[v as usize] = u;
                     preorder.push(v);
                     self.stack_v.push(v);
-                    self.stack_e.push(starts[v as usize]);
+                    self.stack_e.push(offsets[v as usize]);
                 }
             } else {
                 self.stack_v.pop();
@@ -279,8 +199,8 @@ impl DomTreeWorkspace {
         pred_offsets.clear();
         pred_offsets.resize(n + 1, 0);
         for &u in preorder.iter() {
-            let lo = starts[u as usize] as usize;
-            let hi = ends[u as usize] as usize;
+            let lo = offsets[u as usize] as usize;
+            let hi = offsets[u as usize + 1] as usize;
             for &v in &targets[lo..hi] {
                 pred_offsets[v as usize + 1] += 1;
             }
@@ -296,8 +216,8 @@ impl DomTreeWorkspace {
         pred_cursor.clear();
         pred_cursor.extend_from_slice(&pred_offsets[..n]);
         for &u in preorder.iter() {
-            let lo = starts[u as usize] as usize;
-            let hi = ends[u as usize] as usize;
+            let lo = offsets[u as usize] as usize;
+            let hi = offsets[u as usize + 1] as usize;
             for &v in &targets[lo..hi] {
                 let slot = pred_cursor[v as usize];
                 pred_cursor[v as usize] += 1;
@@ -400,68 +320,43 @@ impl DomTreeWorkspace {
     }
 }
 
-/// Computes the dominator tree of the vertices reachable from `root`.
-///
-/// `num_vertices` is the size of the vertex universe (ids `0..num_vertices`)
-/// and `successors(u, f)` must call `f(v)` for every out-neighbour `v` of
-/// `u`. Unreachable vertices simply end up outside the tree.
-///
-/// One-shot convenience over [`DomTreeWorkspace::compute`]; callers in a
-/// loop should hold a workspace instead.
-pub fn compute_dominators<S>(num_vertices: usize, root: VertexId, successors: S) -> DomTree
-where
-    S: FnMut(u32, &mut dyn FnMut(u32)),
-{
-    let mut ws = DomTreeWorkspace::new();
-    ws.compute(num_vertices, root, successors);
-    ws.into_tree()
-}
-
 /// Dominator tree of `graph` rooted at `root` (over the full graph).
 pub fn dominator_tree(graph: &DiGraph, root: VertexId) -> DomTree {
-    compute_dominators(graph.num_vertices(), root, |u, f| {
-        for &v in graph.out_neighbors(VertexId::from_raw(u)) {
-            f(v);
-        }
-    })
+    let rows = graph.vertices().map(|u| graph.out_neighbors(u));
+    dominator_tree_of_rows(graph.num_vertices(), rows, root)
 }
 
-/// Dominator tree of `graph` rooted at `root`, skipping every vertex for
-/// which `blocked[v]` is `true` (edges into and out of blocked vertices are
-/// ignored, matching the blocker semantics of Definition 2).
-///
-/// # Panics
-/// Panics if the root itself is blocked — callers must never block a seed.
-pub fn dominator_tree_masked(graph: &DiGraph, root: VertexId, blocked: &[bool]) -> DomTree {
-    assert!(
-        !blocked[root.index()],
-        "the root/seed vertex must not be blocked"
-    );
-    compute_dominators(graph.num_vertices(), root, |u, f| {
-        if blocked[u as usize] {
-            return;
-        }
-        for &v in graph.out_neighbors(VertexId::from_raw(u)) {
-            if !blocked[v as usize] {
-                f(v);
-            }
-        }
-    })
-}
-
-/// Dominator tree over a nested adjacency-list representation.
-///
-/// Compatibility shim over [`DomTreeWorkspace`]: the sampler used to store
-/// live-edge samples as `Vec<Vec<u32>>` and this entry point survives for
-/// tests, oracles and external callers that still hold that shape. The
-/// production sampling path feeds its flat CSR arena directly to
-/// [`DomTreeWorkspace::compute_csr`] instead.
+/// Dominator tree over a nested adjacency-list representation
+/// (`adjacency[u]` lists the out-neighbours of `u`), for tests and
+/// oracles that hold that shape.
 pub fn dominator_tree_from_adjacency(adjacency: &[Vec<u32>], root: VertexId) -> DomTree {
-    compute_dominators(adjacency.len(), root, |u, f| {
-        for &v in &adjacency[u as usize] {
-            f(v);
-        }
-    })
+    let rows = adjacency.iter().map(Vec::as_slice);
+    dominator_tree_of_rows(adjacency.len(), rows, root)
+}
+
+/// Runs a fresh workspace once over `rows` (one per vertex); callers in a
+/// loop should hold a [`DomTreeWorkspace`] instead.
+fn dominator_tree_of_rows<'a>(
+    num_vertices: usize,
+    rows: impl Iterator<Item = &'a [u32]>,
+    root: VertexId,
+) -> DomTree {
+    let (offsets, targets) = csr_of_rows(rows);
+    let mut ws = DomTreeWorkspace::new();
+    ws.compute_csr(num_vertices, &offsets, &targets, root);
+    ws.tree
+}
+
+/// Flattens one row of out-neighbours per vertex into CSR offsets and
+/// targets.
+fn csr_of_rows<'a>(rows: impl Iterator<Item = &'a [u32]>) -> (Vec<u32>, Vec<u32>) {
+    let mut offsets = vec![0];
+    let mut targets = Vec::new();
+    for row in rows {
+        targets.extend_from_slice(row);
+        offsets.push(targets.len() as u32);
+    }
+    (offsets, targets)
 }
 
 #[cfg(test)]
@@ -481,6 +376,11 @@ mod tests {
                 .collect::<Vec<_>>(),
         )
         .unwrap()
+    }
+
+    /// `graph`'s out-adjacency as `compute_csr` input.
+    fn csr(graph: &DiGraph) -> (Vec<u32>, Vec<u32>) {
+        csr_of_rows(graph.vertices().map(|u| graph.out_neighbors(u)))
     }
 
     #[test]
@@ -604,26 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn masked_tree_skips_blocked_vertices() {
-        // 0 -> 1 -> 2, 0 -> 3 -> 2. Blocking 1 leaves 2 dominated by 3.
-        let g = graph(4, &[(0, 1), (1, 2), (0, 3), (3, 2)]);
-        let mut blocked = vec![false; 4];
-        blocked[1] = true;
-        let dt = dominator_tree_masked(&g, vid(0), &blocked);
-        assert!(!dt.is_reachable(vid(1)));
-        assert_eq!(dt.idom(vid(2)), Some(vid(3)));
-        assert_eq!(dt.subtree_sizes(), vec![3, 0, 1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "must not be blocked")]
-    fn masked_tree_rejects_blocked_root() {
-        let g = graph(2, &[(0, 1)]);
-        let blocked = vec![true, false];
-        let _ = dominator_tree_masked(&g, vid(0), &blocked);
-    }
-
-    #[test]
     fn adjacency_interface_matches_graph_interface() {
         let g = graph(5, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]);
         let adj: Vec<Vec<u32>> = (0..5).map(|u| g.out_neighbors(vid(u)).to_vec()).collect();
@@ -636,12 +516,7 @@ mod tests {
     #[test]
     fn csr_interface_matches_adjacency_interface() {
         let g = graph(6, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (2, 5)]);
-        let mut offsets = vec![0u32];
-        let mut targets = Vec::new();
-        for u in 0..6 {
-            targets.extend_from_slice(g.out_neighbors(vid(u)));
-            offsets.push(targets.len() as u32);
-        }
+        let (offsets, targets) = csr(&g);
         let mut ws = DomTreeWorkspace::new();
         let from_csr = ws.compute_csr(6, &offsets, &targets, vid(0)).clone();
         let from_graph = dominator_tree(&g, vid(0));
@@ -669,11 +544,8 @@ mod tests {
         for (n, edges) in shapes {
             let g = graph(n, &edges);
             let reference = dominator_tree(&g, vid(0));
-            let ws_tree = ws.compute(n, vid(0), |u, f| {
-                for &v in g.out_neighbors(VertexId::from_raw(u)) {
-                    f(v);
-                }
-            });
+            let (offsets, targets) = csr(&g);
+            let ws_tree = ws.compute_csr(n, &offsets, &targets, vid(0));
             assert_eq!(ws_tree.idom_raw(), reference.idom_raw(), "n={n}");
             assert_eq!(ws_tree.subtree_sizes(), reference.subtree_sizes());
             assert!(ws_tree.validate().is_ok());
@@ -702,11 +574,8 @@ mod tests {
             let g = graph(n, &edges);
             let root = vid(next() % n);
             let oracle = naive_immediate_dominators(&g, root);
-            let tree = ws.compute(n, root, |u, f| {
-                for &v in g.out_neighbors(VertexId::from_raw(u)) {
-                    f(v);
-                }
-            });
+            let (offsets, targets) = csr(&g);
+            let tree = ws.compute_csr(n, &offsets, &targets, root);
             for (v, expected) in oracle.iter().enumerate() {
                 assert_eq!(
                     tree.idom(vid(v)),

@@ -18,13 +18,14 @@
 //!   `O(m·α(m,n))` with the sophisticated linking, `O(m log n)` with the
 //!   simple linking implemented here, which is the variant the original
 //!   paper's reference implementation \[53\] recommends for practical graphs.
-//!   The [`DomTreeWorkspace`] entry point owns every scratch buffer of the
-//!   algorithm (flattened predecessor/bucket arrays and the output tree), so
-//!   the per-sample hot loop of Algorithm 2 builds θ dominator trees with
-//!   zero steady-state heap allocations.
+//!   Its one entry point, [`DomTreeWorkspace::compute_csr`], reads a CSR
+//!   graph; the workspace owns every scratch buffer of the algorithm
+//!   (flattened predecessor/bucket arrays and the output tree), so the
+//!   per-sample hot loop of Algorithm 2 builds θ dominator trees with zero
+//!   steady-state heap allocations.
 //! * [`iterative`] — the Cooper–Harvey–Kennedy data-flow algorithm, a
 //!   simpler but asymptotically slower method used as a cross-check oracle
-//!   in tests and ablation benchmarks.
+//!   in tests.
 //! * [`naive`] — textbook-definition dominators ("u dominates v iff removing
 //!   u disconnects v from the root"), cubic time, used only to validate the
 //!   other two on small random graphs.
@@ -55,7 +56,5 @@ pub mod lengauer_tarjan;
 pub mod naive;
 pub mod tree;
 
-pub use lengauer_tarjan::{
-    dominator_tree, dominator_tree_from_adjacency, dominator_tree_masked, DomTreeWorkspace,
-};
+pub use lengauer_tarjan::{dominator_tree, dominator_tree_from_adjacency, DomTreeWorkspace};
 pub use tree::DomTree;

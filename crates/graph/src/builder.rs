@@ -40,7 +40,6 @@ pub struct GraphBuilder {
     edges: Vec<(u32, u32, f64)>,
     self_loops: SelfLoopPolicy,
     grow_to_fit: bool,
-    default_probability: f64,
 }
 
 impl GraphBuilder {
@@ -51,7 +50,6 @@ impl GraphBuilder {
             edges: Vec::new(),
             self_loops: SelfLoopPolicy::default(),
             grow_to_fit: false,
-            default_probability: 1.0,
         }
     }
 
@@ -75,25 +73,9 @@ impl GraphBuilder {
         self
     }
 
-    /// Sets the probability used by [`GraphBuilder::add_arc`] (edges added
-    /// without an explicit probability). Defaults to `1.0`.
-    ///
-    /// # Errors
-    /// Returns an error if `p` is not a finite value in `[0, 1]`.
-    pub fn default_probability(mut self, p: f64) -> Result<Self> {
-        validate_probability(p)?;
-        self.default_probability = p;
-        Ok(self)
-    }
-
     /// Number of vertices the built graph will have (so far).
     pub fn num_vertices(&self) -> usize {
         self.num_vertices
-    }
-
-    /// Number of edge insertions recorded so far (before deduplication).
-    pub fn num_recorded_edges(&self) -> usize {
-        self.edges.len()
     }
 
     /// Ensures the graph has at least `n` vertices.
@@ -144,11 +126,6 @@ impl GraphBuilder {
         Ok(())
     }
 
-    /// Adds a directed edge with the builder's default probability.
-    pub fn add_arc(&mut self, u: VertexId, v: VertexId) -> Result<()> {
-        self.add_edge(u, v, self.default_probability)
-    }
-
     /// Adds both `(u, v)` and `(v, u)` with probability `p` — the paper
     /// treats undirected datasets (Facebook, DBLP, Youtube) as bidirectional
     /// edge pairs (§VI-A).
@@ -156,17 +133,6 @@ impl GraphBuilder {
         self.add_edge(u, v, p)?;
         if u != v {
             self.add_edge(v, u, p)?;
-        }
-        Ok(())
-    }
-
-    /// Adds every edge from an iterator of `(source, target, probability)`.
-    pub fn extend_edges(
-        &mut self,
-        edges: impl IntoIterator<Item = (VertexId, VertexId, f64)>,
-    ) -> Result<()> {
-        for (u, v, p) in edges {
-            self.add_edge(u, v, p)?;
         }
         Ok(())
     }
@@ -244,15 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn default_probability_applies_to_add_arc() {
-        let mut b = GraphBuilder::new(2).default_probability(0.1).unwrap();
-        b.add_arc(vid(0), vid(1)).unwrap();
-        let g = b.build();
-        assert_eq!(g.edge_probability(vid(0), vid(1)), Some(0.1));
-        assert!(GraphBuilder::new(2).default_probability(1.5).is_err());
-    }
-
-    #[test]
     fn duplicate_edges_merge_in_build() {
         let mut b = GraphBuilder::new(2);
         b.add_edge(vid(0), vid(1), 0.5).unwrap();
@@ -260,16 +217,6 @@ mod tests {
         let g = b.build();
         assert_eq!(g.num_edges(), 1);
         assert!((g.edge_probability(vid(0), vid(1)).unwrap() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn extend_edges_and_counters() {
-        let mut b = GraphBuilder::with_capacity(3, 2);
-        b.extend_edges(vec![(vid(0), vid(1), 0.2), (vid(1), vid(2), 0.3)])
-            .unwrap();
-        assert_eq!(b.num_recorded_edges(), 2);
-        assert_eq!(b.num_vertices(), 3);
-        assert_eq!(b.build().num_edges(), 2);
     }
 
     #[test]

@@ -393,12 +393,6 @@ impl DiGraph {
         reversed
     }
 
-    /// Sum of all edge probabilities; a cheap sanity statistic used by tests
-    /// and dataset summaries.
-    pub fn total_probability_mass(&self) -> f64 {
-        self.out_probs.iter().sum()
-    }
-
     /// Maximum total degree over all vertices (`d_max` in Table IV).
     pub fn max_degree(&self) -> usize {
         self.vertices().map(|v| self.degree(v)).max().unwrap_or(0)
@@ -780,12 +774,6 @@ mod tests {
     #[test]
     fn validate_accepts_well_formed_graphs() {
         assert!(diamond().validate().is_ok());
-    }
-
-    #[test]
-    fn total_probability_mass_sums_edges() {
-        let g = diamond();
-        assert!((g.total_probability_mass() - 2.5).abs() < 1e-12);
     }
 
     #[test]

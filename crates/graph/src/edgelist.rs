@@ -52,17 +52,6 @@ pub struct LoadedEdgeList {
     pub original_ids: Vec<u64>,
 }
 
-impl LoadedEdgeList {
-    /// Looks up the dense id of an original file id (linear scan; intended
-    /// for tests and small lookups).
-    pub fn dense_id(&self, original: u64) -> Option<VertexId> {
-        self.original_ids
-            .iter()
-            .position(|&o| o == original)
-            .map(VertexId::new)
-    }
-}
-
 /// Parses an edge list from any reader.
 ///
 /// Each non-comment line must contain `source target [probability]`,
@@ -170,12 +159,6 @@ pub fn write_edge_list<W: Write>(graph: &DiGraph, mut writer: W) -> Result<()> {
     Ok(())
 }
 
-/// Writes a graph to a file path in edge-list format.
-pub fn save_edge_list(graph: &DiGraph, path: impl AsRef<Path>) -> Result<()> {
-    let file = std::fs::File::create(path)?;
-    write_edge_list(graph, std::io::BufWriter::new(file))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,8 +195,6 @@ mod tests {
         let loaded = parse_edge_list(text, &EdgeListOptions::default()).unwrap();
         assert_eq!(loaded.graph.num_vertices(), 3);
         assert_eq!(loaded.original_ids, vec![100, 200, 50]);
-        assert_eq!(loaded.dense_id(200), Some(VertexId::new(1)));
-        assert_eq!(loaded.dense_id(999), None);
     }
 
     #[test]
@@ -309,7 +290,7 @@ mod tests {
         let dir = std::env::temp_dir().join("imin-graph-edgelist-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.txt");
-        save_edge_list(&g, &path).unwrap();
+        write_edge_list(&g, std::fs::File::create(&path).unwrap()).unwrap();
         let loaded = load_edge_list(&path, &EdgeListOptions::default()).unwrap();
         assert_eq!(loaded.graph.num_edges(), 1);
         std::fs::remove_file(&path).ok();

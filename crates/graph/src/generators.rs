@@ -4,8 +4,7 @@
 //! files cannot be redistributed with this repository, so the dataset crate
 //! synthesises stand-ins with matching size and degree skew using the
 //! generators below (see the `imin_datasets::catalog` docs). The same
-//! generators drive the property-based tests and the scaling
-//! micro-benchmarks.
+//! generators drive the property-based tests and the benchmarks.
 //!
 //! All generators are deterministic given the `seed` argument, produce
 //! simple directed graphs (no parallel edges; self loops dropped) and assign
@@ -136,80 +135,6 @@ pub fn preferential_attachment(
     Ok(builder.build())
 }
 
-/// Directed configuration-model graph with power-law out-degrees.
-///
-/// Out-degrees are sampled from a discrete power law with the given
-/// `exponent` (typical social networks: 2.0–3.0), capped at `max_degree`,
-/// then scaled so the expected edge count is close to `target_edges`.
-/// Targets are chosen preferentially (proportional to in-degree + 1) so the
-/// in-degree distribution is heavy-tailed as well.
-pub fn power_law_digraph(
-    n: usize,
-    target_edges: usize,
-    exponent: f64,
-    max_degree: usize,
-    probability: f64,
-    seed: u64,
-) -> Result<DiGraph> {
-    if n == 0 {
-        return Ok(DiGraph::empty(0));
-    }
-    if exponent <= 1.0 || !exponent.is_finite() {
-        return Err(GraphError::InvalidGeneratorArgument {
-            message: format!("power-law exponent {exponent} must be > 1"),
-        });
-    }
-    let max_degree = max_degree.max(1).min(n.saturating_sub(1).max(1));
-    let mut rng = StdRng::seed_from_u64(seed);
-
-    // Sample raw power-law degrees via inverse transform on a Pareto-like
-    // distribution, then rescale to hit the requested edge budget. The raw
-    // draw is truncated at `max_degree` *before* the rescale: an untruncated
-    // outlier (u near EPSILON gives degrees of ~1e12) would otherwise
-    // dominate the sum, drive the scale factor towards zero and leave the
-    // generated graph far below the requested edge budget once the outlier
-    // itself is clamped.
-    let mut degrees: Vec<f64> = (0..n)
-        .map(|_| {
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            u.powf(-1.0 / (exponent - 1.0)).min(max_degree as f64)
-        })
-        .collect();
-    let sum: f64 = degrees.iter().sum();
-    let scale = target_edges as f64 / sum;
-    let mut total = 0usize;
-    let int_degrees: Vec<usize> = degrees
-        .iter_mut()
-        .map(|d| {
-            let scaled = (*d * scale).round() as usize;
-            let clamped = scaled.min(max_degree);
-            total += clamped;
-            clamped
-        })
-        .collect();
-
-    let mut builder = GraphBuilder::with_capacity(n, total);
-    let mut attractiveness: Vec<u32> = (0..n as u32).collect();
-    for (u, &d) in int_degrees.iter().enumerate() {
-        let mut picked = std::collections::HashSet::with_capacity(d * 2);
-        let mut guard = 0usize;
-        while picked.len() < d && guard < 20 * (d + 1) {
-            guard += 1;
-            let t = attractiveness[rng.gen_range(0..attractiveness.len())] as usize;
-            if t != u {
-                picked.insert(t);
-            }
-        }
-        let mut picked: Vec<usize> = picked.into_iter().collect();
-        picked.sort_unstable();
-        for &t in &picked {
-            builder.add_edge(vid(u), vid(t), probability)?;
-            attractiveness.push(t as u32);
-        }
-    }
-    Ok(builder.build())
-}
-
 /// Complete directed graph on `n` vertices (every ordered pair, no loops).
 pub fn complete(n: usize, probability: f64) -> Result<DiGraph> {
     let mut builder = GraphBuilder::new(n);
@@ -289,24 +214,6 @@ mod tests {
         for e in g2.edges() {
             assert!(g2.has_edge(e.target, e.source));
         }
-    }
-
-    #[test]
-    fn power_law_hits_edge_budget_roughly() {
-        let g = power_law_digraph(1000, 5000, 2.3, 200, 0.1, 17).unwrap();
-        assert!(g.validate().is_ok());
-        let m = g.num_edges() as f64;
-        assert!(
-            m > 2500.0 && m < 7500.0,
-            "edge count {m} far from target 5000"
-        );
-        assert!(power_law_digraph(100, 500, 0.9, 50, 0.1, 0).is_err());
-        assert_eq!(
-            power_law_digraph(0, 0, 2.0, 10, 0.1, 0)
-                .unwrap()
-                .num_vertices(),
-            0
-        );
     }
 
     #[test]

@@ -14,13 +14,12 @@
 //!   (`1 - Π(1 - p_i)`), removes self loops on request and produces a
 //!   [`DiGraph`].
 //! * [`generators`] — random and structured graph generators (Erdős–Rényi,
-//!   preferential attachment, power-law configuration model, small world,
-//!   stars/paths/trees/DAGs) used by the dataset stand-ins and the property
-//!   tests.
+//!   preferential attachment, complete graphs, paths and cycles) used by the
+//!   dataset stand-ins and the property tests.
 //! * [`edgelist`] — SNAP-style edge-list reading and writing so that the real
 //!   datasets of Table IV can be plugged in when available.
-//! * [`traversal`] — BFS/DFS reachability with optional *blocked-vertex*
-//!   masks, the primitive behind spread computation under vertex blocking
+//! * [`traversal`] — BFS reachability with optional *blocked-vertex* masks,
+//!   the primitive behind spread computation under vertex blocking
 //!   (Definition 2).
 //! * [`stats`] — the per-dataset statistics reported in Table IV
 //!   (n, m, average degree, maximum degree).
@@ -66,7 +65,7 @@ pub use builder::GraphBuilder;
 pub use csr::{coin_threshold, DiGraph, EdgeRef, THRESHOLD_ALWAYS};
 pub use error::GraphError;
 pub use stats::GraphStats;
-pub use subgraph::{InducedSubgraph, VertexMask};
+pub use subgraph::InducedSubgraph;
 pub use vertex::VertexId;
 
 /// Convenience result alias used throughout the crate.

@@ -89,20 +89,6 @@ impl fmt::Display for GraphStats {
     }
 }
 
-/// Returns the out-degree distribution as a histogram:
-/// `hist[d]` = number of vertices with out-degree `d`.
-pub fn out_degree_histogram(graph: &DiGraph) -> Vec<usize> {
-    let mut hist = vec![0usize; 1];
-    for v in graph.vertices() {
-        let d = graph.out_degree(v);
-        if d >= hist.len() {
-            hist.resize(d + 1, 0);
-        }
-        hist[d] += 1;
-    }
-    hist
-}
-
 /// Returns the vertices sorted by decreasing out-degree (ties broken by id),
 /// which is exactly the ranking used by the OutDegree heuristic of §VI-A.
 pub fn vertices_by_out_degree(graph: &DiGraph) -> Vec<VertexId> {
@@ -153,14 +139,6 @@ mod tests {
         assert_eq!(s.isolated_vertices, 3);
         assert_eq!(s.min_probability, 1.0);
         assert_eq!(s.max_probability, 0.0);
-    }
-
-    #[test]
-    fn degree_histogram() {
-        let hist = out_degree_histogram(&star());
-        assert_eq!(hist[0], 5); // leaves and the isolated vertex
-        assert_eq!(hist[4], 1); // the hub
-        assert_eq!(hist.iter().sum::<usize>(), 6);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Induced subgraphs and vertex masks.
+//! Induced subgraphs.
 //!
 //! Two forms of "removing vertices" appear in the paper:
 //!
@@ -9,118 +9,10 @@
 //!   greedy round.
 //!
 //! [`InducedSubgraph`] materialises the former while remembering the vertex
-//! mapping back to the original graph; [`VertexMask`] is a small helper for
-//! the latter.
+//! mapping back to the original graph; the latter is a plain `&[bool]`
+//! indexed by vertex id.
 
 use crate::{DiGraph, Result, VertexId};
-
-/// A boolean vertex mask with set-like helpers.
-///
-/// Semantically this is the blocker set `B` (or any removed-vertex set):
-/// `mask.contains(v)` means `v` is blocked/removed.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct VertexMask {
-    bits: Vec<bool>,
-    count: usize,
-}
-
-impl VertexMask {
-    /// Creates an empty mask for graphs with `n` vertices.
-    pub fn new(n: usize) -> Self {
-        VertexMask {
-            bits: vec![false; n],
-            count: 0,
-        }
-    }
-
-    /// Creates a mask from an iterator of vertices to include.
-    pub fn from_vertices(n: usize, vertices: impl IntoIterator<Item = VertexId>) -> Self {
-        let mut mask = Self::new(n);
-        for v in vertices {
-            mask.insert(v);
-        }
-        mask
-    }
-
-    /// Number of vertices the mask covers (the graph size `n`).
-    pub fn capacity(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// Number of vertices currently in the mask.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// Returns `true` if no vertex is masked.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Returns `true` if `v` is in the mask.
-    #[inline]
-    pub fn contains(&self, v: VertexId) -> bool {
-        self.bits.get(v.index()).copied().unwrap_or(false)
-    }
-
-    /// Inserts `v`; returns `true` if it was newly inserted.
-    pub fn insert(&mut self, v: VertexId) -> bool {
-        let slot = &mut self.bits[v.index()];
-        if *slot {
-            false
-        } else {
-            *slot = true;
-            self.count += 1;
-            true
-        }
-    }
-
-    /// Removes `v`; returns `true` if it was present.
-    pub fn remove(&mut self, v: VertexId) -> bool {
-        let slot = &mut self.bits[v.index()];
-        if *slot {
-            *slot = false;
-            self.count -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Clears the mask.
-    pub fn clear(&mut self) {
-        self.bits.iter_mut().for_each(|b| *b = false);
-        self.count = 0;
-    }
-
-    /// Iterator over the masked vertices in increasing id order.
-    pub fn iter(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.bits
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b)
-            .map(|(i, _)| VertexId::new(i))
-    }
-
-    /// Borrow the underlying boolean slice (indexed by vertex id).
-    pub fn as_slice(&self) -> &[bool] {
-        &self.bits
-    }
-
-    /// Collects the masked vertices into a vector.
-    pub fn to_vec(&self) -> Vec<VertexId> {
-        self.iter().collect()
-    }
-}
-
-impl FromIterator<VertexId> for VertexMask {
-    /// Builds a mask sized to the largest vertex id in the iterator.
-    fn from_iter<T: IntoIterator<Item = VertexId>>(iter: T) -> Self {
-        let vertices: Vec<VertexId> = iter.into_iter().collect();
-        let n = vertices.iter().map(|v| v.index() + 1).max().unwrap_or(0);
-        Self::from_vertices(n, vertices)
-    }
-}
 
 /// The result of taking an induced subgraph: the new graph plus the mapping
 /// between old and new vertex ids.
@@ -180,13 +72,6 @@ where
     })
 }
 
-/// Returns `G[V \ removed]`: the induced subgraph after deleting the vertices
-/// in `removed`, exactly the operation of the IMIN objective
-/// `E(S, G[V \ B])`.
-pub fn remove_vertices(graph: &DiGraph, removed: &VertexMask) -> Result<InducedSubgraph> {
-    induced_subgraph(graph, |v| !removed.contains(v))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,41 +94,6 @@ mod tests {
     }
 
     #[test]
-    fn mask_basic_operations() {
-        let mut m = VertexMask::new(5);
-        assert!(m.is_empty());
-        assert!(m.insert(vid(2)));
-        assert!(!m.insert(vid(2)));
-        assert!(m.contains(vid(2)));
-        assert_eq!(m.len(), 1);
-        assert!(m.remove(vid(2)));
-        assert!(!m.remove(vid(2)));
-        assert!(m.is_empty());
-        m.insert(vid(1));
-        m.insert(vid(4));
-        assert_eq!(m.to_vec(), vec![vid(1), vid(4)]);
-        m.clear();
-        assert!(m.is_empty());
-        assert_eq!(m.capacity(), 5);
-    }
-
-    #[test]
-    fn mask_out_of_range_contains_is_false() {
-        let m = VertexMask::new(3);
-        assert!(!m.contains(vid(10)));
-    }
-
-    #[test]
-    fn mask_from_iterators() {
-        let m = VertexMask::from_vertices(6, vec![vid(0), vid(5)]);
-        assert_eq!(m.len(), 2);
-        let m2: VertexMask = vec![vid(3), vid(1)].into_iter().collect();
-        assert_eq!(m2.capacity(), 4);
-        assert!(m2.contains(vid(1)) && m2.contains(vid(3)));
-        assert_eq!(m2.as_slice(), &[false, true, false, true]);
-    }
-
-    #[test]
     fn induced_subgraph_keeps_requested_vertices_and_edges() {
         let g = diamond();
         let sub = induced_subgraph(&g, |v| v != vid(2)).unwrap();
@@ -260,15 +110,6 @@ mod tests {
             .unwrap();
         assert_eq!(p, 1.0);
         assert!(sub.graph.validate().is_ok());
-    }
-
-    #[test]
-    fn remove_vertices_matches_objective_semantics() {
-        let g = diamond();
-        let blockers = VertexMask::from_vertices(4, vec![vid(1), vid(2)]);
-        let sub = remove_vertices(&g, &blockers).unwrap();
-        assert_eq!(sub.graph.num_vertices(), 2);
-        assert_eq!(sub.graph.num_edges(), 0);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Breadth-first / depth-first traversal and reachability with blocked-vertex
-//! masks.
+//! Breadth-first traversal and reachability with blocked-vertex masks.
 //!
 //! Reachability from the seed in a *sampled* (live-edge) graph is the
 //! fundamental primitive of the paper: the expected spread equals the
@@ -12,7 +11,7 @@
 
 use crate::{DiGraph, VertexId};
 
-/// A reusable BFS/DFS workspace.
+/// A reusable BFS workspace.
 ///
 /// Traversals during Monte-Carlo simulation and sampling run millions of
 /// times; the workspace keeps the `visited` stamps and the frontier queue
@@ -157,80 +156,6 @@ pub fn reachable_mask(graph: &DiGraph, sources: &[VertexId]) -> Vec<bool> {
     mask
 }
 
-/// Depth-first pre-order from `source` over out-edges, skipping blocked
-/// vertices. Returns the visit order (source first).
-///
-/// The Lengauer–Tarjan dominator algorithm requires a DFS numbering of the
-/// sampled graph rooted at the seed (§V-B3); this function provides it.
-pub fn dfs_preorder<F>(graph: &DiGraph, source: VertexId, mut blocked: F) -> Vec<VertexId>
-where
-    F: FnMut(VertexId) -> bool,
-{
-    let n = graph.num_vertices();
-    let mut order = Vec::new();
-    if source.index() >= n || blocked(source) {
-        return order;
-    }
-    let mut visited = vec![false; n];
-    // Iterative DFS with an explicit stack of (vertex, next-edge-index).
-    let mut stack: Vec<(VertexId, usize)> = Vec::new();
-    visited[source.index()] = true;
-    order.push(source);
-    stack.push((source, 0));
-    while let Some(&mut (u, ref mut next)) = stack.last_mut() {
-        let targets = graph.out_neighbors(u);
-        if *next >= targets.len() {
-            stack.pop();
-            continue;
-        }
-        let t = VertexId::from_raw(targets[*next]);
-        *next += 1;
-        if !visited[t.index()] && !blocked(t) {
-            visited[t.index()] = true;
-            order.push(t);
-            stack.push((t, 0));
-        }
-    }
-    order
-}
-
-/// Topological order of a DAG (Kahn's algorithm). Returns `None` if the
-/// graph contains a cycle.
-///
-/// Used by the exact spread computation on DAG-shaped extracts and by tests.
-pub fn topological_order(graph: &DiGraph) -> Option<Vec<VertexId>> {
-    let n = graph.num_vertices();
-    let mut indeg: Vec<usize> = (0..n).map(|v| graph.in_degree(VertexId::new(v))).collect();
-    let mut queue: Vec<VertexId> = (0..n)
-        .filter(|&v| indeg[v] == 0)
-        .map(VertexId::new)
-        .collect();
-    let mut order = Vec::with_capacity(n);
-    let mut head = 0;
-    while head < queue.len() {
-        let u = queue[head];
-        head += 1;
-        order.push(u);
-        for &t in graph.out_neighbors(u) {
-            let ti = t as usize;
-            indeg[ti] -= 1;
-            if indeg[ti] == 0 {
-                queue.push(VertexId::from_raw(t));
-            }
-        }
-    }
-    if order.len() == n {
-        Some(order)
-    } else {
-        None
-    }
-}
-
-/// Returns `true` if every vertex of the graph is reachable from `source`.
-pub fn is_connected_from(graph: &DiGraph, source: VertexId) -> bool {
-    reachable_count(graph, &[source]) == graph.num_vertices()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,56 +222,6 @@ mod tests {
         assert!(!ws.was_visited(vid(0)));
         // Third run with blocking still correct.
         assert_eq!(ws.bfs_reachable_count(&g, &[vid(0)], |v| v == vid(1)), 2);
-    }
-
-    #[test]
-    fn dfs_preorder_visits_reachable_once_source_first() {
-        let g = sample();
-        let order = dfs_preorder(&g, vid(0), |_| false);
-        assert_eq!(order.len(), 5);
-        assert_eq!(order[0], vid(0));
-        let mut sorted: Vec<usize> = order.iter().map(|v| v.index()).collect();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn dfs_preorder_respects_blocking_and_blocked_source() {
-        let g = sample();
-        let order = dfs_preorder(&g, vid(0), |v| v == vid(1));
-        let ids: Vec<usize> = order.iter().map(|v| v.index()).collect();
-        assert_eq!(ids, vec![0, 4]);
-        assert!(dfs_preorder(&g, vid(0), |v| v == vid(0)).is_empty());
-    }
-
-    #[test]
-    fn topological_order_on_dag_and_cycle() {
-        let g = sample();
-        let order = topological_order(&g).expect("sample graph is a DAG");
-        let pos: Vec<usize> = {
-            let mut pos = vec![0; 7];
-            for (i, v) in order.iter().enumerate() {
-                pos[v.index()] = i;
-            }
-            pos
-        };
-        for e in g.edges() {
-            assert!(pos[e.source.index()] < pos[e.target.index()]);
-        }
-
-        let cyclic =
-            DiGraph::from_edges(2, vec![(vid(0), vid(1), 1.0), (vid(1), vid(0), 1.0)]).unwrap();
-        assert!(topological_order(&cyclic).is_none());
-    }
-
-    #[test]
-    fn connectivity_check() {
-        let g = sample();
-        assert!(!is_connected_from(&g, vid(0)));
-        let path =
-            DiGraph::from_edges(3, vec![(vid(0), vid(1), 1.0), (vid(1), vid(2), 1.0)]).unwrap();
-        assert!(is_connected_from(&path, vid(0)));
-        assert!(!is_connected_from(&path, vid(2)));
     }
 
     #[test]

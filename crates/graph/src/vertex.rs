@@ -15,12 +15,6 @@ use std::fmt;
 pub struct VertexId(u32);
 
 impl VertexId {
-    /// Sentinel value used by internal algorithms to mean "no vertex".
-    ///
-    /// The sentinel is `u32::MAX` and therefore can never collide with a
-    /// valid vertex of a graph (graphs are capped below `u32::MAX` vertices).
-    pub const INVALID: VertexId = VertexId(u32::MAX);
-
     /// Creates a vertex id from a `usize` index.
     ///
     /// # Panics
@@ -48,12 +42,6 @@ impl VertexId {
     pub const fn raw(self) -> u32 {
         self.0
     }
-
-    /// Returns `true` if this id is the [`VertexId::INVALID`] sentinel.
-    #[inline]
-    pub const fn is_invalid(self) -> bool {
-        self.0 == u32::MAX
-    }
 }
 
 impl From<u32> for VertexId {
@@ -79,11 +67,7 @@ impl From<VertexId> for usize {
 
 impl fmt::Debug for VertexId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_invalid() {
-            write!(f, "v#invalid")
-        } else {
-            write!(f, "v{}", self.0)
-        }
+        write!(f, "v{}", self.0)
     }
 }
 
@@ -91,19 +75,6 @@ impl fmt::Display for VertexId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
     }
-}
-
-/// Returns an iterator over all vertex ids `0..n`.
-///
-/// A small convenience used pervasively by the algorithm crates:
-///
-/// ```
-/// use imin_graph::vertex::{vertex_range, VertexId};
-/// let ids: Vec<VertexId> = vertex_range(3).collect();
-/// assert_eq!(ids, vec![VertexId::new(0), VertexId::new(1), VertexId::new(2)]);
-/// ```
-pub fn vertex_range(n: usize) -> impl Iterator<Item = VertexId> + Clone {
-    (0..n as u32).map(VertexId::from_raw)
 }
 
 #[cfg(test)]
@@ -120,13 +91,6 @@ mod tests {
     }
 
     #[test]
-    fn invalid_sentinel() {
-        assert!(VertexId::INVALID.is_invalid());
-        assert!(!VertexId::new(0).is_invalid());
-        assert_eq!(format!("{:?}", VertexId::INVALID), "v#invalid");
-    }
-
-    #[test]
     fn ordering_matches_raw_value() {
         assert!(VertexId::new(1) < VertexId::new(2));
         assert_eq!(VertexId::new(7), VertexId::from_raw(7));
@@ -136,12 +100,5 @@ mod tests {
     fn display_and_debug() {
         assert_eq!(format!("{}", VertexId::new(5)), "5");
         assert_eq!(format!("{:?}", VertexId::new(5)), "v5");
-    }
-
-    #[test]
-    fn vertex_range_yields_dense_ids() {
-        let ids: Vec<_> = vertex_range(4).map(|v| v.index()).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3]);
-        assert_eq!(vertex_range(0).count(), 0);
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the graph substrate.
 
 use imin_graph::generators;
-use imin_graph::subgraph::{remove_vertices, VertexMask};
+use imin_graph::subgraph::induced_subgraph;
 use imin_graph::traversal::{reachable_count, reachable_count_blocked};
 use imin_graph::{DiGraph, GraphBuilder, VertexId};
 use proptest::prelude::*;
@@ -93,16 +93,16 @@ proptest! {
         let g = build(n, &edges);
         let src = VertexId::from_raw(src % n as u32);
         // Pick a pseudo-random blocker set not containing the source.
-        let mut mask = VertexMask::new(n);
+        let mut mask = vec![false; n];
         let mut x = seed;
         for v in g.vertices() {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             if v != src && (x >> 33) % 3 == 0 {
-                mask.insert(v);
+                mask[v.index()] = true;
             }
         }
-        let masked = reachable_count_blocked(&g, &[src], mask.as_slice());
-        let sub = remove_vertices(&g, &mask).unwrap();
+        let masked = reachable_count_blocked(&g, &[src], &mask);
+        let sub = induced_subgraph(&g, |v| !mask[v.index()]).unwrap();
         let projected_src = sub.project(src).unwrap();
         let direct = reachable_count(&sub.graph, &[projected_src]);
         prop_assert_eq!(masked, direct);
@@ -132,7 +132,5 @@ proptest! {
         prop_assert!(er.validate().is_ok());
         let pa = generators::preferential_attachment(n, 2.min(n - 1), false, 0.5, seed).unwrap();
         prop_assert!(pa.validate().is_ok());
-        let pl = generators::power_law_digraph(n, n * 2, 2.2, n, 0.5, seed).unwrap();
-        prop_assert!(pl.validate().is_ok());
     }
 }
