@@ -10,18 +10,22 @@
 //!   concatenated at a fixed `n + 1` stride, all target arrays concatenated
 //!   behind a `θ + 1` entry start table. Bit-compatible with the historical
 //!   per-sample `Vec` layout (each sample's offsets are local, starting at
-//!   0), two allocations total instead of `2 × θ`, and page-aligned when
-//!   written to a v2 snapshot so an mmap restore can serve the slices with
-//!   zero copies.
-//! * **Compressed** — per sample, the smaller of two encodings:
-//!   *delta-varint* (per vertex: live out-degree, first target, then
-//!   `gap − 1` deltas, all LEB128, with a byte-offset block index every
-//!   `VARINT_BLOCK` vertices for random access) or a *dense bitset* over
-//!   the graph's edge slots (one bit per graph edge, decoded by walking the
-//!   graph's own CSR). Weighted-cascade realisations keep ≈ `n` of `m`
-//!   edges live, which makes the bitset ≈ `m / 8` bytes — far below the
-//!   `≈ 8n` bytes of the raw layout — while sparse realisations fall back
-//!   to varint.
+//!   0) and page-aligned in a v2 snapshot so an mmap restore can serve the
+//!   slices with zero copies. Nothing writes it any more: it is how
+//!   version-1 and raw version-2 snapshot files are read, and it never
+//!   grows.
+//! * **Compressed** — per sample, one of two encodings: a *dense bitset*
+//!   over the graph's edge slots (one bit per graph edge, decoded by
+//!   walking the graph's own CSR) or *delta-varint* (per vertex: live
+//!   out-degree, first target, then `gap − 1` deltas, all LEB128, with a
+//!   byte-offset block index every `VARINT_BLOCK` vertices for random
+//!   access). The bitset is the write path: a pool build draws every
+//!   realisation straight into one, and an extension appends more.
+//!   `SamplePool::compress` then leaves each realisation in the smaller of
+//!   the two. Weighted-cascade realisations keep ≈ `n` of `m` edges live,
+//!   which makes the bitset ≈ `m / 8` bytes — far below the `≈ 8n` bytes
+//!   of the raw layout — while sparse realisations shrink further as
+//!   varint.
 //!
 //! Queries never materialise a decoded sample: `SampleView::for_each_live`
 //! streams the live out-neighbours of one vertex straight into the BFS,
@@ -48,7 +52,8 @@ pub(crate) const MODE_BITSET: u8 = 1;
 /// The storage backing of a pool, as reported by stats and benchmarks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ArenaKind {
-    /// Heap-resident consolidated raw-u32 CSR (the write path of sampling).
+    /// Heap-resident consolidated raw-u32 CSR (read from version-1 and
+    /// raw version-2 snapshot files).
     Raw,
     /// Heap-resident delta-varint / bitset compressed arenas.
     Compressed,
@@ -286,11 +291,27 @@ impl<'a> SampleView<'a> {
                 gr_offsets,
                 gr_targets,
             } => {
-                let lo = gr_offsets[u as usize];
-                let hi = gr_offsets[u as usize + 1];
-                for (slot, &t) in (lo..hi).zip(&gr_targets[lo as usize..hi as usize]) {
-                    if bits[(slot >> 3) as usize] & (1 << (slot & 7)) != 0 {
-                        f(t);
+                let lo = gr_offsets[u as usize] as usize;
+                let hi = gr_offsets[u as usize + 1] as usize;
+                if lo == hi {
+                    return;
+                }
+                // The bytes covering slots `lo..hi`, the partial first and
+                // last ones masked, set bits visited lowest first: slot
+                // order, as the graph's adjacency stores the targets.
+                let (first, last) = (lo >> 3, (hi - 1) >> 3);
+                for (at, &byte) in bits[first..=last].iter().enumerate() {
+                    let at = first + at;
+                    let mut live = byte;
+                    if at == first {
+                        live &= 0xFF << (lo & 7);
+                    }
+                    if at == last {
+                        live &= 0xFF >> (7 - ((hi - 1) & 7));
+                    }
+                    while live != 0 {
+                        f(gr_targets[8 * at + live.trailing_zeros() as usize]);
+                        live &= live - 1;
                     }
                 }
             }
@@ -348,15 +369,15 @@ impl PoolArena {
         }
     }
 
-    /// Whether the arena is the heap-resident raw write path that
-    /// `extend_to` can grow in place.
+    /// Whether the arena is a heap-owned compressed arena, which
+    /// `extend_to` grows in place by appending bitset blobs. Raw arenas
+    /// (read from older snapshot files) and mapped ones stay immutable.
     pub(crate) fn is_extendable(&self) -> bool {
         matches!(
             (&self.backing, &self.lazy),
             (
-                ArenaBacking::Raw(RawArena {
-                    offsets: Words::Owned(_),
-                    targets: Words::Owned(_),
+                ArenaBacking::Compressed(CompressedArena {
+                    data: Blob::Owned(_),
                     ..
                 }),
                 None
@@ -540,6 +561,14 @@ pub(crate) fn bitset_bytes(m: usize) -> usize {
     m.div_ceil(8)
 }
 
+/// A floor on the varint encoding's size of an `n`-vertex realisation with
+/// `live` live edges: its block index plus at least one byte per vertex
+/// (the degree) and one per live edge. A bitset smaller than this is
+/// already the smaller encoding, with no decode needed to tell.
+pub(crate) fn varint_size_floor(n: usize, live: u64) -> usize {
+    4 * varint_blocks(n) + n + live as usize
+}
+
 /// Appends `v` as LEB128 (7 bits per byte, high bit = continuation).
 pub(crate) fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
@@ -647,7 +676,7 @@ fn encode_varint_sample(offsets: &[u32], targets: &[u32], out: &mut Vec<u8>) {
 /// Encodes one sample as a dense bitset over the graph's edge slots,
 /// appending to `out`. Fails when the sample is not an in-order subsequence
 /// of the graph adjacency (such a sample cannot have come from this graph).
-fn encode_bitset_sample(
+pub(crate) fn encode_bitset_sample(
     offsets: &[u32],
     targets: &[u32],
     gr_offsets: &[u64],
@@ -994,6 +1023,60 @@ mod tests {
             make(bad, mode, live).validate_all().is_err(),
             "oversized bitset must not validate"
         );
+    }
+
+    /// The bitset decoder walks set bits byte by byte; for random bitsets
+    /// over a graph with hubs it must yield, for every vertex, exactly the
+    /// targets a per-slot test of every bit yields, in the same order —
+    /// slot ranges that start or end mid-byte, fit in one byte, or span
+    /// many bytes alike.
+    #[test]
+    fn bitset_walk_yields_the_per_slot_targets() {
+        use rand::rngs::SmallRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0xB175);
+        let n = 300u32;
+        // Out-degrees 0..12 with three hubs of 150, 299 and 77 slots.
+        let (mut gr_offsets, mut gr_targets) = (vec![0u64], Vec::new());
+        for u in 0..n {
+            let degree = match u {
+                3 => 150,
+                100 => 299,
+                101 => 77,
+                _ => rng.gen_range(0..12usize),
+            };
+            let mut targets: Vec<u32> = (0..n).filter(|&t| t != u).collect();
+            targets.shuffle(&mut rng);
+            targets.truncate(degree);
+            targets.sort_unstable();
+            gr_targets.extend(targets);
+            gr_offsets.push(gr_targets.len() as u64);
+        }
+        let m = gr_targets.len();
+        for density in [0.05, 0.5, 0.95] {
+            let mut bits = vec![0u8; bitset_bytes(m)];
+            for slot in 0..m {
+                if rng.gen_bool(density) {
+                    bits[slot >> 3] |= 1 << (slot & 7);
+                }
+            }
+            let view = SampleView::Bitset {
+                bits: &bits,
+                gr_offsets: &gr_offsets,
+                gr_targets: &gr_targets,
+            };
+            for u in 0..n {
+                let (lo, hi) = (gr_offsets[u as usize], gr_offsets[u as usize + 1]);
+                let expected: Vec<u32> = (lo..hi)
+                    .filter(|&slot| bits[(slot >> 3) as usize] & (1 << (slot & 7)) != 0)
+                    .map(|slot| gr_targets[slot as usize])
+                    .collect();
+                let mut walked = Vec::new();
+                view.for_each_live(u, |t| walked.push(t));
+                assert_eq!(walked, expected, "density {density}, vertex {u}");
+            }
+        }
     }
 
     #[test]

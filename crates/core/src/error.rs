@@ -87,12 +87,11 @@ pub enum IminError {
         /// Edge count of the graph the pool was built from.
         pool_edges: usize,
     },
-    /// A pool held in a compressed or memory-mapped arena was asked to grow
-    /// in place; only the heap-resident raw write path supports
-    /// [`crate::SamplePool::extend_to`] — callers rebuild (or rebuild
-    /// compressed) instead.
+    /// A pool held in a raw or memory-mapped arena was asked to grow in
+    /// place; only a heap-resident compressed arena supports
+    /// [`crate::SamplePool::extend_to`] — callers rebuild instead.
     PoolArenaImmutable {
-        /// Arena kind label (`"compressed"`, `"mmap-raw"`, …).
+        /// Arena kind label (`"raw"`, `"mmap-raw"`, …).
         arena: &'static str,
     },
     /// The exhaustive exact search was asked to enumerate more combinations

@@ -737,7 +737,9 @@ mod tests {
         ];
         const DELTA_DIGEST: u64 = 0x6587_e665_54cc_0c7a;
         let g = wc_pa(600, 23);
-        let raw = SamplePool::build_with_threads(&g, 256, 91, 2).unwrap();
+        let raw = SamplePool::build_with_threads(&g, 256, 91, 2)
+            .unwrap()
+            .raw_copy();
         let compressed = raw.compress(&g, 2).unwrap();
         let seeds = [vid(2), vid(40)];
         for (algorithm, spec, golden) in GOLDEN {
@@ -807,7 +809,9 @@ mod tests {
             0x2a89_fa4d_47b6_cb83,
         ];
         let g = wc_pa(600, 23);
-        let raw = SamplePool::build_with_threads(&g, 256, 91, 2).unwrap();
+        let raw = SamplePool::build_with_threads(&g, 256, 91, 2)
+            .unwrap()
+            .raw_copy();
         let compressed = raw.compress(&g, 2).unwrap();
         let mut forbidden = vec![false; g.num_vertices()];
         forbidden[4] = true;
@@ -1195,7 +1199,9 @@ mod tests {
     fn ledger_rounds_match_from_scratch_passes() {
         let g = wc_pa(600, 23);
         let n = g.num_vertices();
-        let raw = SamplePool::build_with_threads(&g, 128, 91, 2).unwrap();
+        let raw = SamplePool::build_with_threads(&g, 128, 91, 2)
+            .unwrap()
+            .raw_copy();
         let compressed = raw.compress(&g, 2).unwrap();
         let path = std::env::temp_dir().join(format!(
             "imin-ledger-parity-{}.iminsnap",

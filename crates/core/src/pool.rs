@@ -75,14 +75,20 @@
 //!
 //! ## Storage backends
 //!
-//! Live-edge storage goes through a `PoolArena`: the
-//! sampling write path fills one consolidated raw-u32 CSR (two allocations
-//! for the whole pool), [`SamplePool::compress`] re-encodes it as
-//! delta-varint or per-sample bitset blobs at a fraction of the bytes, and
-//! [`crate::snapshot::map_snapshot`] serves either layout zero-copy out of
-//! a mapped snapshot file. Queries are **byte-identical across every
-//! backend**: decoding reproduces the exact stored adjacency order, and the
-//! estimator's integer accumulation never observes the layout.
+//! Live-edge storage goes through a `PoolArena`. The sampling write path
+//! draws each realisation straight into a bitset over the graph's edge
+//! slots (bit `e` is the coin of edge slot `e`), 16 realisations per sweep
+//! of the slots, each from its own xoshiro256++ lane; the built pool is a
+//! compressed arena of bitset blobs at about an eighth of a raw CSR's
+//! bytes, and [`SamplePool::extend_to`] appends more bitsets in place.
+//! [`SamplePool::compress`] leaves every realisation in the smaller of its
+//! two encodings, re-encoding as delta-varint only those that shrink.
+//! The raw-u32 CSR survives only as the reader of version-1 and raw
+//! version-2 snapshot files, and [`crate::snapshot::map_snapshot`] serves
+//! either layout zero-copy out of a mapped snapshot file. Queries are
+//! **byte-identical across every backend**: decoding reproduces the exact
+//! stored adjacency order, and the estimator's integer accumulation never
+//! observes the layout.
 //!
 //! ## Determinism across thread counts
 //!
@@ -99,8 +105,8 @@
 //! deterministic for each.
 
 use crate::arena::{
-    encode_sample, ArenaBacking, ArenaKind, Blob, CompressedArena, PoolArena, RawArena, SampleView,
-    Words,
+    bitset_bytes, encode_sample, varint_size_floor, ArenaBacking, ArenaKind, Blob, CompressedArena,
+    PoolArena, SampleView, MODE_BITSET,
 };
 use crate::decrease::DecreaseEstimate;
 use crate::greedy::{self, Plan, Priced, VertexPricer};
@@ -113,7 +119,7 @@ use imin_domtree::{DomTree, DomTreeWorkspace};
 use imin_graph::{DiGraph, VertexId, THRESHOLD_ALWAYS};
 use imin_obs::{span, Phase};
 use rand::rngs::SmallRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -125,8 +131,8 @@ use std::time::{Duration, Instant};
 ///
 /// Build it once per `(graph, θ, seed)` and answer any number of
 /// `(seeds, blocked, budget)` questions against it; the pool never changes
-/// after construction (except in-place θ-growth of the raw write path), so
-/// it can be shared immutably across query workers.
+/// after construction (except in-place θ-growth of a heap-resident
+/// compressed arena), so it can be shared immutably across query workers.
 #[derive(Clone, Debug)]
 pub struct SamplePool {
     num_vertices: usize,
@@ -155,46 +161,100 @@ pub fn shard_ranges(total: usize, workers: usize) -> impl Iterator<Item = Range<
     })
 }
 
-/// Draws realisation `sample_idx` of the pool `(pool_seed, θ)`: local
-/// offsets into `offsets` (exactly `n + 1` entries) and the live targets
-/// into the front of `buf` (one word per graph edge); returns how many
-/// are live. Coin semantics are identical to the rooted IC sampler:
-/// deterministic edges (threshold 0 / [`THRESHOLD_ALWAYS`]) never touch the
-/// RNG, every probabilistic edge costs one `u64` draw and compare.
-///
-/// Every out-edge writes its target at the write position, which then
-/// advances by the coin's outcome, so a dead edge's target is overwritten
-/// by the next edge's and no branch depends on the coin. The draws are the
-/// same ones, in the same order, as a loop that pushes each live target,
-/// and the kept targets are the same ones in the same order, so the
-/// offsets and targets are bit-identical to that loop's.
-fn fill_sample(
-    graph: &DiGraph,
-    pool_seed: u64,
-    sample_idx: u64,
-    offsets: &mut [u32],
-    buf: &mut [u32],
-) -> usize {
-    let mut rng = SmallRng::seed_from_u64(indexed_sample_seed(pool_seed, sample_idx));
-    let mut k = 0usize;
-    offsets[0] = 0;
-    for (u, slot) in graph.vertices().zip(offsets[1..].iter_mut()) {
-        let out = graph.out_neighbors(u);
-        let thresholds = graph.out_coin_thresholds(u);
-        for (&t, &threshold) in out.iter().zip(thresholds) {
-            buf[k] = t;
-            let live = threshold == THRESHOLD_ALWAYS
-                || (threshold != 0 && (rng.next_u64() >> 11) < threshold);
-            k += live as usize;
-        }
-        *slot = k as u32;
-    }
-    k
+/// Realisations drawn per sweep of the graph's edge slots. A constant, not
+/// an option: the lanes let one read of the thresholds serve many
+/// realisations, and on a 2-core x86-64 host 16 lanes built perfbench's
+/// pool faster than 8 and no slower than 32.
+const LANES: usize = 16;
+
+/// [`LANES`] xoshiro256++ generators side by side, one per realisation of
+/// a group, held as four `[u64; LANES]` arrays so one step of all of them
+/// is straight-line arithmetic the compiler vectorises on the baseline
+/// target. Lane `j` of the group starting at realisation `i` is, draw for
+/// draw, `SmallRng::seed_from_u64(indexed_sample_seed(pool_seed, i + j))`.
+struct Lanes {
+    s: [[u64; LANES]; 4],
 }
 
-/// Words of a shard buffer copied into the pool's targets between two
-/// shrinks of that buffer (4 MiB).
-const ASSEMBLE_CHUNK: usize = 1 << 20;
+impl Lanes {
+    /// Seeds lane `j` from realisation `first + j`'s stream the way
+    /// `SeedableRng::seed_from_u64` does: four consecutive SplitMix64
+    /// outputs become the state words. `from_seed` would displace an
+    /// all-zero state, but none arises: SplitMix64's output is a bijection
+    /// of its counter, so four consecutive outputs are distinct and at most
+    /// one of them is zero.
+    fn seeded(pool_seed: u64, first: u64) -> Self {
+        let mut s = [[0u64; LANES]; 4];
+        for j in 0..LANES {
+            let mut counter = indexed_sample_seed(pool_seed, first + j as u64);
+            for word in &mut s {
+                counter = counter.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = counter;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                word[j] = z ^ (z >> 31);
+            }
+        }
+        Lanes { s }
+    }
+
+    /// One xoshiro256++ step of every lane: each lane's next `u64`.
+    #[inline(always)]
+    fn next(&mut self) -> [u64; LANES] {
+        let [s0, s1, s2, s3] = &mut self.s;
+        let mut out = [0u64; LANES];
+        for j in 0..LANES {
+            out[j] = s0[j]
+                .wrapping_add(s3[j])
+                .rotate_left(23)
+                .wrapping_add(s0[j]);
+            let t = s1[j] << 17;
+            s2[j] ^= s0[j];
+            s3[j] ^= s1[j];
+            s1[j] ^= s2[j];
+            s0[j] ^= s3[j];
+            s2[j] ^= t;
+            s3[j] = s3[j].rotate_left(45);
+        }
+        out
+    }
+}
+
+/// Draws one group of up to [`LANES`] realisations into `out`, one bitset
+/// of `bytes` bytes per entry of `lens`, and adds each one's live-edge
+/// count to its entry of `lens` (zero on entry). Bit `e` of a bitset is the coin of graph edge slot `e`
+/// (`thresholds[e]`), which is the bitset [`encode_sample`] writes for the
+/// same realisation, padding bits past m zero. Coin semantics are those of
+/// the rooted IC sampler: a threshold of 0 or [`THRESHOLD_ALWAYS`] never
+/// draws, every other slot draws once per lane, so each lane's draws are
+/// its stream's, in slot order. A group short of [`LANES`] realisations
+/// (only a pool's last) draws every lane and keeps the ones it needs.
+fn sweep(thresholds: &[u64], lanes: &mut Lanes, bytes: usize, out: &mut [u8], lens: &mut [u64]) {
+    for (w, slots) in thresholds.chunks(64).enumerate() {
+        let mut word = [0u64; LANES];
+        for (bit, &threshold) in slots.iter().enumerate() {
+            match threshold {
+                0 => {}
+                THRESHOLD_ALWAYS => word.iter_mut().for_each(|x| *x |= 1 << bit),
+                _ => {
+                    let draws = lanes.next();
+                    // `(r >> 11) < threshold` without a branch: both sides
+                    // are below 2^53, so the difference wraps exactly when
+                    // the coin is live.
+                    for (x, r) in word.iter_mut().zip(draws) {
+                        *x |= ((r >> 11).wrapping_sub(threshold) >> 63) << bit;
+                    }
+                }
+            }
+        }
+        let at = 8 * w;
+        let len = (bytes - at).min(8);
+        for ((bitset, live), x) in out.chunks_exact_mut(bytes).zip(lens.iter_mut()).zip(word) {
+            bitset[at..at + len].copy_from_slice(&x.to_le_bytes()[..len]);
+            *live += u64::from(x.count_ones());
+        }
+    }
+}
 
 /// Runs `work` once per job: inline when there is one job, otherwise each
 /// on its own scoped thread.
@@ -212,82 +272,48 @@ pub(crate) fn run_jobs<J: Send>(jobs: Vec<J>, work: impl Fn(J) + Sync) {
     .expect("pool worker panicked");
 }
 
-/// Draws the realisations `first..first + count` of the pool
-/// `(graph, seed)` into `offsets` (`count × (n + 1)` zeroed words),
-/// sharded across up to `threads` workers, and appends their live targets
-/// to `targets` and their end positions to `target_start`. Each sample owns
-/// its RNG stream, so the result is bit-identical for every `threads`
-/// value. The initial build and [`SamplePool::extend_to`] both draw here.
-///
-/// Two phases, each timed into the calling thread's span: `sample`, where
-/// each worker draws its shard into a shard buffer, and `assemble`, where
-/// each worker copies its shard into its own range of `targets`. Both
-/// `targets` and `target_start` grow by exactly what they receive.
-fn append_samples(
+/// Draws the realisations `first..first + lens.len()` of the pool
+/// `(graph, pool_seed)` straight into their bitsets: `data` holds one
+/// zeroed bitset of `bitset_bytes(m)` bytes per realisation, back to back,
+/// and `lens` receives their live-edge counts. Whole groups of [`LANES`]
+/// are sharded across up to `threads` workers, each writing its own range
+/// of `data`; every realisation owns its RNG stream, so the result is
+/// bit-identical for every `threads` value. The initial build and
+/// [`SamplePool::extend_to`] both draw here, timed as the calling thread's
+/// `sample` phase.
+fn sample_bitsets(
     graph: &DiGraph,
-    seed: u64,
+    pool_seed: u64,
     first: usize,
-    offsets: &mut [u32],
-    targets: &mut Vec<u32>,
-    target_start: &mut Vec<u64>,
+    data: &mut [u8],
+    lens: &mut [u64],
     threads: usize,
 ) {
-    let stride = graph.num_vertices() + 1;
     let start = Instant::now();
-    let shards: Vec<Range<usize>> = shard_ranges(offsets.len() / stride, threads).collect();
-    let mut parts: Vec<Vec<u32>> = vec![Vec::new(); shards.len()];
-    let mut jobs = Vec::with_capacity(shards.len());
-    let mut rest: &mut [u32] = offsets;
-    for (range, part) in shards.iter().zip(parts.iter_mut()) {
-        let (region, tail) = rest.split_at_mut(range.len() * stride);
-        rest = tail;
-        jobs.push((range.start, region, part));
-    }
-    run_jobs(jobs, |(start, region, part)| {
-        let mut buf = vec![0u32; graph.num_edges()];
-        for (i, sample) in region.chunks_exact_mut(stride).enumerate() {
-            let live = fill_sample(graph, seed, (first + start + i) as u64, sample, &mut buf);
-            part.extend_from_slice(&buf[..live]);
+    let bytes = bitset_bytes(graph.num_edges());
+    if bytes > 0 {
+        let groups = lens.len().div_ceil(LANES);
+        let mut jobs = Vec::new();
+        let (mut data, mut lens, mut at) = (data, lens, first);
+        for range in shard_ranges(groups, threads) {
+            let count = (range.len() * LANES).min(lens.len());
+            let (part, rest) = std::mem::take(&mut data).split_at_mut(count * bytes);
+            data = rest;
+            let (part_lens, rest) = std::mem::take(&mut lens).split_at_mut(count);
+            lens = rest;
+            jobs.push((at, part, part_lens));
+            at += count;
         }
-    });
-    let sampled = Instant::now();
-
-    let base = targets.len();
-    let added: usize = parts.iter().map(Vec::len).sum();
-    if base == 0 {
-        // Zeroed by the allocator, so the workers, not this thread, first
-        // touch the pages.
-        *targets = vec![0u32; added];
-    } else {
-        targets.reserve_exact(added);
-        targets.resize(base + added, 0);
+        let thresholds = graph.coin_thresholds();
+        run_jobs(jobs, |(first, data, lens)| {
+            let groups = data.chunks_mut(LANES * bytes).zip(lens.chunks_mut(LANES));
+            for (g, (out, lens)) in groups.enumerate() {
+                let mut lanes = Lanes::seeded(pool_seed, (first + g * LANES) as u64);
+                sweep(thresholds, &mut lanes, bytes, out, lens);
+            }
+        });
     }
-    let mut jobs = Vec::with_capacity(parts.len());
-    let mut rest: &mut [u32] = &mut targets[base..];
-    for part in parts {
-        let (range, tail) = rest.split_at_mut(part.len());
-        rest = tail;
-        jobs.push((range, part));
-    }
-    // Back to front, a chunk at a time, each copied chunk handed back to
-    // the allocator: the shard buffers shrink as `targets` fills, so the
-    // assembly never holds two copies of the targets.
-    run_jobs(jobs, |(range, mut part)| {
-        while !part.is_empty() {
-            let keep = part.len().saturating_sub(ASSEMBLE_CHUNK);
-            range[keep..part.len()].copy_from_slice(&part[keep..]);
-            part.truncate(keep);
-            part.shrink_to_fit();
-        }
-    });
-    target_start.reserve_exact(offsets.len() / stride);
-    let mut end = *target_start.last().expect("target_start begins at 0");
-    for sample in offsets.chunks_exact(stride) {
-        end += u64::from(sample[stride - 1]);
-        target_start.push(end);
-    }
-    span::add_ns(Phase::PoolSample, (sampled - start).as_nanos() as u64);
-    span::add_ns(Phase::PoolAssemble, sampled.elapsed().as_nanos() as u64);
+    span::add_ns(Phase::PoolSample, start.elapsed().as_nanos() as u64);
 }
 
 /// Copies the graph's out-CSR (the slot space of bitset-encoded samples).
@@ -363,11 +389,13 @@ impl SamplePool {
         )
     }
 
-    /// Materialises the pool with an explicit worker-thread count.
+    /// Materialises the pool with an explicit worker-thread count, as a
+    /// compressed arena whose realisations are all bitsets (blob `i`
+    /// starts at `i · bitset_bytes(m)`).
     ///
-    /// Sample indices are sharded across threads in contiguous ranges, but
-    /// every sample draws from its own [`indexed_sample_seed`] stream, so
-    /// the result is bit-identical for every `threads` value.
+    /// Sample indices are sharded across threads in whole groups of 16,
+    /// but every sample draws from its own [`indexed_sample_seed`] stream,
+    /// so the result is bit-identical for every `threads` value.
     ///
     /// # Errors
     /// Returns [`IminError::ZeroSamples`] if `theta` is zero.
@@ -381,41 +409,40 @@ impl SamplePool {
             return Err(IminError::ZeroSamples);
         }
         let n = graph.num_vertices();
-        let stride = n + 1;
+        let bytes = bitset_bytes(graph.num_edges());
         // Zeroed by the allocator, so no thread pre-touches the pages the
         // workers then fill.
-        let mut offsets = vec![0u32; theta * stride];
-        let mut targets = Vec::new();
-        let mut target_start = Vec::with_capacity(theta + 1);
-        target_start.push(0u64);
-        append_samples(
-            graph,
-            seed,
-            0,
-            &mut offsets,
-            &mut targets,
-            &mut target_start,
-            threads,
-        );
-        let arena = RawArena {
-            stride,
-            target_start,
-            offsets: Words::Owned(offsets),
-            targets: Words::Owned(targets),
+        let mut data = vec![0u8; theta * bytes];
+        let mut lens = vec![0u64; theta];
+        sample_bitsets(graph, seed, 0, &mut data, &mut lens, threads);
+        let (gr_offsets, gr_targets) = graph_csr_copy(graph);
+        let arena = CompressedArena {
+            lens,
+            modes: vec![MODE_BITSET; theta],
+            starts: (0..=theta).map(|i| (i * bytes) as u64).collect(),
+            data: Blob::Owned(data),
+            gr_offsets,
+            gr_targets,
         };
         Ok(SamplePool {
             num_vertices: n,
             num_graph_edges: graph.num_edges(),
             pool_seed: seed,
-            arena: PoolArena::raw(n, theta, arena),
+            arena: PoolArena::compressed(n, theta, arena),
         })
     }
 
-    /// Re-encodes this pool into the compressed arena layout (delta-varint
-    /// or per-sample bitset, whichever is smaller per realisation). The
-    /// result answers every query **byte-identically** — compression is
-    /// lossless and preserves the stored adjacency order — so a resident
-    /// engine can swap arenas without invalidating cached answers.
+    /// Re-encodes this pool into the compressed arena layout, every
+    /// realisation in the smaller of its two encodings (delta-varint or
+    /// bitset; varint on a tie). The result answers every query
+    /// **byte-identically** — compression is lossless and preserves the
+    /// stored adjacency order — so a resident engine can swap arenas
+    /// without invalidating cached answers.
+    ///
+    /// A bitset realisation is copied as it is, without a decode, when a
+    /// floor on its varint size (the block index, one byte per vertex and
+    /// one per live edge) already exceeds the bitset; it is the bitset the
+    /// encoder would write, so the result is the same bytes either way.
     ///
     /// # Errors
     /// Returns [`IminError::PoolGraphMismatch`] when `graph` is not the
@@ -434,23 +461,23 @@ impl SamplePool {
             let mut scratch_offsets: Vec<u32> = Vec::new();
             let mut scratch_targets: Vec<u32> = Vec::new();
             for idx in range.clone() {
-                let view = self.arena.view(idx);
-                let (encoded, live) = match view {
-                    SampleView::Csr { offsets, targets } => (
-                        encode_sample(offsets, targets, &gr_offsets, &gr_targets, &mut part.blob),
-                        targets.len() as u64,
-                    ),
-                    other => {
-                        other.decode_into(n, &mut scratch_offsets, &mut scratch_targets);
-                        (
-                            encode_sample(
-                                &scratch_offsets,
-                                &scratch_targets,
-                                &gr_offsets,
-                                &gr_targets,
-                                &mut part.blob,
-                            ),
-                            scratch_targets.len() as u64,
+                let live = self.arena.sample_len(idx);
+                let encoded = match self.arena.view(idx) {
+                    SampleView::Bitset { bits, .. } if varint_size_floor(n, live) > bits.len() => {
+                        part.blob.extend_from_slice(bits);
+                        Ok((MODE_BITSET, bits.len()))
+                    }
+                    SampleView::Csr { offsets, targets } => {
+                        encode_sample(offsets, targets, &gr_offsets, &gr_targets, &mut part.blob)
+                    }
+                    view => {
+                        view.decode_into(n, &mut scratch_offsets, &mut scratch_targets);
+                        encode_sample(
+                            &scratch_offsets,
+                            &scratch_targets,
+                            &gr_offsets,
+                            &gr_targets,
+                            &mut part.blob,
                         )
                     }
                 };
@@ -481,22 +508,49 @@ impl SamplePool {
         })
     }
 
+    /// Whether every realisation already sits in the encoding
+    /// [`SamplePool::compress`] would give it, so compressing would
+    /// reproduce the pool byte for byte. Varint realisations always do (a
+    /// varint is stored only where it is the smaller encoding); a bitset
+    /// does when its varint floor exceeds it, and otherwise when
+    /// re-encoding it picks the bitset again. Raw arenas never do.
+    pub fn is_compact(&self) -> bool {
+        let ArenaBacking::Compressed(c) = &self.arena.backing else {
+            return false;
+        };
+        let (n, bytes) = (self.num_vertices, bitset_bytes(self.num_graph_edges));
+        let (mut offsets, mut targets, mut blob) = (Vec::new(), Vec::new(), Vec::new());
+        // The directory decides most realisations; only a bitset under its
+        // varint floor is decoded (which, mapped, touches its pages).
+        (0..self.theta()).all(|idx| {
+            if c.modes[idx] != MODE_BITSET || varint_size_floor(n, c.lens[idx]) > bytes {
+                return true;
+            }
+            self.arena
+                .view(idx)
+                .decode_into(n, &mut offsets, &mut targets);
+            blob.clear();
+            encode_sample(&offsets, &targets, &c.gr_offsets, &c.gr_targets, &mut blob)
+                .is_ok_and(|(mode, _)| mode == MODE_BITSET)
+        })
+    }
+
     /// Grows the pool in place to `new_theta` realisations by drawing the
     /// missing samples `θ..θ'` from their own [`indexed_sample_seed`]
-    /// streams. Because sample `i` never depends on any other sample, the
-    /// extended pool is **bit-identical** to a pool freshly built at
-    /// `new_theta` with the same `(graph, pool_seed)` — at every thread
-    /// count. A `new_theta` at or below the current θ is a no-op (the pool
-    /// never shrinks).
+    /// streams and appending them as bitsets. Because sample `i` never
+    /// depends on any other sample, the extended pool holds **bit-identical**
+    /// realisations to a pool freshly built at `new_theta` with the same
+    /// `(graph, pool_seed)` — at every thread count. A `new_theta` at or
+    /// below the current θ is a no-op (the pool never shrinks).
     ///
     /// Returns the number of realisations added.
     ///
     /// # Errors
     /// Returns [`IminError::PoolGraphMismatch`] when `graph` does not have
     /// the shape of the graph the pool was built from, and
-    /// [`IminError::PoolArenaImmutable`] when the arena is compressed or
-    /// mapped — only the heap-resident raw write path can grow in place
-    /// (callers rebuild instead).
+    /// [`IminError::PoolArenaImmutable`] when the arena is raw or mapped —
+    /// only a heap-resident compressed arena (built, compressed or
+    /// copy-restored) grows in place (callers rebuild instead).
     pub fn extend_to(
         &mut self,
         graph: &DiGraph,
@@ -513,29 +567,36 @@ impl SamplePool {
                 arena: self.arena.kind().as_str(),
             });
         }
-        let stride = self.num_vertices + 1;
-        let ArenaBacking::Raw(raw) = &mut self.arena.backing else {
-            unreachable!("is_extendable implies a raw backing");
+        let ArenaBacking::Compressed(c) = &mut self.arena.backing else {
+            unreachable!("is_extendable implies a compressed backing");
         };
-        let (Words::Owned(offsets), Words::Owned(targets)) = (&mut raw.offsets, &mut raw.targets)
-        else {
-            unreachable!("is_extendable implies owned words");
+        let Blob::Owned(data) = &mut c.data else {
+            unreachable!("is_extendable implies an owned blob");
         };
+        let added = new_theta - old_theta;
+        let bytes = bitset_bytes(self.num_graph_edges);
+        let base = data.len();
         // Exact growth: `memory_bytes` counts capacity, and a grown pool
         // reports what a fresh build of the same θ does.
-        offsets.reserve_exact((new_theta - old_theta) * stride);
-        offsets.resize(new_theta * stride, 0);
-        append_samples(
+        data.reserve_exact(added * bytes);
+        data.resize(base + added * bytes, 0);
+        c.lens.reserve_exact(added);
+        c.lens.resize(new_theta, 0);
+        sample_bitsets(
             graph,
             self.pool_seed,
             old_theta,
-            &mut offsets[old_theta * stride..],
-            targets,
-            &mut raw.target_start,
+            &mut data[base..],
+            &mut c.lens[old_theta..],
             threads,
         );
+        c.modes.reserve_exact(added);
+        c.modes.resize(new_theta, MODE_BITSET);
+        c.starts.reserve_exact(added);
+        c.starts
+            .extend((1..=added).map(|k| (base + k * bytes) as u64));
         self.arena.theta = new_theta;
-        Ok(new_theta - old_theta)
+        Ok(added)
     }
 
     /// The live-edge storage, for the snapshot writer and readers.
@@ -560,6 +621,36 @@ impl SamplePool {
             pool_seed,
             arena,
         }
+    }
+
+    /// The same realisations held in a raw arena, the layout version-1 and
+    /// raw version-2 snapshot files restore into, so tests can compare
+    /// that reader's path with the built one.
+    #[cfg(test)]
+    pub(crate) fn raw_copy(&self) -> SamplePool {
+        use crate::arena::{RawArena, Words};
+        let (n, theta) = (self.num_vertices, self.theta());
+        let (mut offsets, mut targets) = (Vec::new(), Vec::new());
+        let (mut sample_offsets, mut sample_targets) = (Vec::new(), Vec::new());
+        let mut target_start = vec![0u64];
+        for i in 0..theta {
+            self.sample_csr_into(i, &mut sample_offsets, &mut sample_targets);
+            offsets.extend_from_slice(&sample_offsets);
+            targets.extend_from_slice(&sample_targets);
+            target_start.push(targets.len() as u64);
+        }
+        let raw = RawArena {
+            stride: n + 1,
+            target_start,
+            offsets: Words::Owned(offsets),
+            targets: Words::Owned(targets),
+        };
+        SamplePool::from_arena(
+            n,
+            self.num_graph_edges,
+            self.pool_seed,
+            PoolArena::raw(n, theta, raw),
+        )
     }
 
     /// Number of realisations θ held by the pool.
@@ -588,7 +679,8 @@ impl SamplePool {
     }
 
     /// Whether [`SamplePool::extend_to`] can grow this pool in place (true
-    /// only for the heap-resident raw write path).
+    /// only for a heap-resident compressed arena: built, compressed or
+    /// copy-restored from a compressed snapshot).
     pub fn is_extendable(&self) -> bool {
         self.arena.is_extendable()
     }
@@ -2143,10 +2235,128 @@ mod tests {
         }
     }
 
+    /// `n` vertices with `degree` distinct random out-neighbours each, every
+    /// edge live with probability `p`: sparse coins over a high degree, so
+    /// some realisations are smaller as varint and some as bitset.
+    fn sparse_coins(n: usize, degree: usize, p: f64, seed: u64) -> DiGraph {
+        use rand::Rng;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut edges = Vec::new();
+        for u in 0..n {
+            let mut targets = std::collections::BTreeSet::new();
+            while targets.len() < degree {
+                let t = rng.gen_range(0..n);
+                if t != u {
+                    targets.insert(t);
+                }
+            }
+            edges.extend(targets.into_iter().map(|t| (vid(u), vid(t), p)));
+        }
+        DiGraph::from_edges(n, edges).unwrap()
+    }
+
+    #[test]
+    fn lanes_draw_the_indexed_small_rng_streams() {
+        use rand::RngCore;
+        for (seed, first) in [(0u64, 0u64), (41, 16), (7, 1_999), (u64::MAX, 123_456_789)] {
+            let mut lanes = Lanes::seeded(seed, first);
+            let mut reference: Vec<SmallRng> = (0..LANES as u64)
+                .map(|j| SmallRng::seed_from_u64(indexed_sample_seed(seed, first + j)))
+                .collect();
+            for step in 0..1_000 {
+                let draws = lanes.next();
+                for (j, rng) in reference.iter_mut().enumerate() {
+                    assert_eq!(
+                        draws[j],
+                        rng.next_u64(),
+                        "seed {seed}, lane {j}, draw {step}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every built realisation is the bitset the encoder writes for it, at
+    /// `i · bitset_bytes(m)`, with its popcount as its length and the
+    /// padding bits past m clear — on graphs with deterministic coins, with
+    /// sparse coins and with a partial last group of lanes.
+    #[test]
+    fn built_bitsets_are_the_encoder_bitsets() {
+        use crate::arena::encode_bitset_sample;
+        let graphs = [
+            ("wc", wc_pa(151, 2)),
+            ("mixed", mixed_coins(80, 5)),
+            ("sparse", sparse_coins(300, 21, 0.05, 1)),
+        ];
+        for (what, g) in graphs {
+            let (m, bytes) = (g.num_edges(), bitset_bytes(g.num_edges()));
+            let (gr_offsets, gr_targets) = graph_csr_copy(&g);
+            let (mut offsets, mut targets, mut blob) = (Vec::new(), Vec::new(), Vec::new());
+            for threads in [1usize, 3] {
+                // Two full groups of lanes and a partial one.
+                let pool = SamplePool::build_with_threads(&g, 37, 11, threads).unwrap();
+                pool.arena.validate_all().unwrap();
+                let ArenaBacking::Compressed(c) = &pool.arena.backing else {
+                    panic!("{what}: a built pool is a compressed arena");
+                };
+                for i in 0..37 {
+                    assert_eq!(c.modes[i], MODE_BITSET, "{what}: sample {i}");
+                    assert_eq!(c.starts[i] as usize, i * bytes, "{what}: sample {i}");
+                    let SampleView::Bitset { bits, .. } = pool.arena.view(i) else {
+                        panic!("{what}: sample {i} is a bitset");
+                    };
+                    if m % 8 != 0 {
+                        assert_eq!(bits[bytes - 1] >> (m % 8), 0, "{what}: padding of {i}");
+                    }
+                    pool.sample_csr_into(i, &mut offsets, &mut targets);
+                    blob.clear();
+                    encode_bitset_sample(&offsets, &targets, &gr_offsets, &gr_targets, &mut blob)
+                        .unwrap();
+                    assert_eq!(bits, &blob[..], "{what}, threads={threads}: sample {i}");
+                    assert_eq!(c.lens[i], targets.len() as u64, "{what}: sample {i}");
+                }
+            }
+        }
+    }
+
+    /// `compress` of a built pool is `compress` of the same realisations
+    /// held raw, in modes, lengths, starts and blob bytes: on a WC graph,
+    /// where every realisation stays a bitset and none is decoded, and on a
+    /// sparse-coin graph, where some become varint.
+    #[test]
+    fn compressing_a_built_pool_equals_compressing_its_raw_copy() {
+        use crate::arena::MODE_VARINT;
+        let graphs = [
+            ("wc", wc_pa(400, 9), false),
+            ("sparse", sparse_coins(300, 21, 0.05, 1), true),
+        ];
+        for (what, g, varints) in graphs {
+            let built = SamplePool::build_with_threads(&g, 40, 3, 2).unwrap();
+            let from_built = built.compress(&g, 2).unwrap();
+            let from_raw = built.raw_copy().compress(&g, 3).unwrap();
+            let (ArenaBacking::Compressed(a), ArenaBacking::Compressed(b)) =
+                (&from_built.arena.backing, &from_raw.arena.backing)
+            else {
+                panic!("{what}: compress writes a compressed arena");
+            };
+            assert_eq!(a.modes, b.modes, "{what}: modes");
+            assert_eq!(a.lens, b.lens, "{what}: lens");
+            assert_eq!(a.starts, b.starts, "{what}: starts");
+            assert!(a.data.as_slice() == b.data.as_slice(), "{what}: blobs");
+            assert_eq!(a.modes.contains(&MODE_VARINT), varints, "{what}: varints");
+            assert!(a.modes.contains(&MODE_BITSET), "{what}: bitsets");
+            assert_eq!(built.is_compact(), !varints, "{what}: built");
+            assert!(from_built.is_compact() && from_raw.is_compact(), "{what}");
+            assert!(!built.raw_copy().is_compact(), "{what}: raw");
+        }
+    }
+
     #[test]
     fn compressed_pool_is_byte_identical_to_raw() {
         let g = wc_pa(150, 21);
-        let raw = SamplePool::build_with_threads(&g, 40, 77, 2).unwrap();
+        let raw = SamplePool::build_with_threads(&g, 40, 77, 2)
+            .unwrap()
+            .raw_copy();
         let compressed = raw.compress(&g, 2).unwrap();
         assert_eq!(compressed.arena_kind(), ArenaKind::Compressed);
         assert_eq!(compressed.theta(), raw.theta());
@@ -2160,7 +2370,9 @@ mod tests {
     #[test]
     fn compression_shrinks_weighted_cascade_pools() {
         let g = wc_pa(2_000, 11);
-        let raw = SamplePool::build_with_threads(&g, 50, 5, 2).unwrap();
+        let built = SamplePool::build_with_threads(&g, 50, 5, 2).unwrap();
+        assert!(built.compression_ratio() < 0.5, "a built pool is bitsets");
+        let raw = built.raw_copy();
         let compressed = raw.compress(&g, 2).unwrap();
         let ratio = compressed.compression_ratio();
         assert!(
@@ -2174,7 +2386,7 @@ mod tests {
     fn queries_are_byte_identical_across_arena_kinds_and_threads() {
         let g = wc_pa(200, 17);
         let n = g.num_vertices();
-        let raw = SamplePool::build(&g, 300, 23).unwrap();
+        let raw = SamplePool::build(&g, 300, 23).unwrap().raw_copy();
         let compressed = raw.compress(&g, 2).unwrap();
         let forbidden = vec![false; n];
         let seeds = [vid(0), vid(3)];
@@ -2240,7 +2452,9 @@ mod tests {
         for graph_seed in 0..3u64 {
             let g = wc_pa(150 + 100 * graph_seed as usize, graph_seed);
             let n = g.num_vertices();
-            let raw = SamplePool::build_with_threads(&g, 32, graph_seed + 7, 2).unwrap();
+            let raw = SamplePool::build_with_threads(&g, 32, graph_seed + 7, 2)
+                .unwrap()
+                .raw_copy();
             let compressed = raw.compress(&g, 2).unwrap();
             let path = std::env::temp_dir().join(format!(
                 "imin-replay-parity-{}-{graph_seed}.iminsnap",
@@ -2712,19 +2926,32 @@ mod tests {
     }
 
     #[test]
-    fn compressed_pools_cannot_extend_in_place() {
-        let g = wc_pa(60, 4);
+    fn compressed_pools_extend_in_place_and_raw_pools_do_not() {
+        let g = sparse_coins(300, 21, 0.045, 3);
+        let fresh = SamplePool::build_with_threads(&g, 20, 1, 2).unwrap();
         let mut pool = SamplePool::build(&g, 10, 1)
             .unwrap()
             .compress(&g, 1)
             .unwrap();
-        assert!(!pool.is_extendable());
-        assert_eq!(pool.extend_to(&g, 5, 1).unwrap(), 0, "no-op stays a no-op");
+        let ArenaBacking::Compressed(c) = &pool.arena.backing else {
+            panic!("compress writes a compressed arena");
+        };
+        assert!(c.modes.contains(&crate::arena::MODE_VARINT), "varint blobs");
+        assert!(pool.is_extendable());
+        assert_eq!(pool.extend_to(&g, 20, 2).unwrap(), 10);
+        assert_eq!(pool_digest(&pool), pool_digest(&fresh));
+        for i in 10..20 {
+            assert_eq!(pool.sample_csr(i), fresh.sample_csr(i), "sample {i}");
+        }
+
+        let mut raw = SamplePool::build(&g, 10, 1).unwrap().raw_copy();
+        assert!(!raw.is_extendable());
+        assert_eq!(raw.extend_to(&g, 5, 1).unwrap(), 0, "no-op stays a no-op");
         assert!(matches!(
-            pool.extend_to(&g, 20, 1),
-            Err(IminError::PoolArenaImmutable { .. })
+            raw.extend_to(&g, 20, 1),
+            Err(IminError::PoolArenaImmutable { arena: "raw" })
         ));
-        assert_eq!(pool.theta(), 10);
+        assert_eq!(raw.theta(), 10);
     }
 
     #[test]
@@ -2734,7 +2961,7 @@ mod tests {
         assert_eq!(pool.theta(), 4);
         assert_eq!(pool.pool_seed(), 99);
         assert_eq!(pool.num_vertices(), 4);
-        assert_eq!(pool.arena_kind(), ArenaKind::Raw);
+        assert_eq!(pool.arena_kind(), ArenaKind::Compressed);
         assert!(pool.is_extendable());
         assert_eq!(pool.mapped_bytes(), 0);
         // All three edges are deterministic, so every realisation keeps them.
@@ -2746,10 +2973,12 @@ mod tests {
     fn memory_bytes_covers_every_stored_word() {
         let g = wc_pa(300, 8);
         let pool = SamplePool::build_with_threads(&g, 25, 6, 2).unwrap();
-        // Lower bound: the arenas alone hold θ×(n+1) offsets plus every live
-        // edge as u32, and the θ+1 target-start table as u64. The historical
-        // per-sample accounting missed headers and tables entirely.
-        let floor = 4 * (25 * (g.num_vertices() + 1) + pool.total_live_edges()) + 8 * (25 + 1);
+        // Lower bound: θ bitsets of m bits, the θ live-edge counts and θ + 1
+        // blob starts as u64, the θ encoding tags, and the graph CSR copy
+        // the bitsets decode through. The historical per-sample accounting
+        // missed headers and tables entirely.
+        let (n, m) = (g.num_vertices(), g.num_edges());
+        let floor = 25 * bitset_bytes(m) + 8 * (25 + 26) + 25 + 8 * (n + 1) + 4 * m;
         assert!(
             pool.memory_bytes() >= floor,
             "memory_bytes {} below the arena floor {floor}",

@@ -41,9 +41,22 @@ impl Drop for TempSnap {
     }
 }
 
+/// `pool`'s realisations in a raw arena. A build writes bitsets, so a raw
+/// pool now only comes from a file: a version-1 file restores into one.
+fn raw_copy(graph: &DiGraph, pool: &SamplePool, tag: &str) -> SamplePool {
+    let tmp = TempSnap::new(&format!("{tag}-v1"));
+    save_snapshot_v1(&tmp.0, graph, pool, "raw").unwrap();
+    let raw = load_snapshot(&tmp.0).unwrap().pool;
+    assert_eq!(raw.arena_kind(), ArenaKind::Raw);
+    raw
+}
+
+/// A v2 snapshot with a raw pool section, the layout the hostile-input
+/// tests below forge.
 fn saved_snapshot(tag: &str) -> (DiGraph, SamplePool, TempSnap) {
     let graph = wc_pa(150, 7);
-    let pool = SamplePool::build_with_threads(&graph, 40, 99, 2).unwrap();
+    let built = SamplePool::build_with_threads(&graph, 40, 99, 2).unwrap();
+    let pool = raw_copy(&graph, &built, tag);
     let tmp = TempSnap::new(tag);
     save_snapshot(&tmp.0, &graph, &pool, "pa-150/wc").unwrap();
     (graph, pool, tmp)
@@ -381,7 +394,8 @@ fn compressed_pools_round_trip_through_v2_snapshots() {
 #[test]
 fn mapped_snapshots_serve_byte_identical_queries() {
     let graph = wc_pa(150, 7);
-    let raw = SamplePool::build_with_threads(&graph, 40, 99, 2).unwrap();
+    let built = SamplePool::build_with_threads(&graph, 40, 99, 2).unwrap();
+    let raw = raw_copy(&graph, &built, "map-raw-src");
     let compressed = raw.compress(&graph, 1).unwrap();
     let seeds = [VertexId::new(0), VertexId::new(3)];
     let forbidden = vec![false; graph.num_vertices()];
@@ -586,4 +600,67 @@ fn snapshots_of_extended_pools_equal_snapshots_of_fresh_pools() {
         std::fs::read(&tmp_b.0).unwrap(),
         "whole snapshot files are byte-identical"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Raw v2 files written before builds drew bitsets
+// ---------------------------------------------------------------------------
+
+/// A raw v2 snapshot written by the raw-CSR build path:
+/// `imin-cli local "LOAD pa n=100 m0=3 seed=7 model=wc" "POOL 16 42"
+/// "SAVE crates/core/tests/fixtures/raw-v2.iminsnap"`. Nothing writes a raw
+/// section from a fresh build any more, so this file pins the raw reader,
+/// and its digest pins the bitset build to the raw build's bits.
+#[test]
+fn raw_v2_files_from_the_raw_build_path_still_restore() {
+    let path = Path::new(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/raw-v2.iminsnap"
+    ));
+    let readers: [(Reader, ArenaKind); 2] = [
+        (load_snapshot, ArenaKind::Raw),
+        (map_snapshot, ArenaKind::MappedRaw),
+    ];
+    for (read, kind) in readers {
+        let restored = read(path).unwrap();
+        assert_eq!(restored.header.version, 2);
+        assert_eq!(restored.label, "pa(n=100,m0=3,seed=7)/WC");
+        assert_eq!(restored.pool.arena_kind(), kind);
+        assert_eq!((restored.pool.theta(), restored.pool.pool_seed()), (16, 42));
+        let graph = &restored.graph;
+        let seeds = [VertexId::new(0)];
+        let forbidden = vec![false; graph.num_vertices()];
+        let mut ws = PoolWorkspace::new();
+        let ag =
+            pooled_advanced_greedy_in(&restored.pool, &seeds, &forbidden, 3, 1, &mut ws).unwrap();
+        let gr = pooled_greedy_replace_in(&restored.pool, graph, &seeds, &forbidden, 3, 1, &mut ws)
+            .unwrap();
+        // The answers the raw build path gave when it wrote the file.
+        let expected: Vec<VertexId> = [7, 81, 13].map(VertexId::new).to_vec();
+        for sel in [&ag, &gr] {
+            assert_eq!(sel.blockers, expected, "{kind}");
+            assert_eq!(sel.estimated_spread, Some(7.625), "{kind}");
+        }
+        for threads in [1usize, 3] {
+            let fresh = SamplePool::build_with_threads(graph, 16, 42, threads).unwrap();
+            assert_eq!(
+                pool_digest(&fresh),
+                pool_digest(&restored.pool),
+                "{kind}, threads={threads}"
+            );
+            let fresh_ag =
+                pooled_advanced_greedy_in(&fresh, &seeds, &forbidden, 3, threads, &mut ws).unwrap();
+            let fresh_gr =
+                pooled_greedy_replace_in(&fresh, graph, &seeds, &forbidden, 3, threads, &mut ws)
+                    .unwrap();
+            assert_eq!(
+                (&fresh_ag.blockers, fresh_ag.estimated_spread),
+                (&ag.blockers, ag.estimated_spread)
+            );
+            assert_eq!(
+                (&fresh_gr.blockers, fresh_gr.estimated_spread),
+                (&gr.blockers, gr.estimated_spread)
+            );
+        }
+    }
 }

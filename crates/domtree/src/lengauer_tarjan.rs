@@ -401,7 +401,12 @@ mod tests {
         let dt = dominator_tree(&g, vid(0));
         assert_eq!(dt.idom(vid(3)), Some(vid(2)));
         assert_eq!(dt.subtree_sizes(), vec![4, 3, 2, 1]);
-        assert_eq!(dt.depth(vid(3)), Some(3));
+        // The idom chain of 3 climbs the whole path to the root.
+        let mut chain = vec![vid(3)];
+        while let Some(d) = dt.idom(*chain.last().unwrap()) {
+            chain.push(d);
+        }
+        assert_eq!(chain, [3, 2, 1, 0].map(vid));
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //!   u disconnects v from the root"), cubic time, used only to validate the
 //!   other two on small random graphs.
 //! * [`DomTree`] — the resulting tree with subtree sizes (the quantity
-//!   Algorithm 2 accumulates into Δ\[u\]), depth queries and ancestor tests.
+//!   Algorithm 2 accumulates into Δ\[u\]) and ancestor tests.
 //!
 //! ```
 //! use imin_graph::{DiGraph, VertexId};

@@ -138,31 +138,6 @@ impl DomTree {
         }
     }
 
-    /// Accumulates the subtree sizes into `acc` (adding `sizes[v] * weight`
-    /// for every vertex). This is the inner loop of Algorithm 2, exposed so
-    /// the sampler can avoid allocating a fresh size vector per sample.
-    pub fn accumulate_subtree_sizes(&self, acc: &mut [f64], weight: f64) {
-        let sizes = self.subtree_sizes();
-        for &v in &self.preorder {
-            acc[v as usize] += sizes[v as usize] as f64 * weight;
-        }
-    }
-
-    /// Depth of `v` in the dominator tree (root = 0); `None` if unreachable.
-    pub fn depth(&self, v: VertexId) -> Option<usize> {
-        if !self.is_reachable(v) {
-            return None;
-        }
-        let mut d = 0usize;
-        let mut cur = v.raw();
-        while self.idom[cur as usize] != NONE {
-            cur = self.idom[cur as usize];
-            d += 1;
-            debug_assert!(d <= self.idom.len(), "idom chain contains a cycle");
-        }
-        Some(d)
-    }
-
     /// Returns `true` if `u` dominates `v` (every path from the root to `v`
     /// passes through `u`). Every reachable vertex dominates itself.
     pub fn dominates(&self, u: VertexId, v: VertexId) -> bool {
@@ -181,22 +156,6 @@ impl DomTree {
             }
             cur = next;
         }
-    }
-
-    /// All dominators of `v` from `v` itself up to the root; empty if
-    /// unreachable.
-    pub fn dominators_of(&self, v: VertexId) -> Vec<VertexId> {
-        let mut out = Vec::new();
-        if !self.is_reachable(v) {
-            return out;
-        }
-        let mut cur = v.raw();
-        out.push(VertexId::from_raw(cur));
-        while self.idom[cur as usize] != NONE {
-            cur = self.idom[cur as usize];
-            out.push(VertexId::from_raw(cur));
-        }
-        out
     }
 
     /// Internal consistency checks used by tests: the root is reachable with
@@ -294,29 +253,14 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_adds_weighted_sizes() {
-        let t = sample();
-        let mut acc = vec![0.0; 5];
-        t.accumulate_subtree_sizes(&mut acc, 0.5);
-        assert_eq!(acc, vec![2.0, 1.0, 0.5, 0.5, 0.0]);
-        t.accumulate_subtree_sizes(&mut acc, 0.5);
-        assert_eq!(acc, vec![4.0, 2.0, 1.0, 1.0, 0.0]);
-    }
-
-    #[test]
     fn depth_and_dominance() {
         let t = sample();
-        assert_eq!(t.depth(vid(0)), Some(0));
-        assert_eq!(t.depth(vid(3)), Some(2));
-        assert_eq!(t.depth(vid(4)), None);
         assert!(t.dominates(vid(0), vid(3)));
         assert!(t.dominates(vid(1), vid(3)));
         assert!(t.dominates(vid(3), vid(3)));
         assert!(!t.dominates(vid(2), vid(3)));
         assert!(!t.dominates(vid(4), vid(3)));
         assert!(!t.dominates(vid(0), vid(4)));
-        assert_eq!(t.dominators_of(vid(3)), vec![vid(3), vid(1), vid(0)]);
-        assert!(t.dominators_of(vid(4)).is_empty());
     }
 
     #[test]

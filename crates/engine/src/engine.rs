@@ -637,7 +637,7 @@ mod tests {
     }
 
     #[test]
-    fn ensure_pool_rebuilds_rather_than_extends_a_compressed_pool() {
+    fn ensure_pool_extends_a_compressed_pool_in_place() {
         let engine = primed(200);
         engine.compress_pool().unwrap();
         // A matching request still reuses the compressed pool as-is.
@@ -649,11 +649,15 @@ mod tests {
         let (info, action) = engine.ensure_pool(300, 5).unwrap();
         assert_eq!(
             action,
-            PoolAction::Built,
-            "compressed arenas cannot grow in place"
+            PoolAction::Extended,
+            "compressed arenas grow in place"
         );
-        assert_eq!((info.theta, info.arena), (300, ArenaKind::Raw));
-        assert_eq!(engine.stats().pool_extends, 0);
+        assert_eq!((info.theta, info.arena), (300, ArenaKind::Compressed));
+        assert_eq!(engine.stats().pool_extends, 1);
+        let (grown, fresh) = (query(1, 3), primed(300).query(&query(1, 3)).unwrap());
+        let grown = engine.query(&grown).unwrap();
+        assert_eq!(grown.blockers, fresh.blockers);
+        assert_eq!(grown.estimated_spread, fresh.estimated_spread);
     }
 
     #[test]
@@ -667,7 +671,7 @@ mod tests {
         };
         let (copied, _) = restore(RestoreMode::Copy);
         let (mapped, info) = restore(RestoreMode::Map);
-        assert_eq!(info.arena, ArenaKind::MappedRaw);
+        assert_eq!(info.arena, ArenaKind::MappedCompressed);
         let path_label = path.display().to_string();
         assert_eq!(info.provenance, PoolProvenance::Mapped { path: path_label });
         for q in [query(2, 3), query(5, 2)] {
@@ -677,7 +681,10 @@ mod tests {
         }
         // A growing POOL on the mapped pool rebuilds instead of extending.
         let (info, action) = mapped.ensure_pool(300, 5).unwrap();
-        assert_eq!((action, info.arena), (PoolAction::Built, ArenaKind::Raw));
+        assert_eq!(
+            (action, info.arena),
+            (PoolAction::Built, ArenaKind::Compressed)
+        );
         let _ = std::fs::remove_file(&path);
     }
 

@@ -585,7 +585,7 @@ mod tests {
         assert!(raw_answer.starts_with("OK blockers="), "{raw_answer}");
         let (reply, _) = answer_line("STATS", &engine);
         assert!(
-            reply.contains("pool_arena=raw") && reply.contains(" pool_ratio="),
+            reply.contains("pool_arena=compressed") && reply.contains(" pool_ratio="),
             "{reply}"
         );
 

@@ -530,17 +530,18 @@ impl SharedEngine {
     /// * the resident pool already matches → **no-op** (the result cache
     ///   survives untouched),
     /// * the resident pool has the same seed, a smaller θ and an
-    ///   extendable (raw, heap) arena → grown in place with
+    ///   extendable (compressed, heap) arena — built, COMPRESSed or
+    ///   copy-restored from a compressed file → grown in place with
     ///   [`SamplePool::extend_to`] (bit-identical to a fresh θ build; the
     ///   forward answers are evicted because they may change),
-    /// * anything else — including a growing request against a compressed
-    ///   or mapped pool → sampled from scratch (forward answers evicted).
+    /// * anything else — including a growing request against a raw or
+    ///   mapped pool → sampled from scratch (forward answers evicted).
     ///
     /// Cached `ris-greedy` answers survive either way: their sketch pool
     /// did not change.
     ///
-    /// A build or an extension records its `sample` and `assemble` phases
-    /// into `imin_pool_phase_seconds` while observability is on.
+    /// A build or an extension records its `sample` phase into
+    /// `imin_pool_phase_seconds` while observability is on.
     ///
     /// Queries in flight keep their own `Arc` to the old pool; the extend
     /// and rebuild paths wait for those references to drain before
@@ -581,8 +582,8 @@ impl SharedEngine {
                 return Ok((info, PoolAction::Reused));
             }
         }
-        // Compressed and mapped arenas cannot grow in place — a growing
-        // request against one falls through to the rebuild path below.
+        // Raw and mapped arenas cannot grow in place — a growing request
+        // against one falls through to the rebuild path below.
         let grows = state
             .pool
             .as_ref()
@@ -832,10 +833,13 @@ impl SharedEngine {
 
     /// Re-encodes the resident pool into a compressed arena (delta-varint
     /// or per-sample bitset per realisation, whichever is smaller).
-    /// Compressed pools answer queries **byte-identically** to the raw pool
+    /// Compressed pools answer queries **byte-identically** to the pool
     /// they came from, so the result cache and epoch survive — in-flight
-    /// queries finish against their own `Arc` of the raw pool and their
-    /// answers stay valid. An already-compressed pool is a no-op.
+    /// queries finish against their own `Arc` of the old pool and their
+    /// answers stay valid. A heap-resident compressed pool whose
+    /// realisations already sit in their smaller encodings
+    /// ([`SamplePool::is_compact`], as a built weighted-cascade pool's
+    /// bitsets do) is a no-op that keeps the resident pool.
     ///
     /// # Errors
     /// [`EngineError::NoGraph`] / [`EngineError::NoPool`] before the engine
@@ -853,7 +857,7 @@ impl SharedEngine {
         let mut state = write_unpoisoned(&self.state);
         let graph = state.graph.clone().ok_or(EngineError::NoGraph)?;
         let pool = state.pool.clone().ok_or(EngineError::NoPool)?;
-        if pool.arena_kind() == imin_core::ArenaKind::Compressed {
+        if pool.arena_kind() == imin_core::ArenaKind::Compressed && pool.is_compact() {
             return Ok(state.pool_info.clone().expect("resident pool has info"));
         }
         let start = Instant::now();
@@ -914,21 +918,10 @@ impl SharedEngine {
         self.counters.queries.fetch_add(1, Relaxed);
         let key = query.key();
         let probe_start = Instant::now();
-        let cached = {
-            let mut cache = lock_unpoisoned(&self.cache);
-            cache.lru.get(&key).cloned()
-        };
+        let cached = self.cached(&key);
         let probe_us = probe_start.elapsed().as_micros() as u64;
-        if let Some(mut hit) = cached {
-            self.counters.cache_hits.fetch_add(1, Relaxed);
-            hit.from_cache = true;
-            hit.elapsed = start.elapsed();
-            // The stored phase breakdown (the original leader's) rides
-            // along — a trace of a cache hit shows what the answer cost
-            // when it was computed.
-            hit.disposition = Disposition::CacheHit;
-            hit.trace_id = trace_id;
-            return Ok(hit);
+        if let Some(hit) = cached {
+            return Ok(served_from_cache(hit, start, trace_id));
         }
         // Snapshot the resident pair (and its backend's epoch) before
         // registering in the single-flight map, so rejected queries never
@@ -954,32 +947,8 @@ impl SharedEngine {
             }
         };
         let clone_us = clone_start.elapsed().as_micros() as u64;
-        enum Role {
-            Leader(Arc<InflightSlot>),
-            Follower(Arc<InflightSlot>),
-        }
-        let role = {
-            let mut inflight = lock_unpoisoned(&self.inflight);
-            if let Some(slot) = inflight.get(&key) {
-                Role::Follower(Arc::clone(slot))
-            } else {
-                // The check and the gauge increment share the map mutex, so
-                // the budget is exact: never more than `max_inflight`
-                // leaders compute at once.
-                if self.counters.inflight.load(Relaxed) >= self.max_inflight as u64 {
-                    drop(inflight);
-                    self.counters.rejected.fetch_add(1, Relaxed);
-                    return Err(EngineError::Busy {
-                        retry_after_ms: self.retry_after_ms(),
-                    });
-                }
-                self.counters.inflight.fetch_add(1, Relaxed);
-                let slot = Arc::new(InflightSlot::default());
-                inflight.insert(key.clone(), Arc::clone(&slot));
-                Role::Leader(slot)
-            }
-        };
-        match role {
+        match self.claim(&key)? {
+            Role::Hit(hit) => Ok(served_from_cache(*hit, start, trace_id)),
             Role::Follower(slot) => {
                 let outcome = slot.wait();
                 self.counters.coalesced.fetch_add(1, Relaxed);
@@ -1062,6 +1031,64 @@ impl SharedEngine {
             }
         }
     }
+
+    /// The cached answer to `key`, counted as a cache hit.
+    fn cached(&self, key: &QueryKey) -> Option<QueryResult> {
+        let hit = lock_unpoisoned(&self.cache).lru.get(key).cloned()?;
+        self.counters.cache_hits.fetch_add(1, Relaxed);
+        Some(hit)
+    }
+
+    /// Decides how a question that missed the cache is answered: by
+    /// joining the leader already computing it, from the cache after all,
+    /// or by computing it as a new leader within the admission budget.
+    ///
+    /// The cache is probed again under the single-flight lock. A leader
+    /// inserts its answer into the cache before it removes its slot, so a
+    /// question that finished after this thread's first probe is found
+    /// here rather than computed twice. The lock order is the map, then
+    /// the cache; nothing takes them the other way round.
+    fn claim(&self, key: &QueryKey) -> Result<Role> {
+        let mut inflight = lock_unpoisoned(&self.inflight);
+        if let Some(slot) = inflight.get(key) {
+            return Ok(Role::Follower(Arc::clone(slot)));
+        }
+        if let Some(hit) = self.cached(key) {
+            return Ok(Role::Hit(Box::new(hit)));
+        }
+        // The check and the gauge increment share the map mutex, so the
+        // budget is exact: never more than `max_inflight` leaders compute
+        // at once.
+        if self.counters.inflight.load(Relaxed) >= self.max_inflight as u64 {
+            drop(inflight);
+            self.counters.rejected.fetch_add(1, Relaxed);
+            return Err(EngineError::Busy {
+                retry_after_ms: self.retry_after_ms(),
+            });
+        }
+        self.counters.inflight.fetch_add(1, Relaxed);
+        let slot = Arc::new(InflightSlot::default());
+        inflight.insert(key.clone(), Arc::clone(&slot));
+        Ok(Role::Leader(slot))
+    }
+}
+
+/// How [`SharedEngine::claim`] answers a question that missed the cache.
+enum Role {
+    Hit(Box<QueryResult>),
+    Leader(Arc<InflightSlot>),
+    Follower(Arc<InflightSlot>),
+}
+
+/// A cached answer as this request's reply. The stored phase breakdown
+/// (the original leader's) rides along — a trace of a cache hit shows what
+/// the answer cost when it was computed.
+fn served_from_cache(mut hit: QueryResult, start: Instant, trace_id: u64) -> QueryResult {
+    hit.from_cache = true;
+    hit.elapsed = start.elapsed();
+    hit.disposition = Disposition::CacheHit;
+    hit.trace_id = trace_id;
+    hit
 }
 
 /// Busy-waits (1 ms naps) until `arc` is the only strong reference. Callers
@@ -1216,6 +1243,30 @@ pub(crate) mod tests {
         assert_eq!(stats.inflight, 0, "gauge returns to zero");
     }
 
+    /// The race behind a question computed twice, without the timing: a
+    /// thread missed the cache, and before it reached the single-flight
+    /// map the leader cached its answer and removed its slot. With no slot
+    /// to join, the thread must take the cached answer, not lead again.
+    #[test]
+    fn a_question_finished_after_the_first_probe_is_served_from_the_cache() {
+        let engine = primed(200);
+        let q = query(1, 3);
+        let answer = engine.query(&q).unwrap();
+        let before = engine.stats();
+        assert_eq!((before.computed, before.cache_hits), (1, 0));
+        assert!(lock_unpoisoned(&engine.inflight).is_empty());
+        let Role::Hit(hit) = engine.claim(&q.key()).unwrap() else {
+            panic!("an empty map and a cached answer must give a cache hit");
+        };
+        assert_eq!(hit.blockers, answer.blockers);
+        assert_eq!(hit.estimated_spread, answer.estimated_spread);
+        let after = engine.stats();
+        assert_eq!(after.cache_hits, before.cache_hits + 1);
+        assert_eq!(after.computed, before.computed);
+        assert_eq!(after.inflight, 0, "no leader slot was taken");
+        assert!(lock_unpoisoned(&engine.inflight).is_empty());
+    }
+
     #[test]
     fn admission_control_rejects_distinct_queries_over_budget() {
         // Budget 1 and a deliberately heavy query: the leader computes
@@ -1313,9 +1364,29 @@ pub(crate) mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// An engine serving `primed(theta)`'s realisations from a raw arena,
+    /// as a copy restore of a version-1 snapshot file leaves them.
+    fn primed_raw(theta: usize) -> SharedEngine {
+        let source = primed(theta);
+        let path = std::env::temp_dir().join(format!(
+            "imin-shared-raw-{}-{theta}.iminsnap",
+            std::process::id()
+        ));
+        {
+            let state = read_unpoisoned(&source.state);
+            let (graph, pool) = (state.graph.as_ref(), state.pool.as_ref());
+            snapshot::save_snapshot_v1(&path, graph.unwrap(), pool.unwrap(), "pa-300/WC").unwrap();
+        }
+        let engine = SharedEngine::new().with_threads(1);
+        let info = engine.restore_snapshot(&path).unwrap();
+        assert_eq!(info.arena, ArenaKind::Raw);
+        let _ = std::fs::remove_file(&path);
+        engine
+    }
+
     #[test]
     fn compress_pool_swaps_arenas_without_disturbing_answers() {
-        let engine = primed(200);
+        let engine = primed_raw(200);
         let q = query(2, 3);
         engine.query(&q).unwrap();
         assert_eq!(engine.cache_entries(), 1);
@@ -1332,12 +1403,52 @@ pub(crate) mod tests {
         assert_eq!(fresh.blockers, reference.blockers);
         assert_eq!(fresh.estimated_spread, reference.estimated_spread);
         assert_eq!(engine.stats().pool_compressions, 1);
-        // Idempotent; a growing POOL afterwards rebuilds instead of extending.
+        // Idempotent; a growing POOL afterwards extends the compressed pool.
         engine.compress_pool().unwrap();
         assert_eq!(engine.stats().pool_compressions, 1);
         let (_, action) = engine.ensure_pool(300, 5).unwrap();
-        assert_eq!(action, PoolAction::Built);
-        assert_eq!(engine.stats().pool_extends, 0);
+        assert_eq!(action, PoolAction::Extended);
+        assert_eq!(engine.stats().pool_extends, 1);
+    }
+
+    /// COMPRESS keeps a built pool whose bitsets are already the smaller
+    /// encoding (the same `Arc`, nothing re-encoded), and re-encodes one
+    /// on a sparse-coin graph, where some realisations shrink as varint —
+    /// with the same answers either way.
+    #[test]
+    fn compress_pool_reencodes_only_pools_that_shrink() {
+        let engine = primed(200);
+        let resident = |engine: &SharedEngine| {
+            Arc::clone(read_unpoisoned(&engine.state).pool.as_ref().unwrap())
+        };
+        let before = resident(&engine);
+        assert!(before.is_compact());
+        let info = engine.compress_pool().unwrap();
+        assert_eq!(info.arena, ArenaKind::Compressed);
+        assert!(Arc::ptr_eq(&before, &resident(&engine)), "the pool is kept");
+        assert_eq!(engine.stats().pool_compressions, 0);
+
+        let sparse = || {
+            let engine = SharedEngine::new().with_threads(1);
+            let graph = generators::erdos_renyi(300, 0.1, 0.02, 4).unwrap();
+            engine.load_graph(graph, "er-300/p=0.02".into());
+            engine.ensure_pool(60, 5).unwrap();
+            engine
+        };
+        let engine = sparse();
+        let built = resident(&engine);
+        assert!(!built.is_compact());
+        engine.compress_pool().unwrap();
+        assert_eq!(engine.stats().pool_compressions, 1);
+        let compressed = resident(&engine);
+        assert!(compressed.is_compact());
+        assert!(compressed.memory_bytes() < built.memory_bytes());
+        let reference = sparse().query(&query(1, 3)).unwrap();
+        let answer = engine.query(&query(1, 3)).unwrap();
+        assert_eq!(answer.blockers, reference.blockers);
+        assert_eq!(answer.estimated_spread, reference.estimated_spread);
+        engine.compress_pool().unwrap();
+        assert_eq!(engine.stats().pool_compressions, 1, "idempotent");
     }
 
     #[test]
@@ -1354,7 +1465,7 @@ pub(crate) mod tests {
         let warm = SharedEngine::new().with_threads(1);
         let info = warm.restore_snapshot_with(&path, RestoreMode::Map).unwrap();
         assert_eq!(info.theta, 150);
-        assert_eq!(info.arena, ArenaKind::MappedRaw);
+        assert_eq!(info.arena, ArenaKind::MappedCompressed);
         assert_eq!(
             info.provenance.label(),
             format!("mapped:{}", path.display())

@@ -151,9 +151,15 @@ fn snapshot_failure_modes_are_one_line_errs() {
     let reply = err(&format!("RESTORE {}", snap.arg()), &e);
     assert!(reply.contains("truncated"), "{reply}");
 
+    // Move one live coin of the last realisation's bitset to a dead slot of
+    // the same byte: the popcount holds and any set of live edges is a
+    // realisation, so only the payload checksum can tell.
     let mut flipped = bytes.clone();
-    let at = flipped.len() - 32;
-    flipped[at] ^= 0x04;
+    let at = (bytes.len() - 40..bytes.len() - 9)
+        .find(|&i| bytes[i] != 0 && bytes[i] != 0xFF)
+        .expect("a byte with live and dead slots");
+    let byte = bytes[at];
+    flipped[at] ^= (byte & byte.wrapping_neg()) | (!byte & (!byte).wrapping_neg());
     std::fs::write(&snap.0, &flipped).unwrap();
     let reply = err(&format!("RESTORE {}", snap.arg()), &e);
     assert!(reply.contains("checksum mismatch"), "{reply}");

@@ -275,6 +275,14 @@ impl DiGraph {
         &self.out_thresholds[self.out_offsets[i]..self.out_offsets[i + 1]]
     }
 
+    /// Every edge's coin threshold in out-CSR order: the concatenation of
+    /// [`DiGraph::out_coin_thresholds`] over all vertices, so entry `e` is
+    /// the coin of the graph's `e`-th edge slot.
+    #[inline]
+    pub fn coin_thresholds(&self) -> &[u64] {
+        &self.out_thresholds
+    }
+
     /// Slice of probabilities parallel to [`DiGraph::out_neighbors`].
     #[inline]
     pub fn out_probabilities(&self, u: VertexId) -> &[f64] {

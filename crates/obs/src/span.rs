@@ -15,7 +15,7 @@
 use std::cell::Cell;
 
 /// Number of [`Phase`] variants; the length of a [`PhaseBreakdown`].
-pub const PHASE_COUNT: usize = 15;
+pub const PHASE_COUNT: usize = 14;
 
 /// A named phase of an instrumented request.
 ///
@@ -56,12 +56,9 @@ pub enum Phase {
     SnapValidate,
     /// Snapshot restore: memory-mapping the pool sections.
     SnapMap,
-    /// Pool build: drawing the live-edge realisations into per-worker
-    /// shard buffers.
+    /// Pool build: drawing the live-edge realisations straight into their
+    /// bitsets, 16 per sweep of the graph's edge slots.
     PoolSample,
-    /// Pool build: copying the shard buffers into the pool's target array
-    /// and recording where each realisation's targets start.
-    PoolAssemble,
 }
 
 /// The query-path phases, in reporting order.
@@ -82,7 +79,7 @@ pub const QUERY_PHASES: [Phase; 10] = [
 pub const SNAPSHOT_PHASES: [Phase; 3] = [Phase::SnapRead, Phase::SnapValidate, Phase::SnapMap];
 
 /// The forward pool-build phases, in reporting order.
-pub const POOL_PHASES: [Phase; 2] = [Phase::PoolSample, Phase::PoolAssemble];
+pub const POOL_PHASES: [Phase; 1] = [Phase::PoolSample];
 
 impl Phase {
     /// Stable lowercase name used in `METRICS` labels, trace suffixes and
@@ -106,7 +103,6 @@ impl Phase {
             Phase::SnapValidate => "snap_validate",
             Phase::SnapMap => "snap_map",
             Phase::PoolSample => "sample",
-            Phase::PoolAssemble => "assemble",
         }
     }
 
