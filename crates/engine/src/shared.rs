@@ -857,10 +857,14 @@ impl SharedEngine {
         let mut state = write_unpoisoned(&self.state);
         let graph = state.graph.clone().ok_or(EngineError::NoGraph)?;
         let pool = state.pool.clone().ok_or(EngineError::NoPool)?;
-        if pool.arena_kind() == imin_core::ArenaKind::Compressed && pool.is_compact() {
-            return Ok(state.pool_info.clone().expect("resident pool has info"));
-        }
         let start = Instant::now();
+        if pool.arena_kind() == imin_core::ArenaKind::Compressed && pool.is_compact() {
+            // The pool and its record are kept; the reply times this
+            // check, not the build that produced the pool.
+            let mut info = state.pool_info.clone().expect("resident pool has info");
+            info.build_time = start.elapsed();
+            return Ok(info);
+        }
         let compressed = pool.compress(&graph, self.threads)?;
         let provenance = state
             .pool_info
@@ -1421,11 +1425,17 @@ pub(crate) mod tests {
         let resident = |engine: &SharedEngine| {
             Arc::clone(read_unpoisoned(&engine.state).pool.as_ref().unwrap())
         };
+        let build_time = |engine: &SharedEngine| {
+            let state = read_unpoisoned(&engine.state);
+            state.pool_info.as_ref().unwrap().build_time
+        };
         let before = resident(&engine);
+        let built = build_time(&engine);
         assert!(before.is_compact());
         let info = engine.compress_pool().unwrap();
         assert_eq!(info.arena, ArenaKind::Compressed);
         assert!(Arc::ptr_eq(&before, &resident(&engine)), "the pool is kept");
+        assert_eq!(build_time(&engine), built, "the resident record is kept");
         assert_eq!(engine.stats().pool_compressions, 0);
 
         let sparse = || {
