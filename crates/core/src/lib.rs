@@ -109,9 +109,23 @@
 //! assert!(result.blockers.len() <= 5);
 //! ```
 
-// `deny` rather than `forbid`: the mmap module scopes an `allow` around the
-// two audited unsafe operations of the zero-copy snapshot reader; every
-// other module stays safe-only.
+// `deny` rather than `forbid`: three audited places lift the lint, and
+// every other module stays safe-only.
+//
+// * `mmap` (the whole module), the zero-copy snapshot reader:
+//   - `Mmap::map_fd` calls `mmap(2)` on an open descriptor with a nonzero
+//     length, read-only and private;
+//   - `Mmap::bytes` views the live mapping it owns as `&[u8]`, borrowed
+//     no longer than the mapping;
+//   - `Drop for Mmap` unmaps that region exactly once;
+//   - `u32_slice` views an in-bounds, 4-aligned range as `&[u32]`, only on
+//     little-endian targets;
+//   - `Mmap` is `Send + Sync`: the mapping is never written, and only its
+//     owner's drop unmaps it.
+// * `pool::ticks` reads the time-stamp counter with `_rdtsc`, which has no
+//   preconditions.
+// * `pool::sample_bitsets` calls the AVX-512F copy of the coin sweep only
+//   when `is_x86_feature_detected!("avx512f")` holds.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -1,5 +1,6 @@
-//! Read-only memory mapping of snapshot files — the only `unsafe` in this
-//! crate, kept behind a tiny audited surface.
+//! Read-only memory mapping of snapshot files, kept behind a tiny audited
+//! surface. This module holds most of the crate's `unsafe` code; the
+//! crate root lists every audited site.
 //!
 //! The zero-copy restore path ([`crate::snapshot::map_snapshot`]) serves
 //! arena slices straight out of the page cache instead of bulk-copying a
@@ -24,8 +25,9 @@
 //!   integers are little-endian on disk); big-endian hosts take the bulk
 //!   restore path instead.
 
-// The crate-level lint is `deny`, not `forbid`, precisely so this module can
-// scope its two unsafe operations; everything else in the crate stays safe.
+// The crate-level lint is `deny`, not `forbid`, so this module can lift it
+// for the mapping, its two slice views, the unmap and the `Send + Sync`
+// impls; the crate root lists these with the crate's other audited sites.
 #![allow(unsafe_code)]
 
 use std::fs::File;

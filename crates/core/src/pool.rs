@@ -81,6 +81,9 @@
 //! of the slots, each from its own xoshiro256++ lane; the built pool is a
 //! compressed arena of bitset blobs at about an eighth of a raw CSR's
 //! bytes, and [`SamplePool::extend_to`] appends more bitsets in place.
+//! The sweep is one loop body compiled twice, for the baseline target and
+//! for AVX-512F; each build or extension runs the copy [`sweep_copy`]
+//! names for the host, and both draw the same bits.
 //! [`SamplePool::compress`] leaves every realisation in the smaller of its
 //! two encodings, re-encoding as delta-varint only those that shrink.
 //! The raw-u32 CSR survives only as the reader of version-1 and raw
@@ -163,15 +166,21 @@ pub fn shard_ranges(total: usize, workers: usize) -> impl Iterator<Item = Range<
 
 /// Realisations drawn per sweep of the graph's edge slots. A constant, not
 /// an option: the lanes let one read of the thresholds serve many
-/// realisations, and on a 2-core x86-64 host 16 lanes built perfbench's
-/// pool faster than 8 and no slower than 32.
+/// realisations. On a 2-core x86-64 host with AVX-512F, one-thread builds
+/// of perfbench's θ = 2000 pool (six runs each) took 0.37–0.41 s at 16
+/// lanes and 0.37–0.54 s at 32 with the AVX-512F copy of [`sweep`], which
+/// such a host runs. Forced onto the baseline copy, the same host took
+/// 1.15–1.28 s at 16 lanes and 0.97–1.15 s at 32, so a host without
+/// AVX-512F might build about an eighth faster at 32.
 const LANES: usize = 16;
 
 /// [`LANES`] xoshiro256++ generators side by side, one per realisation of
 /// a group, held as four `[u64; LANES]` arrays so one step of all of them
-/// is straight-line arithmetic the compiler vectorises on the baseline
-/// target. Lane `j` of the group starting at realisation `i` is, draw for
-/// draw, `SmallRng::seed_from_u64(indexed_sample_seed(pool_seed, i + j))`.
+/// is straight-line arithmetic the compiler vectorises in each compiled
+/// copy of [`sweep`]: two lanes per SSE2 register on the baseline x86-64
+/// target, eight per register with a native rotate under AVX-512F. Lane
+/// `j` of the group starting at realisation `i` is, draw for draw,
+/// `SmallRng::seed_from_u64(indexed_sample_seed(pool_seed, i + j))`.
 struct Lanes {
     s: [[u64; LANES]; 4],
 }
@@ -229,6 +238,11 @@ impl Lanes {
 /// draws, every other slot draws once per lane, so each lane's draws are
 /// its stream's, in slot order. A group short of [`LANES`] realisations
 /// (only a pool's last) draws every lane and keeps the ones it needs.
+///
+/// The one loop body of the forward sweep: it is always inlined, so
+/// [`sample_bitsets`] compiles it for the baseline target and
+/// `sweep_avx512f` compiles it again for AVX-512F.
+#[inline(always)]
 fn sweep(thresholds: &[u64], lanes: &mut Lanes, bytes: usize, out: &mut [u8], lens: &mut [u64]) {
     for (w, slots) in thresholds.chunks(64).enumerate() {
         let mut word = [0u64; LANES];
@@ -256,6 +270,33 @@ fn sweep(thresholds: &[u64], lanes: &mut Lanes, bytes: usize, out: &mut [u8], le
     }
 }
 
+/// [`sweep`] compiled for AVX-512F: 32 vector registers hold the whole lane
+/// state and `vprolq` rotates each lane in one instruction. It draws the
+/// same bits as the baseline copy.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn sweep_avx512f(
+    thresholds: &[u64],
+    lanes: &mut Lanes,
+    bytes: usize,
+    out: &mut [u8],
+    lens: &mut [u64],
+) {
+    sweep(thresholds, lanes, bytes, out, lens);
+}
+
+/// Which compiled copy of the forward coin sweep this host runs:
+/// `"avx512f"` on an x86-64 CPU that reports AVX-512F, `"baseline"`
+/// everywhere else. Every `POOL` build and extension draws with it, and
+/// both copies draw the same bits; `STATS` reports it as `pool_sweep=`.
+pub fn sweep_copy() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        return "avx512f";
+    }
+    "baseline"
+}
+
 /// Runs `work` once per job: inline when there is one job, otherwise each
 /// on its own scoped thread.
 pub(crate) fn run_jobs<J: Send>(jobs: Vec<J>, work: impl Fn(J) + Sync) {
@@ -280,7 +321,7 @@ pub(crate) fn run_jobs<J: Send>(jobs: Vec<J>, work: impl Fn(J) + Sync) {
 /// of `data`; every realisation owns its RNG stream, so the result is
 /// bit-identical for every `threads` value. The initial build and
 /// [`SamplePool::extend_to`] both draw here, timed as the calling thread's
-/// `sample` phase.
+/// `sample` phase, with the copy of [`sweep`] that [`sweep_copy`] names.
 fn sample_bitsets(
     graph: &DiGraph,
     pool_seed: u64,
@@ -305,10 +346,23 @@ fn sample_bitsets(
             at += count;
         }
         let thresholds = graph.coin_thresholds();
+        #[cfg(target_arch = "x86_64")]
+        let avx512f = sweep_copy() == "avx512f";
         run_jobs(jobs, |(first, data, lens)| {
             let groups = data.chunks_mut(LANES * bytes).zip(lens.chunks_mut(LANES));
             for (g, (out, lens)) in groups.enumerate() {
                 let mut lanes = Lanes::seeded(pool_seed, (first + g * LANES) as u64);
+                #[cfg(target_arch = "x86_64")]
+                if avx512f {
+                    // SAFETY: `avx512f` holds only when `sweep_copy` saw
+                    // `is_x86_feature_detected!("avx512f")`, so this CPU
+                    // runs the instructions `sweep_avx512f` was compiled to.
+                    #[allow(unsafe_code)]
+                    unsafe {
+                        sweep_avx512f(thresholds, &mut lanes, bytes, out, lens);
+                    }
+                    continue;
+                }
                 sweep(thresholds, &mut lanes, bytes, out, lens);
             }
         });
@@ -2316,6 +2370,51 @@ mod tests {
                     assert_eq!(c.lens[i], targets.len() as u64, "{what}: sample {i}");
                 }
             }
+        }
+    }
+
+    /// The baseline copy of [`sweep`] draws the bytes and live-edge counts
+    /// of the copy [`sample_bitsets`] dispatches to, for a run of
+    /// realisations that starts mid-pool as an extension's does and ends in
+    /// a partial group. The dispatcher must choose the AVX-512F copy exactly
+    /// on hosts that report the feature, and only there does the comparison
+    /// run that copy; elsewhere both halves run the baseline copy.
+    #[test]
+    fn every_sweep_copy_draws_the_same_bitsets() {
+        #[cfg(target_arch = "x86_64")]
+        let expected = if std::arch::is_x86_feature_detected!("avx512f") {
+            "avx512f"
+        } else {
+            "baseline"
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let expected = "baseline";
+        assert_eq!(sweep_copy(), expected);
+
+        let graphs = [
+            ("wc", wc_pa(151, 2)),
+            ("mixed", mixed_coins(80, 5)),
+            ("sparse", sparse_coins(300, 21, 0.05, 1)),
+        ];
+        let (seed, first, count) = (11u64, 19usize, 2 * LANES + 5);
+        for (what, g) in graphs {
+            let bytes = bitset_bytes(g.num_edges());
+            let (mut base, mut base_lens) = (vec![0u8; count * bytes], vec![0u64; count]);
+            let groups = base
+                .chunks_mut(LANES * bytes)
+                .zip(base_lens.chunks_mut(LANES));
+            for (k, (out, lens)) in groups.enumerate() {
+                let mut lanes = Lanes::seeded(seed, (first + k * LANES) as u64);
+                sweep(g.coin_thresholds(), &mut lanes, bytes, out, lens);
+            }
+            let (mut chosen, mut chosen_lens) = (vec![0u8; count * bytes], vec![0u64; count]);
+            sample_bitsets(&g, seed, first, &mut chosen, &mut chosen_lens, 1);
+            assert!(base == chosen, "{what}: bitsets of the {expected} copy");
+            assert_eq!(
+                base_lens, chosen_lens,
+                "{what}: lens of the {expected} copy"
+            );
+            assert!(base_lens.iter().all(|&len| len > 0), "{what}: live edges");
         }
     }
 

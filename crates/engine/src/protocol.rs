@@ -88,6 +88,8 @@
 //!   hits and coalesced duplicates are never rejected.
 //! * **`STATS` serving counters** — beyond the original fields, the reply
 //!   carries `query_threads=` and `max_inflight=` (configuration),
+//!   `pool_sweep=` (the compiled copy of the forward coin sweep this host
+//!   runs: `avx512f` or `baseline`, see `imin_core::pool::sweep_copy`),
 //!   `inflight=` (gauge: queries computing right now), `coalesced=`
 //!   (queries answered by waiting on an identical in-flight computation),
 //!   `rejected=` (busy rejections), `computed=` (queries that actually

@@ -492,8 +492,8 @@ fn stats_line(engine: &SharedEngine) -> String {
         "OK graph={label} n={n} m={m} theta={theta} pool_seed={pool_seed} pool_bytes={pool_bytes} \
          pool_source={pool_source} pool_arena={pool_arena} pool_ratio={pool_ratio:.4} \
          queries={} cache_hits={} cache_entries={} threads={} \
-         query_threads={} max_inflight={} inflight={} coalesced={} rejected={} computed={} \
-         lat_load_us={} lat_pool_us={} lat_query_us={} lat_save_us={} lat_restore_us={} \
+         query_threads={} pool_sweep={} max_inflight={} inflight={} coalesced={} rejected={} \
+         computed={} lat_load_us={} lat_pool_us={} lat_query_us={} lat_save_us={} lat_restore_us={} \
          sketch_theta={sketch_theta} sketch_seed={sketch_seed} sketch_bytes={sketch_bytes} \
          sketch_members={sketch_members} sketch_source={sketch_source} \
          sketch_builds={} sketch_reuses={}",
@@ -502,6 +502,7 @@ fn stats_line(engine: &SharedEngine) -> String {
         engine.cache_entries(),
         engine.threads(),
         engine.query_threads(),
+        imin_core::pool::sweep_copy(),
         engine.max_inflight(),
         stats.inflight,
         stats.coalesced,
@@ -570,6 +571,20 @@ mod tests {
         let (reply, quit) = answer_line("QUIT", &engine);
         assert_eq!(reply, "OK bye");
         assert!(quit);
+    }
+
+    #[test]
+    fn stats_names_the_pool_sweep_copy_this_host_runs() {
+        let (reply, _) = answer_line("STATS", &engine());
+        let copy = imin_core::pool::sweep_copy();
+        let field = reply
+            .split_whitespace()
+            .find_map(|t| t.strip_prefix("pool_sweep="));
+        assert_eq!(field, Some(copy), "{reply}");
+        assert!(
+            reply.contains(&format!(" query_threads=1 pool_sweep={copy} ")),
+            "{reply}"
+        );
     }
 
     #[test]

@@ -199,7 +199,8 @@ pub(crate) struct Observation {
     /// Engine-assigned request id (0 when the verb assigns none).
     pub(crate) trace_id: u64,
     /// How the answer was produced (`computed`, `cache_hit`, `coalesced`,
-    /// `rejected`, `error`, `restore`).
+    /// `rejected`, `error`, `restore`; `built`, `extended` or `reused` for
+    /// a forward `POOL`).
     pub(crate) disposition: &'static str,
     /// Per-phase breakdown, when spans were active for this request.
     pub(crate) phases: Option<PhaseBreakdown>,
@@ -540,8 +541,10 @@ impl SharedEngine {
     /// Cached `ris-greedy` answers survive either way: their sketch pool
     /// did not change.
     ///
-    /// A build or an extension records its `sample` phase into
-    /// `imin_pool_phase_seconds` while observability is on.
+    /// While observability is on, a build or an extension records its
+    /// `sample` phase into `imin_pool_phase_seconds`, and every successful
+    /// call leaves the access log its disposition (`built`, `extended` or
+    /// `reused`; the first two with the `sample` phase).
     ///
     /// Queries in flight keep their own `Arc` to the old pool; the extend
     /// and rebuild paths wait for those references to drain before
@@ -558,10 +561,22 @@ impl SharedEngine {
         }
         let result = self.ensure_pool_locked(theta, seed);
         let breakdown = span::take();
-        if observability && matches!(result, Ok((_, PoolAction::Built | PoolAction::Extended))) {
-            for phase in POOL_PHASES {
-                self.metrics.phase(phase).record_us(breakdown.get(phase));
+        if let (true, Ok((_, action))) = (observability, &result) {
+            let (disposition, phases) = match action {
+                PoolAction::Built => ("built", Some(breakdown)),
+                PoolAction::Extended => ("extended", Some(breakdown)),
+                PoolAction::Reused => ("reused", None),
+            };
+            if phases.is_some() {
+                for phase in POOL_PHASES {
+                    self.metrics.phase(phase).record_us(breakdown.get(phase));
+                }
             }
+            set_observation(Observation {
+                trace_id: 0,
+                disposition,
+                phases,
+            });
         }
         self.metrics
             .verb(Verb::Pool)

@@ -55,6 +55,7 @@ fn protocol_doc_covers_the_documented_reply_fields() {
         "replayed=",
         "imin_realisations_replayed_total",
         "imin_pool_phase_seconds",
+        "pool_sweep=",
     ] {
         assert!(
             doc.contains(needle),

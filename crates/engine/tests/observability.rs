@@ -420,7 +420,8 @@ fn the_access_log_emits_one_structured_line_per_request() {
         SharedEngine::new().with_threads(1).with_query_threads(1),
     )
     .expect("bind")
-    // slow_ms=0: every request is "slow", so query lines carry phases.
+    // slow_ms=0: every request is "slow", so query and pool lines carry
+    // phases.
     .with_access_log(AccessLog::to_writer(
         LogFormat::Json,
         0,
@@ -451,7 +452,13 @@ fn the_access_log_emits_one_structured_line_per_request() {
         "{}",
         lines[0]
     );
-    assert!(lines[1].contains("\"verb\":\"POOL\""), "{}", lines[1]);
+    assert!(
+        lines[1].contains("\"verb\":\"POOL\"")
+            && lines[1].contains("\"disposition\":\"built\"")
+            && lines[1].contains("\"phases\":{\"sample\":"),
+        "{}",
+        lines[1]
+    );
     assert!(
         lines[2].contains("\"verb\":\"QUERY\"")
             && lines[2].contains("\"disposition\":\"computed\"")

@@ -7,7 +7,7 @@
 //! or above the configured slow threshold additionally log their full
 //! per-phase breakdown.
 
-use crate::span::{PhaseBreakdown, QUERY_PHASES, SNAPSHOT_PHASES};
+use crate::span::{Phase, PhaseBreakdown, POOL_PHASES, QUERY_PHASES, SNAPSHOT_PHASES};
 use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::Mutex;
@@ -47,8 +47,8 @@ pub struct AccessRecord<'a> {
     /// Wall-clock latency of the whole request in microseconds.
     pub latency_us: u64,
     /// Outcome disposition (`"computed"`, `"cache_hit"`, `"coalesced"`,
-    /// `"rejected"`, `"error"`, `"restore"`, or `"-"` for verbs without
-    /// one).
+    /// `"rejected"`, `"error"`, `"restore"`, `"built"`, `"extended"`,
+    /// `"reused"`, or `"-"` for verbs without one).
     pub disposition: &'a str,
     /// Trace id assigned by the engine (0 when none was assigned).
     pub trace_id: u64,
@@ -116,14 +116,21 @@ impl AccessLog {
     }
 }
 
-fn phase_pairs(phases: &PhaseBreakdown) -> String {
-    let all: Vec<_> = QUERY_PHASES
+/// The phases a record carries, in reporting order: the nonzero ones of
+/// every family. A request runs one family's phases, so each name appears
+/// once per line.
+fn logged(phases: &PhaseBreakdown) -> Vec<Phase> {
+    QUERY_PHASES
         .iter()
         .chain(SNAPSHOT_PHASES.iter())
+        .chain(POOL_PHASES.iter())
         .copied()
         .filter(|&p| phases.get(p) > 0)
-        .collect();
-    phases.render(&all)
+        .collect()
+}
+
+fn phase_pairs(phases: &PhaseBreakdown) -> String {
+    phases.render(&logged(phases))
 }
 
 fn render_text(ts_ms: u64, record: &AccessRecord<'_>, phases: Option<&PhaseBreakdown>) -> String {
@@ -171,17 +178,11 @@ fn render_json(ts_ms: u64, record: &AccessRecord<'_>, phases: Option<&PhaseBreak
     );
     if let Some(phases) = phases {
         line.push_str(",\"phases\":{");
-        let mut first = true;
-        for phase in QUERY_PHASES.iter().chain(SNAPSHOT_PHASES.iter()) {
-            let us = phases.get(*phase);
-            if us == 0 {
-                continue;
-            }
-            if !first {
+        for (i, phase) in logged(phases).into_iter().enumerate() {
+            if i > 0 {
                 line.push(',');
             }
-            first = false;
-            let _ = write!(line, "\"{}\":{us}", phase.name());
+            let _ = write!(line, "\"{}\":{}", phase.name(), phases.get(phase));
         }
         line.push('}');
     }
@@ -283,6 +284,35 @@ mod tests {
         );
         assert!(lines[1].contains("\"ok\":false"), "{}", lines[1]);
         assert!(!lines[1].contains("phases"), "{}", lines[1]);
+    }
+
+    #[test]
+    fn pool_records_carry_the_sample_phase_in_both_formats() {
+        let mut phases = PhaseBreakdown::new();
+        phases.set(Phase::PoolSample, 900);
+        for (format, needle) in [
+            (
+                LogFormat::Text,
+                "disposition=built trace_id=0 phases=sample:900",
+            ),
+            (
+                LogFormat::Json,
+                "\"disposition\":\"built\",\"trace_id\":0,\"phases\":{\"sample\":900}",
+            ),
+        ] {
+            let buf = SharedBuf::default();
+            let log = AccessLog::to_writer(format, 0, Box::new(buf.clone()));
+            log.record(&AccessRecord {
+                verb: "POOL",
+                ok: true,
+                latency_us: 1_000,
+                disposition: "built",
+                trace_id: 0,
+                phases: Some(&phases),
+            });
+            let line = buf.contents();
+            assert!(line.contains(needle), "{line}");
+        }
     }
 
     #[test]
