@@ -37,6 +37,7 @@
 //! the serving layer catches and surfaces as an internal error.
 
 use crate::mmap::{u32_slice, Mmap};
+use imin_graph::VertexId;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
@@ -318,6 +319,24 @@ impl<'a> SampleView<'a> {
         }
     }
 
+    /// Starts loading the first arena line [`SampleView::for_each_live`]
+    /// reads for `u`: its offset in a raw CSR, its block-index entry in a
+    /// varint stream, the byte holding its first edge slot in a bitset.
+    /// A BFS that calls this as it discovers `u` finds the line cached by
+    /// the time it expands `u`.
+    #[inline]
+    pub(crate) fn prefetch(&self, u: u32) {
+        let u = u as usize;
+        let line = match *self {
+            SampleView::Csr { offsets, .. } => offsets.as_ptr().wrapping_add(u).cast(),
+            SampleView::Varint { index, .. } => index.as_ptr().wrapping_add(4 * (u / VARINT_BLOCK)),
+            SampleView::Bitset {
+                bits, gr_offsets, ..
+            } => bits.as_ptr().wrapping_add(gr_offsets[u] as usize >> 3),
+        };
+        prefetch_line(line);
+    }
+
     /// Decodes the whole realisation into a local-offset CSR pair,
     /// byte-identical to the raw layout.
     pub(crate) fn decode_into(&self, n: usize, offsets: &mut Vec<u32>, targets: &mut Vec<u32>) {
@@ -418,6 +437,21 @@ impl PoolArena {
             }
         }
         self.view_unchecked(idx)
+    }
+
+    /// Starts loading the lines the BFS of realisation `idx` reads first,
+    /// those of the `seeds`. A mapped realisation not validated yet is
+    /// skipped: only its first [`PoolArena::view`] may check it.
+    pub(crate) fn prefetch_seeds(&self, idx: usize, seeds: &[VertexId]) {
+        if let Some(lazy) = &self.lazy {
+            if lazy.flags[idx].load(Ordering::Relaxed) == 0 {
+                return;
+            }
+        }
+        let view = self.view_unchecked(idx);
+        for seed in seeds {
+            view.prefetch(seed.raw());
+        }
     }
 
     fn view_unchecked(&self, idx: usize) -> SampleView<'_> {
@@ -545,6 +579,23 @@ impl PoolArena {
             + self.total_live_edges() * 4
             + (self.theta as u64 + 1) * 8
     }
+}
+
+/// Asks the CPU to start loading the cache line holding `line` into every
+/// cache level, and returns at once; a no-op off x86-64.
+#[inline(always)]
+fn prefetch_line(line: *const u8) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is a hint that never faults: it dereferences
+    // nothing, whatever the address, and `_mm_prefetch` needs only SSE,
+    // which every x86-64 target has.
+    #[allow(unsafe_code)]
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(line.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = line;
 }
 
 // ---------------------------------------------------------------------------

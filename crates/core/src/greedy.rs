@@ -119,6 +119,13 @@ pub(crate) trait Pricer {
     fn price(&mut self) -> Result<Priced>;
     /// Visits every candidate the last pass offers, with its score.
     fn offers(&self, visit: impl FnMut(Self::Candidate, f64));
+    /// Visits, with their scores, the offers that can be best in the last
+    /// pass: every offer scoring above zero, and the smallest candidate
+    /// offered, which is best when none does (no score is negative). By
+    /// default every offer.
+    fn contenders(&self, visit: impl FnMut(Self::Candidate, f64)) {
+        self.offers(visit);
+    }
     /// The score of `c` if the last pass offers it.
     fn offer(&self, c: Self::Candidate) -> Option<f64>;
     /// Spread estimate of the last pass.
@@ -182,15 +189,23 @@ impl<C> Plan<'_, C> {
     }
 }
 
-/// Visits every offer of the last pass, or with `listed` only the listed
-/// candidates it offers.
+/// Makes `(score, c)` the `best` offer so far if it scores higher, or as
+/// high with a smaller candidate.
+pub(crate) fn keep_best<C: Copy + Ord>(best: &mut Option<(f64, C)>, c: C, score: f64) {
+    if best.is_none_or(|(top, b)| score > top || (score == top && c < b)) {
+        *best = Some((score, c));
+    }
+}
+
+/// Visits the contenders of the last pass, or with `listed` only the
+/// listed candidates it offers.
 fn each_offer<P: Pricer>(
     pricer: &P,
     listed: Option<&[P::Candidate]>,
     mut visit: impl FnMut(P::Candidate, f64),
 ) {
     match listed {
-        None => pricer.offers(visit),
+        None => pricer.contenders(visit),
         Some(listed) => {
             for &c in listed {
                 if let Some(score) = pricer.offer(c) {
@@ -201,10 +216,10 @@ fn each_offer<P: Pricer>(
     }
 }
 
-/// The highest-scoring offer, among the `listed` candidates when given,
-/// ties broken towards the smallest; with `prefer`, only preferred ones
-/// while any of them scores. The scan is the `select` phase of the
-/// caller's span.
+/// The highest-scoring offer, ties broken towards the smallest, found
+/// among the pass's contenders or the `listed` candidates when given; with
+/// `prefer`, only preferred ones while any of them scores. The scan is the
+/// `select` phase of the caller's span.
 fn best<P: Pricer>(
     pricer: &P,
     prefer: Option<&dyn Fn(P::Candidate) -> bool>,
@@ -217,11 +232,10 @@ fn best<P: Pricer>(
             scores |= score > 0.0 && prefer(c)
         });
     }
-    let mut best: Option<(f64, P::Candidate)> = None;
+    let mut best = None;
     each_offer(pricer, listed, |c, score| {
-        let preferred = !scores || prefer.is_some_and(|prefer| prefer(c));
-        if preferred && best.is_none_or(|(top, b)| score > top || (score == top && c < b)) {
-            best = Some((score, c));
+        if !scores || prefer.is_some_and(|prefer| prefer(c)) {
+            keep_best(&mut best, c, score);
         }
     });
     if let Some(start) = start {
@@ -472,6 +486,23 @@ impl Pricer for VertexPricer<'_> {
         }
     }
 
+    /// The eligible vertices the last full pass credited, and the
+    /// smallest eligible vertex. Every vertex scoring above zero is among
+    /// the credited ones (see [`PoolWorkspace::credited`]), so when any
+    /// does the n-scan's pick and tie-break are theirs; when none does,
+    /// the n-scan picks the smallest eligible vertex.
+    fn contenders(&self, mut visit: impl FnMut(VertexId, f64)) {
+        let delta = &self.estimate.delta;
+        for &v in self.workspace.credited() {
+            if self.eligible(v as usize) {
+                visit(VertexId::from_raw(v), delta[v as usize]);
+            }
+        }
+        if let Some(v) = (0..delta.len()).find(|&v| self.eligible(v)) {
+            visit(VertexId::new(v), delta[v]);
+        }
+    }
+
     fn offer(&self, v: VertexId) -> Option<f64> {
         let v = v.index();
         self.eligible(v).then(|| self.estimate.delta[v])
@@ -492,5 +523,125 @@ impl Pricer for VertexPricer<'_> {
 
     fn selection(picks: Vec<VertexId>) -> BlockerSelection {
         BlockerSelection::new(picks)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn vid(i: usize) -> VertexId {
+        VertexId::new(i)
+    }
+
+    /// A pricer whose contenders are all its offers: the full scan the
+    /// credited one must agree with.
+    struct FullScan<P>(P);
+
+    impl<P: Pricer> Pricer for FullScan<P> {
+        type Candidate = P::Candidate;
+
+        fn price(&mut self) -> Result<Priced> {
+            self.0.price()
+        }
+
+        fn offers(&self, visit: impl FnMut(P::Candidate, f64)) {
+            self.0.offers(visit);
+        }
+
+        fn offer(&self, c: P::Candidate) -> Option<f64> {
+            self.0.offer(c)
+        }
+
+        fn spread(&self) -> f64 {
+            self.0.spread()
+        }
+
+        fn spread_after(&self, c: P::Candidate) -> f64 {
+            self.0.spread_after(c)
+        }
+
+        fn set(&mut self, c: P::Candidate, treated: bool) {
+            self.0.set(c, treated);
+        }
+
+        fn selection(picks: Vec<P::Candidate>) -> BlockerSelection {
+            P::selection(picks)
+        }
+    }
+
+    /// A vertex pricer of the question `request` asks, on the `pool` or,
+    /// when `fresh`, on 64 fresh samples per pass.
+    fn pricer<'a>(
+        fresh: bool,
+        (pool, graph, request): (&'a SamplePool, &'a DiGraph, &'a ContainmentRequest<'_>),
+        threads: usize,
+        workspace: &'a mut PoolWorkspace,
+    ) -> VertexPricer<'a> {
+        let (seeds, forbidden) = (request.seeds(), request.forbidden().mask());
+        if fresh {
+            let (backend, schedule) = ((64, 5, threads), SeedSchedule::Golden);
+            VertexPricer::fresh(
+                &IcLiveEdgeSampler,
+                graph,
+                request,
+                backend,
+                schedule,
+                workspace,
+            )
+        } else {
+            VertexPricer::pooled(pool, seeds, forbidden, threads, workspace)
+        }
+        .unwrap()
+    }
+
+    /// The picks, spread bits and rounds of a selection.
+    fn answer(selection: BlockerSelection) -> (Vec<VertexId>, u64, usize) {
+        let spread = selection.estimated_spread.unwrap().to_bits();
+        (selection.blockers, spread, selection.stats.rounds)
+    }
+
+    /// A budget beyond every vertex any cascade reaches: once the reached
+    /// vertices are picked or cut off, every eligible vertex scores zero
+    /// and each round takes the smallest eligible one, stepping over the
+    /// seeds (0 and 3), the forbidden vertex (1) and the picks (2 and 8)
+    /// among the lowest ids. The credited scan must pick what the n-scan
+    /// picks, on the pooled and the Fresh pricer, for both greedy shapes
+    /// and at 1 and 2 threads.
+    #[test]
+    fn rounds_past_every_reached_vertex_take_the_smallest_eligible_one() {
+        let edges = [(0, 2), (2, 9), (3, 8)].map(|(u, v)| (vid(u), vid(v), 1.0));
+        let graph = DiGraph::from_edges(16, edges).unwrap();
+        let (seeds, budget) = ([vid(0), vid(3)], 8);
+        let mut forbidden = vec![false; 16];
+        forbidden[1] = true;
+        let request = ContainmentRequest::builder(&graph)
+            .seeds(seeds)
+            .budget(budget)
+            .forbid_mask(forbidden)
+            .build()
+            .unwrap();
+        let pool = SamplePool::build_with_threads(&graph, 64, 11, 1).unwrap();
+        let question = (&pool, &graph, &request);
+        let expected: Vec<VertexId> = [2, 8, 4, 5, 6, 7, 9, 10].map(vid).into();
+        for (fresh, threads, replace) in [false, true]
+            .into_iter()
+            .flat_map(|fresh| [(fresh, 1, false), (fresh, 1, true), (fresh, 2, true)])
+        {
+            let label = format!("fresh={fresh} threads={threads} replace={replace}");
+            let (ws, full_ws) = (&mut PoolWorkspace::new(), &mut PoolWorkspace::new());
+            let mut credited = pricer(fresh, question, threads, ws);
+            let mut full = FullScan(pricer(fresh, question, threads, full_ws));
+            let plan = if replace {
+                Plan::replace(credited.out_neighbours(&graph, &seeds))
+            } else {
+                Plan::advanced()
+            };
+            let credited = answer(run(&mut credited, budget, &plan, Instant::now()).unwrap());
+            let full = answer(run(&mut full, budget, &plan, Instant::now()).unwrap());
+            assert_eq!(credited, full, "{label}");
+            assert_eq!(credited.0, expected, "{label}");
+            assert_eq!(f64::from_bits(credited.1), 2.0, "{label}: the seeds alone");
+        }
     }
 }

@@ -1040,8 +1040,9 @@ mod tests {
     }
 
     /// A pricer that, after every pass, prices the same treatment from
-    /// scratch and requires the offers and the spread bit for bit, and
-    /// each candidate's own offer to agree with them.
+    /// scratch and requires the offers and the spread bit for bit, each
+    /// candidate's own offer to agree with them, and the best contender
+    /// to be the best offer.
     struct Checked<P: Pricer, R> {
         inner: P,
         treatment: BTreeSet<P::Candidate>,
@@ -1078,12 +1079,23 @@ mod tests {
             for &c in &self.treatment {
                 assert_eq!(self.inner.offer(c), None, "{label}: a treated offer");
             }
+            let (mut best, mut contender) = (None, None);
+            self.inner
+                .offers(|c, score| greedy::keep_best(&mut best, c, score));
+            self.inner
+                .contenders(|c, score| greedy::keep_best(&mut contender, c, score));
+            let bits = |best: Option<(f64, P::Candidate)>| best.map(|(s, c)| (s.to_bits(), c));
+            assert!(bits(contender) == bits(best), "{label}: best contender");
             assert!(priced.rebuilt <= priced.samples, "{label}");
             Ok(priced)
         }
 
         fn offers(&self, visit: impl FnMut(P::Candidate, f64)) {
             self.inner.offers(visit);
+        }
+
+        fn contenders(&self, visit: impl FnMut(P::Candidate, f64)) {
+            self.inner.contenders(visit);
         }
 
         fn offer(&self, c: P::Candidate) -> Option<f64> {
@@ -1150,12 +1162,8 @@ mod tests {
         let mut picks = Vec::new();
         for _ in 0..3 {
             pricer.price().unwrap();
-            let mut best: Option<(f64, P::Candidate)> = None;
-            pricer.offers(|c, score| {
-                if best.is_none_or(|(top, b)| score > top || (score == top && c < b)) {
-                    best = Some((score, c));
-                }
-            });
+            let mut best = None;
+            pricer.offers(|c, score| greedy::keep_best(&mut best, c, score));
             let Some((_, c)) = best else { break };
             pricer.set(c, true);
             picks.push(c);

@@ -1056,6 +1056,9 @@ pub(crate) trait CascadeSource: Sync {
         cascade: &mut CompactSample,
         laps: &mut Laps,
     );
+    /// Starts loading what filling cascade `idx` reads first; nothing by
+    /// default.
+    fn prefetch(&self, _idx: usize, _seeds: &[VertexId]) {}
     /// Fills `cascade` with cascade `idx` as [`CascadeSource::fill`] would,
     /// but from `record`, its untreated cascade kept by the query's ledger;
     /// `record_of` is scratch. Only a source whose passes share a ledger
@@ -1089,6 +1092,10 @@ impl<F: EdgeFilter> CascadeSource for Rerooted<'_, F> {
 
     fn cursor(&self, _worker: usize, _workers: usize) {}
 
+    fn prefetch(&self, idx: usize, seeds: &[VertexId]) {
+        self.pool.arena.prefetch_seeds(idx, seeds);
+    }
+
     fn fill<const TIMED: bool>(
         &self,
         _cursor: &mut (),
@@ -1102,12 +1109,18 @@ impl<F: EdgeFilter> CascadeSource for Rerooted<'_, F> {
         cascade.root_at(self.pool.num_vertices, seeds);
         // Multi-source BFS over the stored live edges; only the
         // intervention filters them — the coins were flipped at build time.
+        // Each vertex's first line is requested as the BFS discovers it,
+        // so it is on its way while the vertices queued ahead are expanded.
         let mut head = 1;
         while let Some(&u) = cascade.vertices().get(head) {
             head += 1;
             view.for_each_live(u, |t| {
                 if self.filter.keeps(idx, u, t) {
+                    let reached = cascade.num_reached();
                     cascade.push_live(t);
+                    if cascade.num_reached() > reached {
+                        view.prefetch(t);
+                    }
                 }
             });
             cascade.seal_vertex();
@@ -1206,6 +1219,11 @@ impl<S: SpreadSampler + ?Sized> CascadeSource for Sampled<'_, S> {
         unreachable!("fresh samples differ from call to call, so they keep no ledger")
     }
 }
+
+/// How many cascades ahead in its list a worker that fills from the
+/// source starts loading the seeds' lines: far enough for the loads to
+/// land before the BFS reaches them, near enough to stay cached.
+const PREFETCH_AHEAD: usize = 4;
 
 /// Bytes of per-realisation records one query's ledger may hold: 16 MiB.
 /// Each cascade vertex costs 24 bytes (an 8-byte credit entry, an 8-byte
@@ -1536,7 +1554,7 @@ impl KernelScratch {
             record_of,
         } = self;
         let only_seeds = 1 + seeds.len();
-        for &idx in list {
+        for (at, &idx) in list.iter().enumerate() {
             if TIMED {
                 laps.mark = ticks();
             }
@@ -1546,6 +1564,9 @@ impl KernelScratch {
                 let scratch = (&mut *cascade, &mut *record_of);
                 source.replay::<TIMED>(record, idx as usize, seeds, scratch, laps);
             } else {
+                if let Some(&ahead) = list.get(at + PREFETCH_AHEAD) {
+                    source.prefetch(ahead as usize, seeds);
+                }
                 source.fill::<TIMED>(cursor, idx as usize, seeds, cascade, laps);
             }
             let reached = cascade.num_reached();
@@ -1729,6 +1750,12 @@ struct Sums {
     reached: u64,
     /// Vertices whose sum the current pass changed (with repeats).
     touched: Vec<u32>,
+    /// The vertices the last full vertex-credit pass credited (with
+    /// repeats). The passes between two full ones are ledger rounds, whose
+    /// full pass was the query's first, untreated one, and a treatment
+    /// only removes edges: no vertex outside the list earns credit before
+    /// the next full pass.
+    credited: Vec<u32>,
 }
 
 impl Sums {
@@ -1894,6 +1921,13 @@ impl PoolWorkspace {
         &self.is_seed
     }
 
+    /// The vertices the last full [`vertex_credit`] pass credited, with
+    /// repeats: every vertex that can hold credit until the next full
+    /// pass of the query.
+    pub(crate) fn credited(&self) -> &[u32] {
+        &self.sums.credited
+    }
+
     /// The merged per-edge credit of the last [`edge_credit`] pass.
     pub(crate) fn edge_credit(&self) -> &EdgeSums {
         &self.sums.edge
@@ -2008,6 +2042,9 @@ fn run_kernel<const EDGE_CREDIT: bool, C: CascadeSource>(
         ledger.settle(bytes.into_inner(), workers, active);
     }
     finish(sums, full);
+    if full && !EDGE_CREDIT {
+        std::mem::swap(&mut sums.credited, &mut sums.touched);
+    }
     if timed {
         for worker in &workers[..active] {
             for (&phase, &ns) in KERNEL_PHASES.iter().zip(&worker.laps.ns) {

@@ -14,10 +14,13 @@
 //! Queries from different connections execute **concurrently** against the
 //! shared resident pool; identical in-flight queries compute once.
 //! `--threads` sets the pool-build worker count, `--query-threads` the
-//! parallelism *inside* one query (default: same as `--threads`; under
-//! many-client load `--query-threads 1` is usually right — cross-connection
-//! parallelism already saturates the cores and answers are bit-identical
-//! either way). `--max-inflight` bounds concurrently computing queries;
+//! ceiling on the parallelism *inside* one query (default: same as
+//! `--threads`). The ceiling is shared among the queries computing at
+//! once: a query that starts while `k` compute (itself included) runs on
+//! `max(1, ceiling / k)` workers, so a lone query gets all of it and
+//! concurrent queries each run inline on their own core. Answers are
+//! bit-identical at any worker count. `--max-inflight` bounds concurrently
+//! computing queries;
 //! beyond it the server answers `ERR busy retry_after_ms=…` instead of
 //! queueing unboundedly.
 //!

@@ -112,6 +112,9 @@ pub struct QueryResult {
     /// Of those, the realisations rebuilt from the cascade the query's
     /// first pass recorded, without reading the pool again.
     pub replayed: usize,
+    /// Worker threads the computation ran on: the engine's query-thread
+    /// ceiling shared among the questions computing when it started.
+    pub workers: usize,
     /// Whether the answer came from the LRU cache.
     pub from_cache: bool,
     /// Wall-clock time to produce (or fetch) the answer.
@@ -393,6 +396,7 @@ pub(crate) fn run_resident(
         samples_consulted: selection.stats.samples_drawn,
         recomputed: selection.stats.samples_rebuilt,
         replayed: selection.stats.samples_replayed,
+        workers: threads,
         from_cache: false,
         elapsed: start.elapsed(),
         disposition: Disposition::Computed,

@@ -436,11 +436,13 @@ fn run_query(query: &Query, trace: bool, engine: &SharedEngine) -> String {
                     .map(|p| p.render(&imin_obs::QUERY_PHASES))
                     .unwrap_or_else(|| "none".into());
                 reply.push_str(&format!(
-                    " trace_id={} disposition={} phases={phases} recomputed={} replayed={}",
+                    " trace_id={} disposition={} phases={phases} recomputed={} replayed={} \
+                     workers={}",
                     result.trace_id,
                     result.disposition.as_str(),
                     result.recomputed,
-                    result.replayed
+                    result.replayed,
+                    result.workers
                 ));
             }
             reply

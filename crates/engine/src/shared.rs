@@ -200,7 +200,7 @@ pub(crate) struct Observation {
     pub(crate) trace_id: u64,
     /// How the answer was produced (`computed`, `cache_hit`, `coalesced`,
     /// `rejected`, `error`, `restore`; `built`, `extended` or `reused` for
-    /// a forward `POOL`).
+    /// a `POOL`).
     pub(crate) disposition: &'static str,
     /// Per-phase breakdown, when spans were active for this request.
     pub(crate) phases: Option<PhaseBreakdown>,
@@ -217,6 +217,21 @@ pub(crate) fn take_last_observation() -> Option<Observation> {
 
 fn set_observation(observation: Observation) {
     LAST_OBSERVATION.with(|cell| cell.set(Some(observation)));
+}
+
+/// What the access log records of a `POOL` that succeeded: its
+/// disposition, and the phases a build or an extension lapped.
+fn pool_observation(action: PoolAction, breakdown: PhaseBreakdown) -> Observation {
+    let (disposition, phases) = match action {
+        PoolAction::Built => ("built", Some(breakdown)),
+        PoolAction::Extended => ("extended", Some(breakdown)),
+        PoolAction::Reused => ("reused", None),
+    };
+    Observation {
+        trace_id: 0,
+        disposition,
+        phases,
+    }
 }
 
 /// A point-in-time copy of every serving counter, as reported by `STATS`.
@@ -352,10 +367,13 @@ impl SharedEngine {
         self
     }
 
-    /// Sets the intra-query thread count independently of the build
-    /// threads. Under concurrent load the right value is usually `1`:
-    /// parallelism across connections beats parallelism inside one query,
-    /// and answers are bit-identical either way.
+    /// Sets the intra-query thread ceiling independently of the build
+    /// threads. The ceiling is shared among the questions computing at
+    /// once: a leader runs on `max(1, ceiling / computing)` workers, where
+    /// `computing` counts the leaders computing when it starts, itself
+    /// included. A lone question gets the whole ceiling, and questions on
+    /// every core run one worker each, with no thread forked per pass.
+    /// Answers are bit-identical at any worker count.
     pub fn with_query_threads(mut self, query_threads: usize) -> Self {
         self.query_threads = query_threads.max(1);
         self
@@ -418,7 +436,7 @@ impl SharedEngine {
         self.threads
     }
 
-    /// Intra-query worker threads.
+    /// The intra-query worker-thread ceiling.
     pub fn query_threads(&self) -> usize {
         self.query_threads
     }
@@ -562,21 +580,13 @@ impl SharedEngine {
         let result = self.ensure_pool_locked(theta, seed);
         let breakdown = span::take();
         if let (true, Ok((_, action))) = (observability, &result) {
-            let (disposition, phases) = match action {
-                PoolAction::Built => ("built", Some(breakdown)),
-                PoolAction::Extended => ("extended", Some(breakdown)),
-                PoolAction::Reused => ("reused", None),
-            };
-            if phases.is_some() {
+            let observation = pool_observation(*action, breakdown);
+            if observation.phases.is_some() {
                 for phase in POOL_PHASES {
                     self.metrics.phase(phase).record_us(breakdown.get(phase));
                 }
             }
-            set_observation(Observation {
-                trace_id: 0,
-                disposition,
-                phases,
-            });
+            set_observation(observation);
         }
         self.metrics
             .verb(Verb::Pool)
@@ -657,6 +667,10 @@ impl SharedEngine {
     /// the rebuild waits for those references to drain before releasing the
     /// arenas, so peak memory stays at one sketch pool.
     ///
+    /// While observability is on, every successful call leaves the access
+    /// log its disposition (`built` with the build's `rsample` phase, or
+    /// `reused`).
+    ///
     /// # Errors
     /// [`EngineError::NoGraph`] before a graph is loaded, or the underlying
     /// build error (θ_r = 0, rejected before anything is dropped).
@@ -666,7 +680,15 @@ impl SharedEngine {
         seed: u64,
     ) -> Result<(SketchPoolInfo, PoolAction)> {
         let start = Instant::now();
+        let observability = self.observability();
+        if observability {
+            span::begin();
+        }
         let result = self.ensure_sketch_pool_locked(theta_r, seed);
+        let breakdown = span::take();
+        if let (true, Ok((_, action))) = (observability, &result) {
+            set_observation(pool_observation(*action, breakdown));
+        }
         self.metrics
             .verb(Verb::Pool)
             .record_us(start.elapsed().as_micros() as u64);
@@ -987,8 +1009,9 @@ impl SharedEngine {
                     Err(reason) => Err(EngineError::Protocol(reason)),
                 }
             }
-            Role::Leader(slot) => {
+            Role::Leader(slot, computing) => {
                 let compute = Instant::now();
+                let workers = query_workers(self.query_threads, computing);
                 let observability = self.observability();
                 if observability {
                     // Arm the thread-local span: the pooled solver laps its
@@ -1001,7 +1024,7 @@ impl SharedEngine {
                         sketch.as_deref(),
                         &graph,
                         query,
-                        self.query_threads,
+                        workers,
                         start,
                     )
                 }))
@@ -1085,18 +1108,26 @@ impl SharedEngine {
                 retry_after_ms: self.retry_after_ms(),
             });
         }
-        self.counters.inflight.fetch_add(1, Relaxed);
+        let computing = self.counters.inflight.fetch_add(1, Relaxed) as usize + 1;
         let slot = Arc::new(InflightSlot::default());
         inflight.insert(key.clone(), Arc::clone(&slot));
-        Ok(Role::Leader(slot))
+        Ok(Role::Leader(slot, computing))
     }
 }
 
 /// How [`SharedEngine::claim`] answers a question that missed the cache.
 enum Role {
     Hit(Box<QueryResult>),
-    Leader(Arc<InflightSlot>),
+    /// A new leader, with the number of leaders computing as it starts,
+    /// itself included.
+    Leader(Arc<InflightSlot>, usize),
     Follower(Arc<InflightSlot>),
+}
+
+/// The workers a leader computes on: the query-thread `ceiling` shared
+/// evenly among the `computing` leaders, at least one each.
+fn query_workers(ceiling: usize, computing: usize) -> usize {
+    (ceiling / computing).max(1)
 }
 
 /// A cached answer as this request's reply. The stored phase breakdown
@@ -1260,6 +1291,31 @@ pub(crate) mod tests {
         );
         assert_eq!(stats.rejected, 0);
         assert_eq!(stats.inflight, 0, "gauge returns to zero");
+    }
+
+    /// The query-thread ceiling is shared among the leaders computing at
+    /// once: a lone question gets all of it and `k` questions
+    /// `max(1, ceiling / k)` each. An answer carries the worker count its
+    /// computation ran on, and a leader claimed while another computes
+    /// counts both.
+    #[test]
+    fn computing_questions_share_the_query_thread_ceiling() {
+        for ceiling in [1, 2, 3, 4, 8] {
+            assert_eq!(query_workers(ceiling, 1), ceiling, "a lone question");
+            for k in 2..=9 {
+                let share = (ceiling / k).max(1);
+                assert_eq!(query_workers(ceiling, k), share, "{k} of {ceiling}");
+            }
+        }
+        let engine = primed(200).with_query_threads(2);
+        assert_eq!(engine.query(&query(1, 2)).unwrap().workers, 2);
+        assert_eq!(engine.query(&query(1, 2)).unwrap().workers, 2, "cached");
+        let computing = |seed| match engine.claim(&query(seed, 2).key()).unwrap() {
+            Role::Leader(_, computing) => computing,
+            _ => panic!("a new question leads"),
+        };
+        assert_eq!(computing(2), 1);
+        assert_eq!(computing(3), 2);
     }
 
     /// The race behind a question computed twice, without the timing: a

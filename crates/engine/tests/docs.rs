@@ -54,6 +54,7 @@ fn protocol_doc_covers_the_documented_reply_fields() {
         "imin_realisations_recomputed_total",
         "replayed=",
         "imin_realisations_replayed_total",
+        "workers=",
         "imin_pool_phase_seconds",
         "pool_sweep=",
     ] {

@@ -192,6 +192,9 @@ fn trace_replies_and_metrics_work_over_real_tcp() {
         recomputed - 300,
         "replayed= is recomputed= minus θ: {reply}"
     );
+    // The reply ends with the worker count the question ran on: the
+    // engine's one query thread.
+    assert!(reply.ends_with(" workers=1"), "{reply}");
 
     // The identical query again: a cache hit, still carrying the original
     // computation's phase breakdown.
@@ -208,6 +211,7 @@ fn trace_replies_and_metrics_work_over_real_tcp() {
     assert!(!reply.contains("trace_id="), "{reply}");
     assert!(!reply.contains("recomputed="), "{reply}");
     assert!(!reply.contains("replayed="), "{reply}");
+    assert!(!reply.contains("workers="), "{reply}");
 
     // METRICS over the wire: framed as OK lines=<n>, parses as exposition.
     let body = client.metrics().expect("metrics");
@@ -440,13 +444,16 @@ fn the_access_log_emits_one_structured_line_per_request() {
         .unwrap()
         .starts_with("OK"));
     assert!(client.send_raw("NONSENSE").unwrap().starts_with("ERR"));
+    for sketch in ["POOL 1000 9 backend=sketch", "POOL 1000 9 backend=sketch"] {
+        assert!(client.send_raw(sketch).unwrap().starts_with("OK"));
+    }
     drop(client);
 
-    // The log line is written before the reply, so four replies received
-    // implies four lines captured.
+    // The log line is written before the reply, so six replies received
+    // implies six lines captured.
     let captured = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
     let lines: Vec<&str> = captured.lines().collect();
-    assert_eq!(lines.len(), 4, "one line per request:\n{captured}");
+    assert_eq!(lines.len(), 6, "one line per request:\n{captured}");
     assert!(
         lines[0].contains("\"verb\":\"LOAD\"") && lines[0].contains("\"ok\":true"),
         "{}",
@@ -471,6 +478,22 @@ fn the_access_log_emits_one_structured_line_per_request() {
         lines[3].contains("\"verb\":\"NONSENSE\"") && lines[3].contains("\"ok\":false"),
         "{}",
         lines[3]
+    );
+    // A sketch POOL logs its disposition too: built with its reverse
+    // sampling phase, then reused with none.
+    assert!(
+        lines[4].contains("\"verb\":\"POOL\"")
+            && lines[4].contains("\"disposition\":\"built\"")
+            && lines[4].contains("\"phases\":{\"rsample\":"),
+        "{}",
+        lines[4]
+    );
+    assert!(
+        lines[5].contains("\"verb\":\"POOL\"")
+            && lines[5].contains("\"disposition\":\"reused\"")
+            && !lines[5].contains("\"phases\""),
+        "{}",
+        lines[5]
     );
     for line in &lines {
         assert!(
